@@ -1,57 +1,11 @@
-"""Special-function kernels used by the spectral and screened lattice sums.
-
-The order-one Bessel function is implemented in-package (power series up to
-t = 14 accumulated in extended precision, Hankel asymptotic expansion beyond)
-so the ball form factors do not depend on an external special-function
-routine; the test suite cross-checks it against scipy to 1e-12.
+"""Special-function kernels: ball form factors for the direct mode sum, and
+E1(z) + log z, the entire completion used by the 2D regular part of G.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import exp1
-
-_SERIES_SPLIT = 14.0
-_SERIES_TERMS = 72
-_HANKEL_TERMS = 26
-
-
-def j1(t):
-    """Bessel function J1 for real non-negative arguments (vectorized)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-
-    small = t <= _SERIES_SPLIT
-    if np.any(small):
-        # sum in longdouble: the alternating series loses ~4-5 digits at t=14
-        ts = t[small].astype(np.longdouble)
-        q = -(ts * ts) / 4.0
-        term = ts / 2.0
-        acc = term.copy()
-        for k in range(1, _SERIES_TERMS):
-            term *= q / (k * (k + 1))
-            acc += term
-        out[small] = acc.astype(float)
-
-    big = ~small
-    if np.any(big):
-        tb = t[big]
-        inv = 1.0 / tb
-        # a_j = prod_{i<=j} (4 - (2i-1)^2) / (8i); P collects even j, Q odd j
-        p = np.ones_like(tb)
-        qs = np.zeros_like(tb)
-        a = 1.0
-        pw = np.ones_like(tb)
-        for j in range(1, _HANKEL_TERMS):
-            a *= (4.0 - (2 * j - 1) ** 2) / (8.0 * j)
-            pw = pw * inv
-            if j % 2 == 1:
-                qs = qs + ((-1.0) ** (j // 2)) * a * pw
-            else:
-                p = p + ((-1.0) ** (j // 2)) * a * pw
-        chi = tb - 0.75 * np.pi
-        out[big] = np.sqrt(2.0 / (np.pi * tb)) * (np.cos(chi) * p - np.sin(chi) * qs)
-    return out if out.ndim else float(out)
+from scipy.special import exp1, j1
 
 
 def ball_form_factor(dim, t):

@@ -1,7 +1,8 @@
 """Command-line surface: evaluate Green's functions, local energies, limit and
 finite-scale energies, the eta-sweep expansion table, and particle placement.
 
-Exit codes: 0 success, 1 usage/schema, 2 singularity, 3 physical validation,
+Exit codes: 0 success, 1 usage/schema (or Ewald parameters whose certified
+tail breaks the accuracy contract), 2 singularity, 3 physical validation,
 4 admissibility.  All numeric output carries 17 significant digits; CSV
 columns are append-only across versions.  The environment variable
 OKLIM_EWALD_ALPHA overrides the default splitting parameter.
@@ -19,9 +20,9 @@ import time
 import numpy as np
 
 from . import __version__, green, limits, local, optimize, sharp
-from .errors import (CoincidentPoints, DiameterTooLarge, InadmissibleConfiguration,
-                     NoConvergence, OklimError, OverlappingBalls, SingularPoint,
-                     UnequalMasses2D)
+from .errors import (CoincidentPoints, CutoffTooSmall, DiameterTooLarge,
+                     InadmissibleConfiguration, NoConvergence, OklimError, OverlappingBalls,
+                     SingularPoint, UnequalMasses2D)
 
 EXIT_USAGE = 1
 EXIT_SINGULAR = 2
@@ -210,7 +211,7 @@ def cmd_energy(args) -> int:
     rows = []
     if eta is not None:
         ball = sharp.BallConfiguration(cfg.dim, eta, cfg.particles)
-        bd = sharp.sharp_energy(ball)
+        bd = sharp.sharp_energy(ball, params=params)
         rows.append(_breakdown_row("sharp", bd))
     else:
         e0_val = limits.e0(cfg)
@@ -233,7 +234,7 @@ def cmd_expand(args) -> int:
     etas = [float(v) for v in args.etas.split(",") if v.strip()]
     if not etas:
         raise ValueError("--etas must list at least one value")
-    table = sharp.second_order_quotient(cfg, etas)
+    table = sharp.second_order_quotient(cfg, etas, params)
     rows = [["sweep", r.eta, r.energy, r.quotient, None] for r in table.rows]
     if args.richardson:
         if cfg.dim != 3:
@@ -245,6 +246,10 @@ def cmd_expand(args) -> int:
         rows.append(["richardson_slope", None, None, None, slope])
         rows.append(["limit_f0_ordered", None, None, None, f0_pred])
         rows.append(["relative_gap", None, None, None, gap])
+        # for balls F_eta - F0 is exactly c eta^2, so a fit in eta^2 has no model error
+        f0_hat2, slope2 = sharp.richardson_extrapolate(table.etas**2, table.quotients)
+        rows.append(["richardson_f0_eta2", None, None, None, f0_hat2])
+        rows.append(["richardson_slope_eta2", None, None, None, slope2])
     manifest = make_manifest("expand", {
         "config": args.config, "etas": etas, "richardson": bool(args.richardson),
         "reference": table.reference, "reference_kind": table.reference_kind},
@@ -380,7 +385,7 @@ def main(argv=None) -> int:
     except (UnequalMasses2D, InadmissibleConfiguration) as exc:
         sys.stderr.write(f"not an admissible limit configuration: {exc}\n")
         return EXIT_ADMISSIBILITY
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, CutoffTooSmall) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

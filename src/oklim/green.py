@@ -86,13 +86,17 @@ class EwaldParameters:
 
     @classmethod
     def for_alpha(cls, alpha: float, tol: float = 1e-13) -> "EwaldParameters":
-        """Choose the smallest shell cutoffs whose analytic tail bounds are <= tol."""
+        """Choose the smallest shell cutoffs whose 3D tail bounds are <= tol.
+
+        The 3D bounds exceed the 2D ones at every alpha whose cutoffs stay
+        below the caps; ``truncation_bound`` reports each dimension's own.
+        """
         alpha = float(alpha)
         rc = 2
-        while _real_tail_bound(alpha, rc) > tol and rc < 80:
+        while _real_tail_bound(3, alpha, rc) > tol and rc < 80:
             rc += 1
         fc = 2
-        while _fourier_tail_bound(alpha, fc) > tol and fc < 200:
+        while _fourier_tail_bound(3, alpha, fc) > tol and fc < 200:
             fc += 1
         return cls(alpha=alpha, real_cutoff=rc, fourier_cutoff=fc)
 
@@ -101,26 +105,54 @@ class EwaldParameters:
         return cls.for_alpha(_SQRT_PI)
 
 
-def _real_tail_bound(alpha, rc):
-    # cube shells |n|_inf = j hold 24 j^2 + 2 sites; worst distance j - sqrt(3)/2
+# Each tail sum stops once a shell's term falls below 1e-30 or 1e-17 of the
+# sum, whichever is larger: the terms decay like a Gaussian from there on, so
+# the rest is negligible.  A sum whose terms have not fallen that far within
+# 2000 shells is not certified and is returned as inf.
+_MAX_SHELLS = 2000
+
+
+def _real_tail_bound(dim, alpha, rc):
+    # cube shells |n|_inf = j hold 24 j^2 + 2 (3D) or 8 j (2D) sites, each at
+    # distance >= j - sqrt(d)/2 from every point of the centered cell
+    half_diag = math.sqrt(dim) / 2.0
     total = 0.0
-    for j in range(rc + 1, rc + 30):
-        r = j - math.sqrt(3) / 2.0
-        term = (24 * j * j + 2) * math.erfc(alpha * r) / (4 * math.pi * r)
+    for j in range(rc + 1, rc + 1 + _MAX_SHELLS):
+        r = j - half_diag
+        if dim == 3:
+            term = (24 * j * j + 2) * math.erfc(alpha * r) / (4 * math.pi * r)
+        else:
+            term = 8 * j * float(exp1((alpha * r) ** 2)) / (4 * math.pi)
         total += term
-        if term < 1e-30:
-            break
-    return total
+        if term < 1e-30 or term <= 1e-17 * total:
+            return total
+    return math.inf
 
 
-def _fourier_tail_bound(alpha, fc):
+def _fourier_tail_bound(dim, alpha, fc):
+    # spherical shells j < |k| <= j + 1 hold at most 4 pi (j+1)^2 + 6 (3D) or
+    # 2 pi (j+1) + 6 (2D) sites, each with a coefficient below the one at |k| = j
     total = 0.0
-    for j in range(fc, fc + 60):
-        cnt = 4 * math.pi * (j + 1) ** 2 + 6
-        total += cnt * math.exp(-(math.pi * j / alpha) ** 2) / (4 * math.pi**2 * j * j)
-        if total > 0 and cnt * math.exp(-(math.pi * (j + 1) / alpha) ** 2) < 1e-30:
-            break
-    return total
+    for j in range(fc, fc + _MAX_SHELLS):
+        cnt = 4 * math.pi * (j + 1) ** 2 + 6 if dim == 3 else 2 * math.pi * (j + 1) + 6
+        term = cnt * math.exp(-(math.pi * j / alpha) ** 2) / (4 * math.pi**2 * j * j)
+        total += term
+        if term < 1e-30 or term <= 1e-17 * total:
+            return total
+    return math.inf
+
+
+def truncation_bound(dim, params=None) -> float:
+    """Certified bound on the truncation error of one G evaluation.
+
+    The sum of the real-space and reciprocal shells that the cutoffs of
+    ``params`` omit, bounded uniformly over the centered cell; it bounds the
+    error of g(0) as well.  A sum of m_i m_j G terms is then off by at most
+    this bound times sum |m_i m_j|.
+    """
+    params = _resolve(params)
+    return (_real_tail_bound(dim, params.alpha, params.real_cutoff)
+            + _fourier_tail_bound(dim, params.alpha, params.fourier_cutoff))
 
 
 @lru_cache(maxsize=32)

@@ -121,7 +121,8 @@ def f0_energy(config: PointConfiguration, params=None,
 
     3D: sum_i g(0) m_i^2 + c * sum_{i != j} m_i m_j G(x_i - x_j).
     2D (equal masses): n (f0(m) + m^2 g(0)) + c m^2 sum_{i != j} G(x_i - x_j).
-    c = 1 for the ordered convention (default), 1/2 for halved.
+    c = 1 for the ordered convention (default), 1/2 for halved.  The tail
+    bound is G's truncation bound times (sum m)^2.
     """
     if pair_convention not in ("ordered", "halved"):
         raise ValueError("pair_convention must be 'ordered' or 'halved'")
@@ -142,6 +143,7 @@ def f0_energy(config: PointConfiguration, params=None,
         cross_term=cross,
         total=self_term + cross,
         dim=config.dim,
+        tail_bound=green.truncation_bound(config.dim, params) * float(np.sum(config.masses))**2,
     )
 
 

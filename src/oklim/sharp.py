@@ -1,38 +1,35 @@
-"""Exact spectral evaluation of rescaled sharp-interface energies for ball
-configurations, and the second-order quotients whose small-scale limits the
-library verifies.
+"""Rescaled sharp-interface energies of ball configurations, and the
+second-order quotients whose small-scale limits the library verifies.
 
-The H^-1(T^d) norm of v = sum_i eta^-d chi_{B(x_i, a_i)} is the lattice sum
-sum_{k != 0} |vhat(k)|^2 / (4 pi^2 |k|^2) with vhat(k) = sum_i m_i
-Phi_d(2 pi |k| a_i) e^{-2 pi i k.x_i} and Phi_d the unit-mass ball form
-factor.  Summed naively the form-factor decay forces enormous cutoffs at
-small eta, so the sum is evaluated by an exact screened splitting of the
-same quantity: a Gaussian-damped reciprocal sum plus short-range ball-pair
-averages of the screened kernel plus the neutralizing background.  The
-short-range averages reduce to one-dimensional quadratures of entire
-functions: the singular kernel parts average exactly over balls (1/u
-averages to 1/C outside a ball; log u averages to log C, and to
-log a - 1/4 over same-disc pairs), and the remaining screened completions
-are analytic, so every contribution is either closed-form or a
-spectrally-convergent quadrature, with certified truncation tails for both
-sums.  A brute-force truncated mode sum ("direct") is kept for
-cross-validation at moderate scales.
+The H^-1(T^d) norm of v = sum_i eta^-d chi_{B(x_i, a_i)} is the double sum
+sum_{i, j} m_i m_j <G>_{ij}, where <G>_{ij} averages the periodic Green's
+function G over x in B(x_i, a_i) and y in B(x_j, a_j).  For disjoint balls of
+diameter below 1/2 that average is a closed form in point values of G: G
+minus its free-space singular part has constant Laplacian on every ball-pair
+difference set, so by the mean-value property (Newton's theorem)
+
+    3D  <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / 10,
+        <G>_{ii} = 6 / (5 a_i) / (4 pi) + g(0) + a_i^2 / 5,
+    2D  <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / 8,
+        <G>_{ii} = -(log a_i - 1/4) / (2 pi) + g(0) + a_i^2 / 4,
+
+with g(0) the regular part of G at the origin.  The energy is therefore one
+batched Ewald evaluation of G over the n(n-1)/2 pairs, exact up to G's
+certified truncation bound, at every scale eta.  A brute-force truncated
+mode sum over the ball form factors ("direct") shares nothing with G and is
+kept as the independent check at moderate scales; ``fourier_cutoff`` is its
+mode cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import erf, erfc
 
 from . import green, limits, local
-from ._special import ball_form_factor, e1_plus_log
+from ._special import ball_form_factor
 from .breakdown import EnergyBreakdown
 from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration,
                      OverlappingBalls, UnequalMasses2D)
@@ -40,9 +37,6 @@ from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration
 MIN_CUTOFF = 16
 TAIL_CONTRACT = 1e-8  # certified tail must stay below this fraction of the total
 CLEARANCE = 1e-6
-
-_GL_NODES = 64
-_CHEB_DEG = 160
 
 
 def ball_scale_radius(dim: int, mass: float, eta: float) -> float:
@@ -112,197 +106,32 @@ class BallConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# H^-1 pair sums: sum_i m_i^2 <G>_ii and sum_{i != j} m_i m_j <G>_ij
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _gl(n):
-    x, w = leggauss(n)
-    return x, w
-
-
-def _gl_on(lo, hi, n):
-    x, w = _gl(n)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
-@lru_cache(maxsize=16)
-def _image_grid(dim):
-    rng = np.arange(-3, 4)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-
-
-@lru_cache(maxsize=16)
-def _half_modes(dim, cutoff):
-    rng = np.arange(-cutoff, cutoff + 1)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    k = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    k2 = np.sum(k**2, axis=1)
-    keep = (k2 > 0) & (k2 <= cutoff**2)
-    k = k[keep]
-    # lexicographically positive half-space; each mode stands for +-k
-    pos = k[:, 0] > 0
-    zero0 = k[:, 0] == 0
-    pos |= zero0 & (k[:, 1] > 0)
-    if dim == 3:
-        pos |= zero0 & (k[:, 1] == 0) & (k[:, 2] > 0)
-    return k[pos], np.sum(k[pos]**2, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# screened real-space kernel, split into exactly-averaged singular part and
-# entire completion
-# ---------------------------------------------------------------------------
-
-class _ScreenedBallKernel:
-    """Ball-pair averages of the short-range Ewald kernel at splitting kappa."""
-
-    def __init__(self, dim: int, kappa: float):
-        self.dim = dim
-        self.kappa = kappa
-        self._cheb: dict[float, Chebyshev] = {}
-
-    # entire completions: the screened kernel minus its exactly-averaged
-    # singular part; analytic in u^2, bounded on [0, inf)
-    def _entire(self, u):
-        k = self.kappa
-        if self.dim == 3:
-            u = np.asarray(u, dtype=float)
-            out = np.empty_like(u)
-            small = k * u < 1e-6
-            z = k * u[small]
-            out[small] = -(k / (2 * math.pi**1.5)) * (1.0 - z * z / 3.0)
-            ub = u[~small]
-            out[~small] = -erf(k * ub) / (4 * math.pi * ub)
-            return out
-        return e1_plus_log((k * np.asarray(u, dtype=float)) ** 2) / (4 * math.pi)
-
-    # --- 3D ball means -----------------------------------------------------
-
-    def _ball_mean_3d(self, rho, b):
-        """Mean of the entire part over a ball of radius b at distances rho > b."""
-        u, w = _gl_on(-1.0, 1.0, _GL_NODES)
-        uu = rho[:, None] + b * u[None, :]
-        vals = self._entire(uu.ravel()).reshape(uu.shape)
-        poly = uu * (b * b - (rho[:, None] - uu) ** 2)
-        integ = (vals * poly) @ w * b
-        return 3.0 / (4.0 * b**3 * rho) * integ
-
-    def _pair_mean_entire_3d(self, C, a, b):
-        rho, w = _gl_on(-1.0, 1.0, _GL_NODES)
-        rr = C[:, None] + a * rho[None, :]
-        inner = self._ball_mean_3d(rr.ravel(), b).reshape(rr.shape)
-        poly = rr * (a * a - (C[:, None] - rr) ** 2)
-        integ = (inner * poly) @ w * a
-        return 3.0 / (4.0 * a**3 * C) * integ
-
-    # --- 2D disc means -----------------------------------------------------
-
-    def _disc_mean_2d(self, rho, b):
-        """Mean of the entire part over a disc of radius b at distances rho (any)."""
-        s, ws = _gl_on(0.0, b, _GL_NODES)
-        phi, wphi = _gl_on(0.0, math.pi, _GL_NODES)
-        r2 = (rho[:, None, None] ** 2 + s[None, :, None] ** 2
-              - 2.0 * rho[:, None, None] * s[None, :, None] * np.cos(phi)[None, None, :])
-        vals = self._entire(np.sqrt(np.maximum(r2, 0.0)).ravel()).reshape(r2.shape)
-        inner = (vals @ wphi) / math.pi
-        return (inner * s[None, :]) @ ws * (2.0 / b**2)
-
-    def _inner_cheb(self, b, lo, hi):
-        key = (b, lo, hi)
-        ch = self._cheb.get(key)
-        if ch is None:
-            ch = Chebyshev.interpolate(lambda r: self._disc_mean_2d(np.asarray(r, float), b),
-                                       deg=_CHEB_DEG, domain=[lo, hi])
-            self._cheb[key] = ch
-        return ch
-
-    def _pair_mean_entire_2d(self, C, a, b):
-        lo = max(0.0, float(np.min(C)) - a - 1e-12)
-        hi = float(np.max(C)) + a + 1e-12
-        ch = self._inner_cheb(b, lo, hi)
-        s, ws = _gl_on(0.0, a, _GL_NODES)
-        phi, wphi = _gl_on(0.0, math.pi, _GL_NODES)
-        r2 = (C[:, None, None] ** 2 + s[None, :, None] ** 2
-              - 2.0 * C[:, None, None] * s[None, :, None] * np.cos(phi)[None, None, :])
-        vals = ch(np.sqrt(np.maximum(r2, 0.0)))
-        inner = (vals @ wphi) / math.pi
-        return (inner * s[None, :]) @ ws * (2.0 / a**2)
-
-    # --- public pair averages ------------------------------------------------
-
-    def cross_mean(self, C, a, b):
-        """Pair average of the screened kernel, balls of radii a, b at distances C.
-
-        Requires min(C) > a + b, which disjointness guarantees for every
-        lattice image; the singular part then averages exactly.
-        """
-        C = np.asarray(C, dtype=float)
-        if C.size == 0:
-            return C
-        if float(np.min(C)) <= a + b:
-            raise ValueError("pair average requires center distance > sum of radii")
-        if self.dim == 3:
-            return 1.0 / (4 * math.pi * C) + self._pair_mean_entire_3d(C, a, b)
-        return (-(math.log(self.kappa) + np.log(C)) / (2 * math.pi)
-                + self._pair_mean_entire_2d(C, a, b))
-
-    def self_mean(self, a):
-        """Average of the screened kernel over independent pairs in one ball."""
-        if self.dim == 3:
-            u, w = _gl_on(0.0, 2.0 * a, _GL_NODES)
-            p = (3.0 / 16.0) * u**2 * (2 * a - u) ** 2 * (4 * a + u) / a**6
-            ent = float(np.sum(w * p * self._entire(u)))
-            return 6.0 / (5.0 * a) / (4 * math.pi) + ent
-        # u = 2a sin(theta) removes the square-root endpoint of the pair density
-        th, w = _gl_on(0.0, math.pi / 2.0, _GL_NODES)
-        st, ct = np.sin(th), np.cos(th)
-        dens = (16.0 / math.pi) * st * ct * (math.pi / 2.0 - th - st * ct)
-        ent = float(np.sum(w * dens * self._entire(2.0 * a * st)))
-        return -(math.log(self.kappa) + math.log(a) - 0.25) / (2 * math.pi) + ent
-
-
-# ---------------------------------------------------------------------------
-# certified tails
-# ---------------------------------------------------------------------------
-
-def _damped_k_tail(dim, cutoff, kappa, mass_sum):
-    total = 0.0
-    for j in range(cutoff, cutoff + 80):
-        cnt = 4 * math.pi * (j + 1) ** 2 + 6 if dim == 3 else 2 * math.pi * (j + 1) + 6
-        term = cnt * math.exp(-(math.pi * j / kappa) ** 2) / (4 * math.pi**2 * j * j)
-        total += term
-        if term < 1e-300:
-            break
-    return mass_sum**2 * total
-
-
-def _screened_kernel_bound(dim, kappa, d):
-    if d <= 0:
-        return math.inf
-    if dim == 3:
-        return erfc(kappa * d) / (4 * math.pi * d)
-    z = (kappa * d) ** 2
-    return math.exp(-z) / max(z, 1e-300) / (4 * math.pi)
-
-
-def _image_tail(dim, kappa, span, r_inc, mass_sum):
-    sd = math.sqrt(dim) / 2.0
-    total = 343 * _screened_kernel_bound(dim, kappa, r_inc - span)
-    for j in range(4, 40):
-        cnt = 24 * j * j + 2 if dim == 3 else 8 * j
-        term = cnt * _screened_kernel_bound(dim, kappa, j - sd - span)
-        total += term
-        if term < 1e-300:
-            break
-    return mass_sum**2 * total
+def _pair_sums_closed_form(config, params):
+    """Self and cross pair sums from point values of G; see the module docstring."""
+    m = config.masses
+    a = config.radii
+    g0 = green.regular_part_at_zero(config.dim, params)
+    if config.dim == 3:
+        q = 10.0
+        self_mean = 6.0 / (5.0 * a) / (4 * math.pi) + g0 + a**2 / 5.0
+    else:
+        q = 8.0
+        self_mean = -(np.log(a) - 0.25) / (2 * math.pi) + g0 + a**2 / 4.0
+    mass = float(np.sum(m))
+    self_sum = float(np.sum(m**2 * self_mean))
+    # sum_{i != j} m_i m_j (a_i^2 + a_j^2) / q = (2/q) sum_i m_i a_i^2 (M - m_i)
+    cross_sum = (limits._cross_sum(config.point_configuration(), params)
+                 + (2.0 / q) * float(np.sum(m * a**2 * (mass - m))))
+    return self_sum, cross_sum, green.truncation_bound(config.dim, params) * mass**2
 
 
 def _direct_mode_tail(dim, cutoff, masses, radii):
     """Envelope bound for the untruncated modes of the bare form-factor sum."""
+    from scipy.integrate import quad  # imported here: only this oracle path needs it
+
     def envelope(k):
         t = 2 * math.pi * k * radii
         if dim == 3:
@@ -319,53 +148,7 @@ def _direct_mode_tail(dim, cutoff, masses, radii):
     return 1.6 * val  # slack for lattice-shell counts above the continuum
 
 
-# ---------------------------------------------------------------------------
-# pairwise H^-1 interaction matrix
-# ---------------------------------------------------------------------------
-
-def _pair_matrix_ewald(config, cutoff):
-    kappa = max(2.0 * math.sqrt(math.pi), math.pi * cutoff / 6.5)
-    n = config.n
-    m = config.masses
-    x = config.positions
-    a = config.radii
-
-    kvecs, k2 = _half_modes(config.dim, cutoff)
-    knorm = np.sqrt(k2)
-    wd = 2.0 * np.exp(-(math.pi**2) * k2 / kappa**2) / (4 * math.pi**2 * k2)
-    phi = ball_form_factor(config.dim, 2 * math.pi * knorm[:, None] * a[None, :])
-    phi = phi * m[None, :]
-    phase = 2 * math.pi * (kvecs @ x.T)
-    P = phi * np.cos(phase)
-    Q = phi * np.sin(phase)
-    S = (P * wd[:, None]).T @ P + (Q * wd[:, None]).T @ Q
-
-    kernel = _ScreenedBallKernel(config.dim, kappa)
-    images = _image_grid(config.dim)
-    tail = _damped_k_tail(config.dim, cutoff, kappa, float(np.sum(m)))
-    for i in range(n):
-        for j in range(i, n):
-            span = a[i] + a[j]
-            r_inc = span + max(1.5, 9.5 / kappa)
-            c = green.min_image(x[i] - x[j])
-            C = np.linalg.norm(c[None, :] + images, axis=1)
-            if i == j:
-                val = kernel.self_mean(a[i])
-                keep = (C > 0.5) & (C <= r_inc)
-                if np.any(keep):
-                    val += float(np.sum(kernel.cross_mean(C[keep], a[i], a[j])))
-            else:
-                keep = C <= r_inc
-                val = float(np.sum(kernel.cross_mean(C[keep], a[i], a[j])))
-            val = m[i] * m[j] * (val - 1.0 / (4 * kappa**2))
-            S[i, j] += val
-            if i != j:
-                S[j, i] += val
-            tail += _image_tail(config.dim, kappa, span, r_inc, float(np.sum(m)))
-    return S, tail
-
-
-def _pair_matrix_direct(config, cutoff):
+def _pair_sums_direct(config, cutoff):
     n = config.n
     m = config.masses
     x = config.positions
@@ -393,8 +176,8 @@ def _pair_matrix_direct(config, cutoff):
         P = phi * np.cos(phase)
         Q = phi * np.sin(phase)
         S += (P * w[:, None]).T @ P + (Q * w[:, None]).T @ Q
-    tail = _direct_mode_tail(config.dim, cutoff, m, config.radii)
-    return S, tail
+    diag = float(np.trace(S))
+    return diag, float(np.sum(S)) - diag, _direct_mode_tail(config.dim, cutoff, m, a)
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +185,25 @@ def _pair_matrix_direct(config, cutoff):
 # ---------------------------------------------------------------------------
 
 def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
-                 method: str = "ewald") -> EnergyBreakdown:
+                 method: str = "ewald", params=None) -> EnergyBreakdown:
     """Rescaled sharp-interface energy of a ball configuration.
 
     total = eta * total-variation + pref * |v|^2_{H^-1(T^d)} with pref = eta
     in 3D and 1/|log eta| in 2D.  The breakdown separates the exact
     perimeter term, the scale-free self part (whole-space H^-1 norms in 3D,
     the mass-squared log coefficient in 2D), the remaining regular self
-    interaction, and the cross interaction.  ``method='direct'`` sums the
-    bare truncated mode sum instead of the screened splitting; it is only
-    usable at moderate scales before its certified tail violates the
-    accuracy contract.
+    interaction, and the cross interaction.  ``method='ewald'`` evaluates the
+    closed form through G at the Ewald parameters ``params``; its tail bound
+    is pref * truncation_bound * (sum m)^2.  ``method='direct'`` sums the
+    bare mode sum up to ``fourier_cutoff`` instead; it is only usable at
+    moderate scales before its certified tail violates the accuracy contract.
     """
     if fourier_cutoff < MIN_CUTOFF:
         raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
     if method == "ewald":
-        S, tail = _pair_matrix_ewald(config, fourier_cutoff)
+        diag, off, tail = _pair_sums_closed_form(config, params)
     elif method == "direct":
-        S, tail = _pair_matrix_direct(config, fourier_cutoff)
+        diag, off, tail = _pair_sums_direct(config, fourier_cutoff)
     else:
         raise ValueError("method must be 'ewald' or 'direct'")
 
@@ -435,8 +219,6 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
         perim = float(np.sum(2.0 * np.sqrt(math.pi * m)))
         self_h1 = float(np.sum(m**2) / (2 * math.pi))
 
-    diag = float(np.trace(S))
-    off = float(np.sum(S)) - diag
     regular_self = pref * diag - self_h1
     cross = pref * off
     total = perim + self_h1 + regular_self + cross
@@ -488,14 +270,14 @@ class ExpansionTable:
         return np.array([r.quotient for r in self.rows])
 
 
-def second_order_quotient(template, etas, fourier_cutoff: int = MIN_CUTOFF) -> ExpansionTable:
+def second_order_quotient(template, etas, params=None) -> ExpansionTable:
     """Second-order quotients of a ball-configuration family over a list of etas.
 
     3D: eta^-1 [E_eta - sum_i ball(m_i)], the reference being the ball
     ansatz for each particle (flagged in ``reference_kind``).  2D:
     |log eta| [E_eta - n e2d(m)], valid because the template is required to
     be an optimal equal partition, so the envelope of the total mass equals
-    n e2d(m).
+    n e2d(m).  Each E_eta is ``sharp_energy`` at the Ewald parameters ``params``.
     """
     if isinstance(template, BallConfiguration):
         pc = template.point_configuration()
@@ -522,7 +304,7 @@ def second_order_quotient(template, etas, fourier_cutoff: int = MIN_CUTOFF) -> E
     rows = []
     for eta in etas:
         cfg = BallConfiguration(pc.dim, float(eta), pc.particles)
-        bd = sharp_energy(cfg, fourier_cutoff=fourier_cutoff)
+        bd = sharp_energy(cfg, params=params)
         if pc.dim == 3:
             q = (bd.total - reference) / eta
         else:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oklim import green
+from oklim import green, limits
 
 PI = math.pi
 
@@ -133,6 +133,21 @@ def test_expand_sweep_with_richardson(tmp_path):
     assert gap < 1e-3
 
 
+def test_expand_eta2_fit_rows_follow_the_existing_rows(tmp_path, params):
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    r = run_cli("expand", "--config", cfg, "--etas", "0.04,0.02,0.01", "--richardson")
+    assert r.returncode == 0
+    rows = [ln.split(",") for ln in r.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["sweep"] * 3 + [
+        "richardson_f0", "richardson_slope", "limit_f0_ordered", "relative_gap",
+        "richardson_f0_eta2", "richardson_slope_eta2"]
+    # F_eta - F0 is exactly c eta^2 for balls, so the eta^2 fit reproduces F0
+    f0 = limits.f0_energy(limits.PointConfiguration(
+        3, [(p["mass"], p["position"]) for p in TWO_BALLS_3D["particles"]]),
+        params, "ordered").total
+    assert abs(float(rows[7][4]) - f0) <= 1e-10 * abs(f0)
+
+
 def test_expand_empty_etas_usage_error(tmp_path):
     cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
     r = run_cli("expand", "--config", cfg, "--etas", "")
@@ -178,6 +193,27 @@ def test_ewald_alpha_env_override(params):
     assert val == expect
     # and the choice of alpha does not change the value
     assert abs(val - green.green_eval(3, (0.31, 0.4, 0.27), params)) < 1e-12
+
+
+def test_energy_eta_uses_the_cli_ewald_parameters(tmp_path):
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    runs = [run_cli("energy", "--config", cfg, "--eta", "0.02", env_extra=env)
+            for env in (None, {"OKLIM_EWALD_ALPHA": "3.0"})]
+    manifests = [json.loads(r.stdout.splitlines()[0][len("# manifest:"):]) for r in runs]
+    totals = [float(r.stdout.splitlines()[2].split(",")[7]) for r in runs]
+    assert manifests[1]["ewald"]["alpha"] == 3.0
+    assert manifests[1]["ewald"] != manifests[0]["ewald"]
+    assert abs(totals[1] - totals[0]) <= 1e-12 * abs(totals[0])
+
+
+def test_energy_eta_reports_a_broken_tail_contract_as_usage_error(tmp_path):
+    # alpha = 0.05 hits the real_cutoff cap, and its real tail breaks the contract
+    cfg = write_config(tmp_path, "two2d.json", {"dim": 2, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1]}, {"mass": 0.7, "position": [0.6, 0.6]}]})
+    r = run_cli("energy", "--config", cfg, "--eta", "0.05",
+                env_extra={"OKLIM_EWALD_ALPHA": "0.05"})
+    assert r.returncode == 1
+    assert "certified tail" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_energy_inline_eta(tmp_path):

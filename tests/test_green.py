@@ -32,6 +32,25 @@ def test_parameter_independence():
             assert np.max(np.abs(v - vals[0])) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_truncation_bound_covers_short_cutoffs(dim):
+    # short cutoffs truncate visibly; each bound must cover the error against
+    # long cutoffs at the same alpha, at points of the cell and in g(0)
+    rng = np.random.default_rng(13)
+    X = np.array([random_torus_point(rng, dim, min_dist=1e-2) for _ in range(40)])
+    for alpha, rc, fc in ((math.sqrt(math.pi), 1, 2), (1.0, 2, 2), (3.0, 1, 2), (1.0, 1, 1)):
+        short = green.EwaldParameters(alpha=alpha, real_cutoff=rc, fourier_cutoff=fc)
+        long = green.EwaldParameters(alpha=alpha, real_cutoff=rc + 4, fourier_cutoff=fc + 6)
+        err = np.max(np.abs(green.green_eval_many(dim, X, short)
+                            - green.green_eval_many(dim, X, long)))
+        err0 = abs(green.regular_part_at_zero(dim, short)
+                   - green.regular_part_at_zero(dim, long))
+        assert max(err, err0) <= green.truncation_bound(dim, short)
+    assert 0.0 < green.truncation_bound(dim) < 1e-13
+    # alpha = 0.05 hits the real_cutoff cap: the bound reports the real tail
+    assert 1e-7 < green.truncation_bound(dim, green.EwaldParameters.for_alpha(0.05)) < 1e-5
+
+
 def test_evenness_and_lattice_symmetry(params):
     rng = np.random.default_rng(3)
     for dim in (2, 3):

@@ -87,6 +87,21 @@ def test_f0_energy_2d_formula_and_mass_guard(params):
         limits.f0_energy(config(2, [(1.0, (0, 0)), (2.0, (0.5, 0.5))]), params)
 
 
+def test_f0_tail_bound_is_certified_and_nonzero(params):
+    short = green.EwaldParameters(alpha=math.sqrt(PI), real_cutoff=1, fourier_cutoff=2)
+    m = 2 ** (2.0 / 3.0) * PI
+    cases = ((3, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.8, 0.1))]),
+             (2, [(m, (0.1, 0.2)), (m, (0.55, 0.65))]))
+    for dim, entries in cases:
+        c = config(dim, entries)
+        mass2 = float(np.sum(c.masses)) ** 2
+        bd = limits.f0_energy(c, params)
+        assert bd.tail_bound == green.truncation_bound(dim, params) * mass2
+        assert 0.0 < bd.tail_bound < 1e-12
+        rough = limits.f0_energy(c, short)
+        assert abs(rough.total - bd.total) <= rough.tail_bound
+
+
 def test_f0_energy_translation_and_permutation_invariance(params):
     entries = [(1.0, (0.12, 0.41, 0.77)), (0.7, (0.55, 0.1, 0.3)), (1.4, (0.9, 0.9, 0.02))]
     base = limits.f0_energy(config(3, entries), params).total

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oklim import green, limits, local, sharp
 from oklim.errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration,
@@ -26,6 +28,18 @@ FIXTURES_3D = [
     sharp.BallConfiguration(3, 0.1, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.7, 0.9)),
                                      (1.3, (0.9, 0.2, 0.6))]),
 ]
+
+
+def _jittered_2d_n9():
+    """Unequal masses on a jittered 3 x 3 lattice at eta = 1e-4."""
+    rng = np.random.default_rng(9)
+    sites = np.stack(np.meshgrid(np.arange(3) / 3, np.arange(3) / 3, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    x = (sites + rng.uniform(-0.05, 0.05, sites.shape)) % 1.0
+    return sharp.BallConfiguration(2, 1e-4, list(zip(rng.uniform(0.5, 1.5, 9), map(tuple, x))))
+
+
+JITTERED_2D_N9 = _jittered_2d_n9()
 
 
 def exact_total_via_green(config, params):
@@ -90,7 +104,7 @@ def test_cutoff_too_small_on_direct_mode():
 # agreement of independent evaluations
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("config", FIXTURES_2D + FIXTURES_3D)
+@pytest.mark.parametrize("config", FIXTURES_2D + FIXTURES_3D + [JITTERED_2D_N9])
 def test_matches_exact_green_identity(config, params):
     bd = sharp.sharp_energy(config)
     expect = exact_total_via_green(config, params)
@@ -126,6 +140,61 @@ def test_direct_mode_agrees_3d():
     bd_e = sharp.sharp_energy(cfg)
     bd_d = sharp.sharp_energy(cfg, fourier_cutoff=260, method="direct")
     assert abs(bd_d.total - bd_e.total) <= bd_d.tail_bound
+
+
+# 2 or 3 discs of unequal mass on jittered sites of the 2 x 2 lattice, shifted as
+# a whole.  Radii stay below 0.25 sqrt(1.5 / pi) < 0.18 and sites move by at most
+# 0.04 per coordinate, so neighbours keep a gap above 0.42 - 0.35.  With eta >= 0.22
+# and at most 3 discs, the direct sum's tail at cutoff 300 stays within its contract.
+_SITES_2D = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+
+
+@st.composite
+def disjoint_discs(draw):
+    n = draw(st.integers(2, 3))
+    eta = draw(st.floats(0.22, 0.25))
+    masses = draw(st.lists(st.floats(0.7, 1.5), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.floats(-0.04, 0.04), min_size=2 * n, max_size=2 * n))
+    shift = draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    x = (_SITES_2D[draw(st.permutations(range(4)))[:n]]
+         + np.reshape(jitter, (n, 2)) + np.array(shift)) % 1.0
+    return sharp.BallConfiguration(2, eta, list(zip(masses, map(tuple, x))))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(disjoint_discs())
+def test_closed_form_agrees_with_direct_mode_sum(cfg):
+    # the direct mode sum shares no code with G: agreement is not circular
+    bd = sharp.sharp_energy(cfg)
+    bd_d = sharp.sharp_energy(cfg, fourier_cutoff=300, method="direct")
+    assert 0.0 < bd.tail_bound <= 1e-8 * abs(bd.total)
+    assert abs(bd_d.total - bd.total) <= bd_d.tail_bound + bd.tail_bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(disjoint_discs(), st.data())
+def test_invariant_under_permutation_and_translation(cfg, data):
+    base = sharp.sharp_energy(cfg).total
+    order = data.draw(st.permutations(range(cfg.n)))
+    shift = np.array(data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    moved = sharp.BallConfiguration(
+        2, cfg.eta, [(m, tuple((p.array + shift) % 1.0))
+                     for m, p in (cfg.particles[i] for i in order)])
+    assert abs(sharp.sharp_energy(moved).total - base) <= 1e-12 * abs(base)
+
+
+def test_tail_bound_is_greens_truncation_bound():
+    cfg = FIXTURES_2D[2]
+    pref = 1.0 / abs(math.log(cfg.eta))
+    for alpha in (math.sqrt(PI), 3.0):
+        p = green.EwaldParameters.for_alpha(alpha)
+        bd = sharp.sharp_energy(cfg, params=p)
+        expect = pref * green.truncation_bound(2, p) * float(np.sum(cfg.masses)) ** 2
+        assert bd.tail_bound == pytest.approx(expect, rel=1e-15)
+        assert bd.tail_bound > 0.0
+    # alpha = 0.05 hits the real_cutoff cap; its real tail breaks the contract
+    with pytest.raises(CutoffTooSmall):
+        sharp.sharp_energy(cfg, params=green.EwaldParameters.for_alpha(0.05))
 
 
 def test_doubling_cutoff_stability():

@@ -3,24 +3,7 @@ import math
 import numpy as np
 import scipy.special
 
-from oklim._special import ball_form_factor, e1_plus_log, j1
-
-
-def test_j1_matches_scipy_across_the_series_asymptotic_split():
-    t = np.concatenate([
-        np.geomspace(1e-8, 1.0, 200),
-        np.linspace(1.0, 13.9, 400),
-        np.linspace(13.9, 14.1, 50),   # branch seam
-        np.linspace(14.1, 60.0, 400),
-        np.geomspace(60.0, 400.0, 200),
-    ])
-    err = np.abs(j1(t) - scipy.special.j1(t))
-    assert np.max(err) < 1e-12
-
-
-def test_j1_scalar_and_zero():
-    assert j1(0.0) == 0.0
-    assert isinstance(j1(2.5), float)
+from oklim._special import ball_form_factor, e1_plus_log
 
 
 def test_form_factor_small_argument_limits():
