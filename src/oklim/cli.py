@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -97,6 +98,11 @@ def _emit(text: str, out_path):
 # configuration files
 # ---------------------------------------------------------------------------
 
+def _is_finite_number(v) -> bool:
+    # json.load accepts NaN, Infinity and -Infinity as numbers
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def validate_config(data) -> list:
     """Schema check; returns (json-pointer, message) pairs for every violation."""
     errs = []
@@ -115,15 +121,14 @@ def validate_config(data) -> list:
             errs.append((ptr, "must be an object"))
             continue
         m = p.get("mass")
-        if not isinstance(m, (int, float)) or isinstance(m, bool) or not m > 0:
-            errs.append((ptr + "/mass", "must be a positive number"))
+        if not _is_finite_number(m) or not m > 0:
+            errs.append((ptr + "/mass", "must be a positive finite number"))
         pos = p.get("position")
         if not isinstance(pos, list) or (dim in (2, 3) and len(pos) != dim) or \
-                any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in (pos or [])):
-            errs.append((ptr + "/position", f"must be an array of {dim} numbers"))
+                not all(_is_finite_number(v) for v in pos):
+            errs.append((ptr + "/position", f"must be an array of {dim} finite numbers"))
     eta = data.get("eta")
-    if eta is not None and (not isinstance(eta, (int, float)) or isinstance(eta, bool)
-                            or not 0 < eta <= 0.25):
+    if eta is not None and (not _is_finite_number(eta) or not 0 < eta <= 0.25):
         errs.append(("/eta", "must be a number in (0, 0.25]"))
     return errs
 
@@ -171,8 +176,8 @@ def cmd_green(args) -> int:
 
 
 def cmd_local(args) -> int:
-    if args.mass is None or args.mass <= 0:
-        raise ValueError("--mass must be a positive number")
+    if args.mass is None or not (args.mass > 0 and math.isfinite(args.mass)):
+        raise ValueError("--mass must be a positive finite number")
     m = args.mass
     payload = {}
     if args.dim == 2:
@@ -306,7 +311,9 @@ def cmd_place(args) -> int:
                 candidates.append({"lattice": lattice, "skipped": str(exc)})
         payload["lattice_candidates"] = candidates
     payload["manifest"] = make_manifest("place", {
-        "dim": dim, "n": len(masses), "mass": float(masses[0]),
+        "dim": dim, "n": len(masses),
+        "mass": float(masses[0]) if float(np.ptp(masses)) == 0.0 else None,
+        "masses": [float(m) for m in masses],
         "restarts": args.restarts, "seed": args.seed, "tol": args.tol},
         params, time.perf_counter() - t0)
     _emit(dumps17(payload) + "\n", args.out)

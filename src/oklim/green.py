@@ -101,7 +101,10 @@ class EwaldParameters:
         return cls(alpha=alpha, real_cutoff=rc, fourier_cutoff=fc)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def default(cls) -> "EwaldParameters":
+        # cached: every params=None call resolves here, and for_alpha's shell
+        # sums cost ~20 us, more than a small green_eval_many batch
         return cls.for_alpha(_SQRT_PI)
 
 

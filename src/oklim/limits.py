@@ -12,6 +12,7 @@ dimensions); "halved" multiplies the cross sum by 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,14 @@ class PointConfiguration:
         parts = []
         for mass, pos in particles:
             m = float(mass)
-            if not m > 0.0:
-                raise ValueError(f"masses must be positive, got {m}")
+            if not (m > 0.0 and math.isfinite(m)):
+                raise ValueError(f"masses must be positive and finite, got {m}")
             if not isinstance(pos, green.TorusPoint):
                 pos = green.TorusPoint(pos)
             if pos.dim != dim:
                 raise ValueError("particle dimension mismatch")
+            if not all(map(math.isfinite, pos.coords)):  # NaN or inf reduce to NaN
+                raise ValueError(f"positions must be finite, got {pos.coords}")
             parts.append((m, pos))
         if not parts:
             raise ValueError("configuration must contain at least one particle")

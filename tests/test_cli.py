@@ -74,6 +74,10 @@ def test_local_concavity_near_zero_at_2pi():
 def test_local_rejects_nonpositive_mass():
     r = run_cli("local", "--dim", "2", "--mass", "-1")
     assert r.returncode == 1
+    for dim, mass in (("2", "nan"), ("2", "1e400"), ("3", "inf")):  # 1e400 parses as inf
+        r = run_cli("local", "--dim", dim, "--mass", mass, "--partition", "--concavity")
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
 
 
 def test_usage_error_exit_code():
@@ -235,6 +239,46 @@ def test_place_masses_from_config(tmp_path):
     payload = json.loads(r.stdout)
     assert payload["converged"] is True
     assert len(payload["config"]["particles"]) == 2
+
+
+def test_place_manifest_records_unequal_masses(tmp_path):
+    cfg = write_config(tmp_path, "uneq.json", {"dim": 2, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1]},
+        {"mass": 0.6, "position": [0.6, 0.6]}]})
+    r = run_cli("place", "--config", cfg, "--restarts", "1", "--seed", "0")
+    assert r.returncode == 0
+    params = json.loads(r.stdout)["manifest"]["parameters"]
+    assert params["masses"] == [1.0, 0.6]
+    assert params["mass"] is None
+    r = run_cli("place", "--dim", "2", "--n", "2", "--mass", "1.5", "--restarts", "1")
+    params = json.loads(r.stdout)["manifest"]["parameters"]
+    assert params["masses"] == [1.5, 1.5]
+    assert params["mass"] == 1.5
+
+
+def test_place_without_starts_is_a_usage_error():
+    for restarts in ("-1", "0"):  # n = 3 is no square, so 0 restarts leaves no start
+        r = run_cli("place", "--dim", "2", "--n", "3", "--mass", "1", "--restarts", restarts)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("particle", [
+    {"mass": 1.0, "position": [float("nan"), 0.5]},
+    {"mass": 1.0, "position": [0.5, float("-inf")]},
+    {"mass": float("inf"), "position": [0.5, 0.5]},
+])
+def test_energy_rejects_non_finite_config_values(tmp_path, particle):
+    # json.dumps writes NaN/Infinity literals, which json.load reads back as floats
+    cfg = write_config(tmp_path, "nonfinite.json", {"dim": 2, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1]}, particle]})
+    r = run_cli("energy", "--config", cfg)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "/particles/1/" in r.stderr
+    assert "nan" not in r.stdout.lower()
 
 
 def test_csv_numbers_carry_full_precision(tmp_path):

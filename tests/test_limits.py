@@ -25,6 +25,16 @@ def test_point_configuration_validation():
         config(2, [(1.0, (0.0, 0.0)), (1.0, (1.0 - 1e-12, 0.0))])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_configuration_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        config(2, [(1.0, (0.1, bad)), (1.0, (0.6, 0.6))])
+    with pytest.raises(ValueError):
+        config(3, [(bad, (0.1, 0.2, 0.3))])
+    with pytest.raises(ValueError):  # an inf coordinate reduces to NaN in TorusPoint
+        config(2, [(1.0, green.TorusPoint((bad, 0.2)))])
+
+
 def test_e0_values_and_position_blindness():
     c1 = config(2, [(5.0, (0.1, 0.1))])
     assert limits.e0(c1) == local.envelope_2d(5.0).envelope_value

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,3 +109,45 @@ def test_input_validation():
         optimize.place(2, [1.0], restarts=1, seed=0, tol=1e-8)
     with pytest.raises(ValueError):
         optimize.place(2, [1.0, 1.0], restarts=1, seed=0, tol=1e-3)
+
+
+def test_place_rejects_negative_restarts_and_empty_start_lists():
+    with pytest.raises(ValueError):
+        optimize.place(2, [1.0] * 3, restarts=-1, seed=0)
+    with pytest.raises(ValueError):
+        optimize.place(2, [1.0] * 3, restarts=0, seed=0)  # 3 points: no square lattice
+    with pytest.raises(ValueError):
+        optimize.place(2, [1.0, math.nan], restarts=1, seed=0)
+    res = optimize.place(2, [1.0] * 4, restarts=0, seed=0)  # the lattice start alone
+    assert res.converged and res.restarts_used == 1
+
+
+def test_six_particles_3d_converge():
+    # a steepest-descent line search runs out here at |grad| = 8e-5
+    res = optimize.place(3, np.ones(6), restarts=1, seed=1)
+    assert res.converged
+    assert res.grad_norm <= 1e-8
+    assert res.iterations < 200
+
+
+def test_quasi_newton_reaches_tight_tolerance_bitwise_reproducibly(params):
+    runs = [optimize.place(2, [1.0] * 8, restarts=2, seed=1, tol=1e-12, params=params)
+            for _ in range(2)]
+    assert runs[0].grad_norm <= 1e-12
+    assert runs[0].config.positions.tolist() == runs[1].config.positions.tolist()
+    assert runs[0].energy == runs[1].energy
+    g = optimize.interaction_gradient(2, runs[0].config.masses, runs[0].config.positions,
+                                      params)
+    assert float(np.linalg.norm(g)) <= 1e-12
+
+
+def test_place_does_not_import_scipy_optimize():
+    code = ("import sys, oklim\n"
+            "oklim.place(2, [1.0, 1.0, 1.0], restarts=1, seed=0)\n"
+            "print('scipy.optimize' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, check=True)
+    assert r.stdout.strip() == "False"
