@@ -2,10 +2,11 @@
 finite-scale energies, the eta-sweep expansion table, and particle placement.
 
 Exit codes: 0 success, 1 usage/schema (or Ewald parameters whose certified
-tail breaks the accuracy contract), 2 singularity, 3 physical validation,
-4 admissibility.  All numeric output carries 17 significant digits; CSV
-columns are append-only across versions.  The environment variable
-OKLIM_EWALD_ALPHA overrides the default splitting parameter.
+tail breaks the accuracy contract, or a result outside the float range),
+2 singularity, 3 physical validation, 4 admissibility.  All numeric output
+is finite and carries 17 significant digits; CSV columns are append-only
+across versions.  The environment variable OKLIM_EWALD_ALPHA overrides the
+default splitting parameter.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ EXIT_ADMISSIBILITY = 4
 # ---------------------------------------------------------------------------
 
 def fmt17(x) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):  # inf and nan are not JSON numbers
+        raise ValueError(f"result {x} is outside the float range")
+    return format(x, ".17g")
 
 
 def dumps17(obj, indent=0) -> str:
@@ -394,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_ADMISSIBILITY
     except (ValueError, OSError, json.JSONDecodeError, CutoffTooSmall) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OverflowError as exc:
+        sys.stderr.write(f"error: an input is outside the float range ({exc})\n")
         return EXIT_USAGE
 
 

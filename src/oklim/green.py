@@ -7,10 +7,13 @@ reciprocal sum, and the neutralizing-background constant -1/(4 alpha^2).
 Both sums converge like exp(-c s^2) in their cutoff shells, so modest
 cutoffs certify ~1e-13 tails on the unit cell.
 
-The decomposition into singular part (-log|x|/2pi in 2D, 1/(4pi|x|) in 3D)
-plus a smooth regular part g, and the constant g(0), are computed by
-analytically removing the singular piece from the n = 0 lattice term, which
-keeps the regular part numerically smooth through x = 0.
+One value kernel computes the sums and the constant; G is the kernel over
+all images.  The regular part g, G minus the singular part (-log|x|/2pi in
+2D, 1/(4pi|x|) in 3D), is the n = 0 lattice term with the singular piece
+removed analytically, which keeps g smooth through x = 0, plus the kernel
+over the nonzero images; g(0) is g at the origin.  The kernel evaluates at
+|x| in the centered cell, where G is even in each coordinate, and reduces
+row by row, so each value is independent of its row in the batch.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class EwaldParameters:
     fourier_cutoff: int
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.real_cutoff < 1 or self.fourier_cutoff < 1:
             raise ValueError("cutoffs must be positive integers")
 
@@ -163,6 +166,7 @@ def _tables(dim: int, real_cutoff: int, fourier_cutoff: int):
     rng = np.arange(-real_cutoff, real_cutoff + 1)
     grids = np.meshgrid(*([rng] * dim), indexing="ij")
     nvecs = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    nonzero = nvecs[np.any(nvecs != 0.0, axis=1)]
 
     rng_k = np.arange(-fourier_cutoff, fourier_cutoff + 1)
     gk = np.meshgrid(*([rng_k] * dim), indexing="ij")
@@ -171,7 +175,7 @@ def _tables(dim: int, real_cutoff: int, fourier_cutoff: int):
     keep = (k2 > 0) & (k2 <= fourier_cutoff**2)
     kvecs = kvecs[keep]
     k2 = k2[keep]
-    return nvecs, kvecs, k2
+    return nvecs, nonzero, kvecs, k2
 
 
 def _resolve(params):
@@ -190,29 +194,43 @@ def _fourier_coef(params, k2):
     return np.exp(-(math.pi**2) * k2 / a2) / (4 * math.pi**2 * k2)
 
 
-def green_eval_many(dim, X, params=None):
-    """G evaluated at an (M, d) array of coordinate differences."""
-    params = _resolve(params)
-    nvecs, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
-    X = min_image(np.atleast_2d(np.asarray(X, dtype=float)))
+def _guard(r, name):
+    if np.any(r < SINGULAR_GUARD):
+        raise SingularPoint(f"{name} at a lattice point (min-image distance < 1e-9)")
+
+
+def _lattice_sum(dim, X, params, images):
+    """Screened sum over ``images``, reciprocal sum and constant at |x| for each row x of X."""
+    _, _, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
+    X = np.abs(min_image(np.atleast_2d(np.asarray(X, dtype=float))))
     alpha = params.alpha
     kcoef = _fourier_coef(params, k2)
 
     out = np.empty(X.shape[0])
-    chunk = max(1, int(4e6) // max(len(nvecs), len(kvecs)))
+    chunk = max(1, int(4e6) // max(len(images), len(kvecs)))
     for lo in range(0, X.shape[0], chunk):
         xb = X[lo:lo + chunk]
-        r = np.linalg.norm(xb[:, None, :] + nvecs[None, :, :], axis=2)
-        if np.any(r < SINGULAR_GUARD):
-            raise SingularPoint("green_eval at a lattice point (min-image distance < 1e-9)")
+        r = np.linalg.norm(xb[:, None, :] + images[None, :, :], axis=2)
+        _guard(r, "green_eval")
         if dim == 3:
             real = np.sum(erfc(alpha * r) / (4 * math.pi * r), axis=1)
         else:
             real = np.sum(exp1((alpha * r) ** 2) / (4 * math.pi), axis=1)
-        phase = 2 * math.pi * (xb @ kvecs.T)
-        four = np.cos(phase) @ kcoef
-        out[lo:lo + chunk] = real + four - 1.0 / (4 * alpha**2)
+        del r  # chunk-sized: free before the reciprocal temporary is made
+        four = xb @ kvecs.T
+        four *= 2 * math.pi
+        np.cos(four, out=four)
+        four *= kcoef  # reduced row by row: a matrix-vector product rounds by row position
+        out[lo:lo + chunk] = real + four.sum(axis=1) - 1.0 / (4 * alpha**2)
+        del four
     return out
+
+
+def green_eval_many(dim, X, params=None):
+    """G evaluated at an (M, d) array of coordinate differences."""
+    params = _resolve(params)
+    images = _tables(dim, params.real_cutoff, params.fourier_cutoff)[0]
+    return _lattice_sum(dim, X, params, images)
 
 
 def green_eval(dim, x, params=None) -> float:
@@ -227,7 +245,7 @@ def green_eval(dim, x, params=None) -> float:
 def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
     params = _resolve(params)
-    nvecs, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
+    nvecs, _, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
     X = min_image(np.atleast_2d(np.asarray(X, dtype=float)))
     alpha = params.alpha
     kcoef = _fourier_coef(params, k2)
@@ -238,8 +256,7 @@ def green_grad_many(dim, X, params=None):
         xb = X[lo:lo + chunk]
         d = xb[:, None, :] + nvecs[None, :, :]
         r = np.linalg.norm(d, axis=2)
-        if np.any(r < SINGULAR_GUARD):
-            raise SingularPoint("green_grad at a lattice point (min-image distance < 1e-9)")
+        _guard(r, "green_grad")
         if dim == 3:
             w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (
                 4 * math.pi * r * r)
@@ -269,16 +286,7 @@ def _g_smooth_n0(dim, r, alpha):
 
 @lru_cache(maxsize=64)
 def _regular_part_at_zero_cached(dim, params):
-    alpha = params.alpha
-    nvecs, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
-    nz = nvecs[np.any(nvecs != 0.0, axis=1)]
-    rn = np.linalg.norm(nz, axis=1)
-    if dim == 3:
-        lattice = float(np.sum(erfc(alpha * rn) / (4 * math.pi * rn)))
-    else:
-        lattice = float(np.sum(exp1((alpha * rn) ** 2)) / (4 * math.pi))
-    four = float(np.sum(_fourier_coef(params, k2)))
-    return _g_smooth_n0(dim, 0.0, alpha) + lattice + four - 1.0 / (4 * alpha**2)
+    return regular_part(dim, np.zeros(dim), params)
 
 
 def regular_part_at_zero(dim, params=None) -> float:
@@ -298,20 +306,10 @@ def regular_part(dim, x, params=None) -> float:
     instead of subtracted numerically.
     """
     params = _resolve(params)
-    xr = min_image(_coords(x, dim))
-    r = float(np.linalg.norm(xr))
-    alpha = params.alpha
-
-    nvecs, kvecs, k2 = _tables(dim, params.real_cutoff, params.fourier_cutoff)
-    nz = nvecs[np.any(nvecs != 0.0, axis=1)]
-    rn = np.linalg.norm(xr[None, :] + nz, axis=1)
-    if dim == 3:
-        lattice = float(np.sum(erfc(alpha * rn) / (4 * math.pi * rn)))
-    else:
-        lattice = float(np.sum(exp1((alpha * rn) ** 2)) / (4 * math.pi))
-    phase = 2 * math.pi * (kvecs @ xr)
-    four = float(np.cos(phase) @ _fourier_coef(params, k2))
-    return _g_smooth_n0(dim, r, alpha) + lattice + four - 1.0 / (4 * alpha**2)
+    x = _coords(x, dim)
+    nonzero = _tables(dim, params.real_cutoff, params.fourier_cutoff)[1]
+    r = float(np.linalg.norm(min_image(x)))
+    return _g_smooth_n0(dim, r, params.alpha) + float(_lattice_sum(dim, x, params, nonzero)[0])
 
 
 def singular_part(dim, r: float) -> float:

@@ -7,13 +7,18 @@ in 2D it is defined on equal-mass configurations only.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both
-dimensions); "halved" multiplies the cross sum by 1/2.
+dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
+``interaction_energy`` and its gradient serve F0, the finite-scale energy of
+``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
+placement optimizer; summed in sorted order, it is exactly permutation
+invariant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +56,7 @@ class PointConfiguration:
         obj_set = object.__setattr__
         obj_set(self, "dim", dim)
         obj_set(self, "particles", tuple(parts))
-        if np.any(self._pair_distances() <= green.SINGULAR_GUARD):
+        if np.any(_pairs(self.positions)[3] <= green.SINGULAR_GUARD):
             raise CoincidentPoints("positions must be pairwise distinct (min-image > 1e-9)")
 
     @property
@@ -65,15 +70,6 @@ class PointConfiguration:
     @property
     def n(self) -> int:
         return len(self.particles)
-
-    def _pair_distances(self) -> np.ndarray:
-        x = self.positions
-        n = x.shape[0]
-        if n < 2:
-            return np.empty(0)
-        iu, ju = np.triu_indices(n, k=1)
-        d = green.min_image(x[iu] - x[ju])
-        return np.linalg.norm(d, axis=1)
 
     def equal_masses(self) -> bool:
         m = self.masses
@@ -103,19 +99,40 @@ def e0(config: PointConfiguration) -> float:
     return float(np.sum(np.sort(vals)))
 
 
-def _cross_sum(config: PointConfiguration, params) -> float:
-    """Ordered double sum over i != j of m_i m_j G(x_i - x_j)."""
-    if config.n < 2:
-        return 0.0
-    x = config.positions
-    m = config.masses
-    iu, ju = np.triu_indices(config.n, k=1)
-    diffs = green.min_image(x[iu] - x[ju])
-    if np.any(np.linalg.norm(diffs, axis=1) <= green.SINGULAR_GUARD):
+@lru_cache(maxsize=64)
+def _pair_index(n):
+    # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _pairs(positions):
+    """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length)."""
+    iu, ju = _pair_index(len(positions))
+    diffs = green.min_image(positions[iu] - positions[ju])
+    return iu, ju, diffs, np.linalg.norm(diffs, axis=1)
+
+
+def interaction_energy(dim, masses, positions, params=None) -> float:
+    """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
+    iu, ju, diffs, dist = _pairs(positions)
+    if np.any(dist <= green.SINGULAR_GUARD):
         raise CoincidentPoints("coincident points: interaction energy is +inf")
-    g = green.green_eval_many(config.dim, diffs, params)
-    # canonical summation order keeps the value exactly permutation invariant
-    return 2.0 * float(np.sum(np.sort(m[iu] * m[ju] * g)))
+    g = green.green_eval_many(dim, diffs, params)
+    # row-independent G values in a canonical order: exactly permutation invariant
+    return 2.0 * float(np.sum(np.sort(masses[iu] * masses[ju] * g)))
+
+
+def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
+    """Gradient of the interaction energy with respect to all positions."""
+    iu, ju, diffs, _ = _pairs(positions)
+    gr = green.green_grad_many(dim, diffs, params)
+    w = (2.0 * masses[iu] * masses[ju])[:, None] * gr
+    out = np.zeros_like(positions)
+    np.add.at(out, iu, w)
+    np.add.at(out, ju, -w)
+    return out
 
 
 def f0_energy(config: PointConfiguration, params=None,
@@ -138,7 +155,7 @@ def f0_energy(config: PointConfiguration, params=None,
         self_term = config.n * (local.f0(m) + m * m * g0)
     else:
         self_term = g0 * float(np.sum(np.sort(config.masses**2)))
-    cross = factor * _cross_sum(config, params)
+    cross = factor * interaction_energy(config.dim, config.masses, config.positions, params)
     return EnergyBreakdown(
         perimeter_term=0.0,
         self_h1_term=0.0,

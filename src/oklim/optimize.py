@@ -1,6 +1,7 @@
 """Multi-start quasi-Newton descent for the pairwise interaction energy on the torus.
 
-Minimizes sum_{i != j} m_i m_j G(x_i - x_j) over particle positions with
+Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``
+(``interaction_energy`` and ``interaction_gradient``), over particle positions with
 seeded uniform restarts and a deterministic reduction of the restart
 results.  Each restart follows the L-BFGS direction (two-loop recursion over
 the last 10 step/gradient-change pairs; Liu & Nocedal, Math. Prog. 45, 1989)
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green
 from .errors import IncommensurateCount, NoConvergence
-from .limits import PointConfiguration
+from .limits import PointConfiguration, _pairs, interaction_energy, interaction_gradient
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -47,39 +47,6 @@ class OptimizationResult:
     restarts_used: int
     pairwise_distances: tuple
     converged: bool
-
-
-def _pair_indices(n):
-    return np.triu_indices(n, k=1)
-
-
-def interaction_energy(dim, masses, positions, params=None) -> float:
-    """Ordered double-sum interaction energy sum_{i != j} m_i m_j G(x_i - x_j)."""
-    n = len(masses)
-    iu, ju = _pair_indices(n)
-    diffs = green.min_image(positions[iu] - positions[ju])
-    g = green.green_eval_many(dim, diffs, params)
-    return 2.0 * float(np.sum(masses[iu] * masses[ju] * g))
-
-
-def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
-    """Gradient of the interaction energy with respect to all positions."""
-    n = len(masses)
-    iu, ju = _pair_indices(n)
-    diffs = green.min_image(positions[iu] - positions[ju])
-    gr = green.green_grad_many(dim, diffs, params)
-    w = (2.0 * masses[iu] * masses[ju])[:, None] * gr
-    out = np.zeros_like(positions)
-    np.add.at(out, iu, w)
-    np.add.at(out, ju, -w)
-    return out
-
-
-def _min_pair_distance(positions):
-    n = positions.shape[0]
-    iu, ju = _pair_indices(n)
-    d = green.min_image(positions[iu] - positions[ju])
-    return float(np.min(np.linalg.norm(d, axis=1)))
 
 
 def _lbfgs_direction(g, memory):
@@ -123,7 +90,7 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
         accepted = False
         while step > 1e-18:
             x_new = (x + step * p) % 1.0
-            if _min_pair_distance(x_new) < COALESCENCE_GUARD:
+            if np.min(_pairs(x_new)[3]) < COALESCENCE_GUARD:
                 step *= SHRINK  # energy diverges at coalescence; never step there
                 continue
             decrement = -ARMIJO * step * slope
@@ -238,10 +205,9 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
             best = (key, x, e, gn, iters, conv)
 
     _, x, e, gn, iters, conv = best
-    iu, ju = _pair_indices(n)
-    dists = np.sort(np.linalg.norm(green.min_image(x[iu] - x[ju]), axis=1))
+    dists = np.sort(_pairs(x)[3])
     result = OptimizationResult(
-        config=PointConfiguration(dim, list(zip(masses.tolist(), map(green.TorusPoint, x)))),
+        config=PointConfiguration(dim, list(zip(masses.tolist(), x))),
         energy=e,
         grad_norm=gn,
         iterations=iters,

@@ -13,12 +13,14 @@ difference set, so by the mean-value property (Newton's theorem)
     2D  <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / 8,
         <G>_{ii} = -(log a_i - 1/4) / (2 pi) + g(0) + a_i^2 / 4,
 
-with g(0) the regular part of G at the origin.  The energy is therefore one
-batched Ewald evaluation of G over the n(n-1)/2 pairs, exact up to G's
-certified truncation bound, at every scale eta.  A brute-force truncated
-mode sum over the ball form factors ("direct") shares nothing with G and is
-kept as the independent check at moderate scales; ``fourier_cutoff`` is its
-mode cutoff.
+with g(0) the regular part of G at the origin.  The energy is therefore the
+pair sum of ``limits`` (one batched Ewald evaluation of G over the n(n-1)/2
+pairs) plus closed forms in the radii, exact up to G's certified truncation
+bound, at every scale eta.  A ``BallConfiguration`` is a
+``limits.PointConfiguration`` that also carries eta and the radii.  A
+brute-force truncated mode sum over the ball form factors ("direct") shares
+nothing with G and is kept as the independent check at moderate scales;
+``fourier_cutoff`` is its mode cutoff.
 """
 
 from __future__ import annotations
@@ -54,55 +56,34 @@ def gamma_for(dim: int, eta: float) -> float:
 
 
 @dataclass(frozen=True)
-class BallConfiguration:
-    """Disjoint balls of scale eta on the torus, encoding v in BV(T^d; {0, eta^-d})."""
+class BallConfiguration(limits.PointConfiguration):
+    """Disjoint balls of scale eta on the torus, encoding v in BV(T^d; {0, eta^-d}).
 
-    dim: int
+    A PointConfiguration whose particle of mass m_i is the ball of radius a_i.
+    """
+
     eta: float
-    particles: tuple  # of (mass, TorusPoint)
 
     def __init__(self, dim, eta, particles):
         eta = float(eta)
         if not 0.0 < eta <= 0.25:
             raise ValueError("eta must lie in (0, 0.25]")
-        pc = limits.PointConfiguration(dim, particles)
-        obj_set = object.__setattr__
-        obj_set(self, "dim", dim)
-        obj_set(self, "eta", eta)
-        obj_set(self, "particles", pc.particles)
+        super().__init__(dim, particles)
+        object.__setattr__(self, "eta", eta)
         radii = self.radii
         if np.any(2.0 * radii >= 0.5):
             raise DiameterTooLarge("ball diameters must stay below 1/2")
-        x = pc.positions
-        n = x.shape[0]
-        if n >= 2:
-            iu, ju = np.triu_indices(n, k=1)
-            dist = np.linalg.norm(green.min_image(x[iu] - x[ju]), axis=1)
-            gap = dist - (radii[iu] + radii[ju])
-            if np.any(gap < CLEARANCE):
-                worst = int(np.argmin(gap))
-                raise OverlappingBalls(
-                    f"balls {iu[worst]} and {ju[worst]} violate the disjointness "
-                    f"clearance ({gap[worst]:.3g} < {CLEARANCE:g})")
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([m for m, _ in self.particles])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([p.array for _, p in self.particles])
+        iu, ju, _, dist = limits._pairs(self.positions)
+        gap = dist - (radii[iu] + radii[ju])
+        if np.any(gap < CLEARANCE):
+            worst = int(np.argmin(gap))
+            raise OverlappingBalls(
+                f"balls {iu[worst]} and {ju[worst]} violate the disjointness "
+                f"clearance ({gap[worst]:.3g} < {CLEARANCE:g})")
 
     @property
     def radii(self) -> np.ndarray:
         return np.array([ball_scale_radius(self.dim, m, self.eta) for m, _ in self.particles])
-
-    @property
-    def n(self) -> int:
-        return len(self.particles)
-
-    def point_configuration(self) -> limits.PointConfiguration:
-        return limits.PointConfiguration(self.dim, self.particles)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +104,7 @@ def _pair_sums_closed_form(config, params):
     mass = float(np.sum(m))
     self_sum = float(np.sum(m**2 * self_mean))
     # sum_{i != j} m_i m_j (a_i^2 + a_j^2) / q = (2/q) sum_i m_i a_i^2 (M - m_i)
-    cross_sum = (limits._cross_sum(config.point_configuration(), params)
+    cross_sum = (limits.interaction_energy(config.dim, m, config.positions, params)
                  + (2.0 / q) * float(np.sum(m * a**2 * (mass - m))))
     return self_sum, cross_sum, green.truncation_bound(config.dim, params) * mass**2
 
@@ -279,33 +260,29 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
     be an optimal equal partition, so the envelope of the total mass equals
     n e2d(m).  Each E_eta is ``sharp_energy`` at the Ewald parameters ``params``.
     """
-    if isinstance(template, BallConfiguration):
-        pc = template.point_configuration()
-    elif isinstance(template, limits.PointConfiguration):
-        pc = template
-    else:
+    if not isinstance(template, limits.PointConfiguration):  # a BallConfiguration is one
         raise TypeError("template must be a BallConfiguration or PointConfiguration")
 
-    if pc.dim == 2:
-        if not pc.equal_masses():
+    if template.dim == 2:
+        if not template.equal_masses():
             raise UnequalMasses2D("2D expansion template requires equal masses")
-        report = limits.check_admissible(pc)
+        report = limits.check_admissible(template)
         if not (report.is_optimal_partition and report.is_compact):
             raise InadmissibleConfiguration(
                 "2D template is not an admissible limit configuration: "
                 + "; ".join(report.detail))
-        mass = float(pc.masses[0])
-        reference = pc.n * local.e2d(mass)
+        mass = float(template.masses[0])
+        reference = template.n * local.e2d(mass)
         kind = "n * e2d(m) (optimal equal partition)"
     else:
-        reference = float(sum(local.e3d_ball(mi).total for mi in pc.masses))
+        reference = float(sum(local.e3d_ball(mi).total for mi in template.masses))
         kind = "sum of ball-ansatz energies (upper bound for the true per-particle infimum)"
 
     rows = []
     for eta in etas:
-        cfg = BallConfiguration(pc.dim, float(eta), pc.particles)
+        cfg = BallConfiguration(template.dim, float(eta), template.particles)
         bd = sharp_energy(cfg, params=params)
-        if pc.dim == 3:
+        if template.dim == 3:
             q = (bd.total - reference) / eta
         else:
             q = abs(math.log(eta)) * (bd.total - reference)

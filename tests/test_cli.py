@@ -80,6 +80,22 @@ def test_local_rejects_nonpositive_mass():
         assert "Traceback" not in r.stderr
 
 
+def test_results_outside_the_float_range_are_usage_errors(tmp_path):
+    huge = write_config(tmp_path, "huge.json", {"dim": 3, "particles": [
+        {"mass": 1e300, "position": [0.1, 0.2, 0.3]},
+        {"mass": 1.0, "position": [0.6, 0.6, 0.6]}]})
+    runs = [run_cli("local", "--dim", "3", "--mass", "1e200"),  # r**5 overflows
+            run_cli("local", "--dim", "2", "--mass", "1e300"),  # e2d is inf
+            run_cli("energy", "--config", huge),
+            run_cli("green", "--dim", "3", "--x", "0.1,0.2,0.3",
+                    env_extra={"OKLIM_EWALD_ALPHA": "inf"})]
+    for r in runs:
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+
 def test_usage_error_exit_code():
     r = run_cli("green", "--dim", "5", "--x", "0,0")
     assert r.returncode == 1

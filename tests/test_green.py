@@ -64,6 +64,24 @@ def test_evenness_and_lattice_symmetry(params):
                     assert abs(green.green_eval(dim, px, params) - g) < 1e-12
 
 
+def test_values_do_not_depend_on_batch_row_or_sign(params):
+    rng = np.random.default_rng(17)
+    for dim in (2, 3):
+        X = np.array([random_torus_point(rng, dim, min_dist=1e-3) for _ in range(300)])
+        vals = green.green_eval_many(dim, X, params)
+        p = rng.permutation(len(X))
+        assert np.array_equal(green.green_eval_many(dim, X[p], params), vals[p])
+        assert np.array_equal(green.green_eval_many(dim, -X[p], params), vals[p])
+
+
+def test_ewald_parameters_reject_non_finite_alpha():
+    # alpha = inf used to select fourier_cutoff 200: a k-table of ~64M vectors on first use
+    with pytest.raises(ValueError):
+        green.EwaldParameters.for_alpha(math.inf)
+    with pytest.raises(ValueError):
+        green.EwaldParameters(alpha=math.inf, real_cutoff=2, fourier_cutoff=2)
+
+
 def test_gradient_matches_finite_differences(params):
     rng = np.random.default_rng(5)
     h = 1e-6

@@ -122,6 +122,18 @@ def test_f0_energy_translation_and_permutation_invariance(params):
     assert limits.f0_energy(config(3, perm), params).total == base
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_f0_energy_is_bitwise_permutation_invariant(dim, params):
+    # 2D needs equal masses; 3D takes unequal ones
+    rng = np.random.default_rng([dim, 2024])
+    for _ in range(60):
+        x = rng.random((6, dim))
+        m = np.full(6, rng.uniform(0.5, 1.5)) if dim == 2 else rng.uniform(0.5, 1.5, 6)
+        base = limits.f0_energy(config(dim, list(zip(m, x))), params).total
+        p = rng.permutation(6)
+        assert limits.f0_energy(config(dim, list(zip(m[p], x[p]))), params).total == base
+
+
 def test_f0_energy_divergence_at_coalescence(params):
     m = 1.0
     for d in (1e-3, 1e-4):
