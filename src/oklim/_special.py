@@ -1,11 +1,9 @@
-"""Special-function kernels: ball form factors for the direct mode sum, and
-E1(z) + log z, the entire completion used by the 2D regular part of G.
-"""
+"""Special-function kernels: ball form factors for the direct mode sum."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import exp1, j1
+from scipy.special import j1
 
 
 def ball_form_factor(dim, t):
@@ -29,23 +27,3 @@ def ball_form_factor(dim, t):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return out if out.ndim else float(out)
 
-
-def e1_plus_log(z):
-    """E1(z) + log(z), the entire completion of the exponential integral.
-
-    Stable through z = 0 (value -euler_gamma); used wherever the screened
-    2D kernel must be split from its logarithmic singularity.
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z <= 1.0
-    zs = z[small]
-    acc = np.full_like(zs, -np.euler_gamma)
-    term = np.ones_like(zs)
-    for j in range(1, 26):
-        term *= -zs / j
-        acc -= term / j
-    out[small] = acc
-    zb = z[~small]
-    out[~small] = exp1(zb) + np.log(zb)
-    return out if out.ndim else float(out)

@@ -6,7 +6,7 @@ tail breaks the accuracy contract, or a result outside the float range),
 2 singularity, 3 physical validation, 4 admissibility.  All numeric output
 is finite and carries 17 significant digits; CSV columns are append-only
 across versions.  The environment variable OKLIM_EWALD_ALPHA overrides the
-default splitting parameter.
+default splitting parameter of the 3D Ewald sum (the 2D theta form has none).
 """
 
 from __future__ import annotations
@@ -64,14 +64,15 @@ def dumps17(obj, indent=0) -> str:
 
 
 def make_manifest(command: str, parameters: dict, params: green.EwaldParameters,
-                  wall_time_s: float) -> dict:
+                  wall_time_s: float, dim: int) -> dict:
     return {
         "command": command,
         "parameters": parameters,
         "version": __version__,
-        "ewald": {"alpha": params.alpha, "real_cutoff": params.real_cutoff,
-                  "fourier_cutoff": params.fourier_cutoff},
+        "ewald": None if dim == 2 else {"alpha": params.alpha, "real_cutoff": params.real_cutoff,
+                                        "fourier_cutoff": params.fourier_cutoff},
         "wall_time_s": wall_time_s,
+        "green_method": "theta" if dim == 2 else "ewald",
     }
 
 
@@ -229,7 +230,7 @@ def cmd_energy(args) -> int:
         rows.append(_breakdown_row("F0", f0_bd))
     manifest = make_manifest("energy", {
         "config": args.config, "eta": eta, "pair_convention": args.pair_convention},
-        params, time.perf_counter() - t0)
+        params, time.perf_counter() - t0, cfg.dim)
     buf = io.StringIO()
     write_csv(buf, manifest, _CSV_HEADER, rows)
     _emit(buf.getvalue(), args.out)
@@ -262,7 +263,7 @@ def cmd_expand(args) -> int:
     manifest = make_manifest("expand", {
         "config": args.config, "etas": etas, "richardson": bool(args.richardson),
         "reference": table.reference, "reference_kind": table.reference_kind},
-        params, time.perf_counter() - t0)
+        params, time.perf_counter() - t0, cfg.dim)
     buf = io.StringIO()
     write_csv(buf, manifest, ["kind", "eta", "E_eta", "F_eta", "value"], rows)
     _emit(buf.getvalue(), args.out)
@@ -319,7 +320,7 @@ def cmd_place(args) -> int:
         "mass": float(masses[0]) if float(np.ptp(masses)) == 0.0 else None,
         "masses": [float(m) for m in masses],
         "restarts": args.restarts, "seed": args.seed, "tol": args.tol},
-        params, time.perf_counter() - t0)
+        params, time.perf_counter() - t0, dim)
     _emit(dumps17(payload) + "\n", args.out)
     return 0
 

@@ -58,29 +58,30 @@ def _e2d_arr(m):
     return m * m / (2 * math.pi) + 2.0 * np.sqrt(math.pi * m)
 
 
+def _best_count(M):
+    # n e2d(M/n) = A/n + B sqrt(n) has one critical point, n* = M / OPTIMAL_PER_MASS,
+    # so the integer optimum is floor(n*) or the next count (at least 1 each)
+    lo = np.maximum(np.floor(M / OPTIMAL_PER_MASS), 1.0)
+    hi = lo + 1.0
+    v_lo, v_hi = lo * _e2d_arr(M / lo), hi * _e2d_arr(M / hi)
+    return np.where(v_hi < v_lo, hi, lo), np.minimum(v_lo, v_hi)  # ties to smaller n
+
+
 def envelope_2d(M) -> PartitionResult:
     """Minimize n * e2d(M/n) over integer particle counts n >= 1.
 
-    The optimum over arbitrary partitions has equal parts, and for n >= 2 no
-    optimal part lies below 2^(-2/3) pi, so n <= ceil(M / threshold) + 1
-    brackets the search.  Exact ties break toward smaller n.
+    The optimum over arbitrary partitions has equal parts.  O(1) in M: the
+    objective is unimodal in n, so only the two counts around its continuous
+    minimizer are compared.  Exact ties break toward smaller n.
     """
     M = _check_mass(M)
-    n_max = int(math.ceil(M / SINGLE_PARTICLE_THRESHOLD)) + 1
-    ns = np.arange(1, n_max + 1, dtype=float)
-    vals = ns * _e2d_arr(M / ns)
-    i = int(np.argmin(vals))  # first minimum = smallest n on ties
-    n = i + 1
-    return PartitionResult(n=n, per_mass=M / n, envelope_value=float(vals[i]))
+    n, value = _best_count(M)
+    return PartitionResult(n=int(n), per_mass=M / int(n), envelope_value=float(value))
 
 
 def envelope_2d_many(Ms) -> np.ndarray:
     """Envelope values for an array of total masses (vectorized)."""
-    Ms = np.asarray(Ms, dtype=float)
-    n_max = int(math.ceil(float(np.max(Ms)) / SINGLE_PARTICLE_THRESHOLD)) + 1
-    ns = np.arange(1, n_max + 1, dtype=float)
-    vals = ns[None, :] * _e2d_arr(Ms[:, None] / ns[None, :])
-    return np.min(vals, axis=1)
+    return _best_count(np.asarray(Ms, dtype=float))[1]
 
 
 def f0(m) -> float:

@@ -14,7 +14,7 @@ difference set, so by the mean-value property (Newton's theorem)
         <G>_{ii} = -(log a_i - 1/4) / (2 pi) + g(0) + a_i^2 / 4,
 
 with g(0) the regular part of G at the origin.  The energy is therefore the
-pair sum of ``limits`` (one batched Ewald evaluation of G over the n(n-1)/2
+pair sum of ``limits`` (one batched evaluation of G over the n(n-1)/2
 pairs) plus closed forms in the radii, exact up to G's certified truncation
 bound, at every scale eta.  A ``BallConfiguration`` is a
 ``limits.PointConfiguration`` that also carries eta and the radii.  A
@@ -52,7 +52,7 @@ def gamma_for(dim: int, eta: float) -> float:
     """Long-range coefficient matched to the scale: eta^-3, or (|log eta| eta^3)^-1."""
     if dim == 3:
         return eta**-3
-    return 1.0 / (abs(math.log(eta)) * eta**3)
+    return eta**-3 / abs(math.log(eta))  # eta**3 would underflow to 0; this raises OverflowError
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     perimeter term, the scale-free self part (whole-space H^-1 norms in 3D,
     the mass-squared log coefficient in 2D), the remaining regular self
     interaction, and the cross interaction.  ``method='ewald'`` evaluates the
-    closed form through G at the Ewald parameters ``params``; its tail bound
+    closed form through G (``params``: the 3D Ewald parameters); its tail bound
     is pref * truncation_bound * (sum m)^2.  ``method='direct'`` sums the
     bare mode sum up to ``fourier_cutoff`` instead; it is only usable at
     moderate scales before its certified tail violates the accuracy contract.

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oklim import green, limits
+from oklim import cli, green, limits
 
 PI = math.pi
 
@@ -228,8 +233,9 @@ def test_energy_eta_uses_the_cli_ewald_parameters(tmp_path):
 
 def test_energy_eta_reports_a_broken_tail_contract_as_usage_error(tmp_path):
     # alpha = 0.05 hits the real_cutoff cap, and its real tail breaks the contract
-    cfg = write_config(tmp_path, "two2d.json", {"dim": 2, "particles": [
-        {"mass": 1.0, "position": [0.1, 0.1]}, {"mass": 0.7, "position": [0.6, 0.6]}]})
+    # (a 3D config: the 2D theta form uses no Ewald parameters)
+    cfg = write_config(tmp_path, "two3d.json", {"dim": 3, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1, 0.1]}, {"mass": 0.7, "position": [0.6, 0.6, 0.6]}]})
     r = run_cli("energy", "--config", cfg, "--eta", "0.05",
                 env_extra={"OKLIM_EWALD_ALPHA": "0.05"})
     assert r.returncode == 1
@@ -304,3 +310,76 @@ def test_csv_numbers_carry_full_precision(tmp_path):
     total = f0_row.split(",")[7]
     digits = re.sub(r"[-.e+]", "", total)
     assert len(digits) >= 15
+
+
+def test_local_partition_of_a_huge_mass():
+    # the envelope compares two counts: no array of ~M entries is built
+    r = run_cli("local", "--dim", "2", "--mass", "1e12", "--partition")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    part = payload["partition"]
+    assert part["n"] > 1e11
+    assert all(math.isfinite(v) for v in (payload["e2d"], part["per_mass"],
+                                          part["envelope_value"]))
+
+
+def test_manifest_names_the_green_method(tmp_path):
+    cfg3 = write_config(tmp_path, "two3d.json", TWO_BALLS_3D)
+    cfg2 = write_config(tmp_path, "two2d.json", {"dim": 2, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1]}, {"mass": 1.0, "position": [0.6, 0.6]}]})
+    m3, m2 = (json.loads(run_cli("energy", "--config", c).stdout.splitlines()[0]
+                         [len("# manifest:"):]) for c in (cfg3, cfg2))
+    assert m3["green_method"] == "ewald" and m3["ewald"]["alpha"] > 0
+    assert m2["green_method"] == "theta" and m2["ewald"] is None
+    assert list(m2)[-1] == "green_method"  # appended after the existing keys
+    r = run_cli("place", "--dim", "2", "--n", "2", "--mass", "1", "--restarts", "1")
+    assert json.loads(r.stdout)["manifest"]["green_method"] == "theta"
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@st.composite
+def energy_inputs(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    masses = draw(st.lists(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+                           min_size=n, max_size=n))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * dim, max_size=n * dim))
+    eta = math.exp(draw(st.floats(math.log(1e-300), math.log(0.25))))
+    particles = [{"mass": m, "position": coords[i * dim:(i + 1) * dim]}
+                 for i, m in enumerate(masses)]
+    return {"dim": dim, "particles": particles}, eta
+
+
+_TWO_DISCS = {"dim": 2, "particles": [{"mass": 1.0, "position": [0.1, 0.1]},
+                                      {"mass": 0.7, "position": [0.6, 0.6]}]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(energy_inputs())
+@example((_TWO_DISCS, 1e-120))  # eta**3 underflows: gamma_for divided by zero
+def test_energy_exits_cleanly_on_generated_configs(case):
+    payload, eta = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["energy", "--config", path, "--eta", repr(eta)])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if code != 0:
+        assert lines == []
+        return
+    assert lines[0].startswith("# manifest:")
+    json.loads(lines[0][len("# manifest:"):], parse_constant=_reject_non_finite)
+    for line in lines[2:]:
+        for cell in line.split(",")[1:]:
+            assert cell == "" or math.isfinite(float(cell))

@@ -47,8 +47,9 @@ def test_truncation_bound_covers_short_cutoffs(dim):
                    - green.regular_part_at_zero(dim, long))
         assert max(err, err0) <= green.truncation_bound(dim, short)
     assert 0.0 < green.truncation_bound(dim) < 1e-13
-    # alpha = 0.05 hits the real_cutoff cap: the bound reports the real tail
-    assert 1e-7 < green.truncation_bound(dim, green.EwaldParameters.for_alpha(0.05)) < 1e-5
+    # alpha = 0.05 hits the real_cutoff cap: the 3D bound reports the real tail
+    # (the 2D theta form uses no Ewald parameters)
+    assert 1e-7 < green.truncation_bound(3, green.EwaldParameters.for_alpha(0.05)) < 1e-5
 
 
 def test_evenness_and_lattice_symmetry(params):
@@ -194,3 +195,47 @@ def test_torus_point_reduction_and_distance():
     assert p.distance(q) <= math.sqrt(2) / 2 + 1e-15
     with pytest.raises(ValueError):
         green.TorusPoint((0.1,))
+
+
+def test_simple_cubic_lattice_constant():
+    # 4 pi g(0) for the simple cubic lattice (Nijboer & de Wette, Physica 23, 1957)
+    assert abs(4 * math.pi * green.regular_part_at_zero(3) + 2.837297479480619) < 1e-14
+
+
+def test_2d_truncation_bound_is_the_theta_product_tail():
+    # positive, independent of the Ewald parameters, and met by the fewest factors
+    bound = green.truncation_bound(2)
+    assert 0.0 < bound <= 1e-17
+    for alpha in (0.05, 1.0, 3.0):
+        assert green.truncation_bound(2, green.EwaldParameters.for_alpha(alpha)) == bound
+    assert green._theta_tail(green.THETA_FACTORS - 1) > 1e-17
+
+
+def test_2d_theta_form_matches_the_theta_series():
+    # mpmath's jtheta sums the theta series, which shares no code with the product:
+    # G = -(1/2pi) log|theta1(pi z, e^-pi) / eta(i)| + y^2/2, eta(i) = Gamma(1/4) / (2 pi^(3/4))
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    dirs = rng.normal(size=(20, 2))
+    faces = np.column_stack([np.full(10, 0.5), rng.random(10) - 0.5])
+    X = np.concatenate([
+        rng.random((60, 2)) - 0.5,
+        1e-6 * dirs / np.linalg.norm(dirs, axis=1)[:, None],  # 1e-6 from the origin
+        faces, faces[:, ::-1], -faces,
+        [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [1e-6, 0.0], [0.0, 1e-6]],
+    ])
+    G = green.green_eval_many(2, X)
+    grad = green.green_grad_many(2, X)
+    with mp.workdps(30):
+        q = mp.exp(-mp.pi)
+        eta_i = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** (mp.mpf(3) / 4))
+        for x, g, dg in zip(X, G, grad):
+            u = mp.pi * mp.mpc(x[0], x[1])
+            w = mp.pi * mp.jtheta(1, u, q, 1) / mp.jtheta(1, u, q)  # d/dz log theta1(pi z)
+            g_ref = -mp.log(abs(mp.jtheta(1, u, q)) / eta_i) / (2 * mp.pi) + mp.mpf(x[1]) ** 2 / 2
+            dg_ref = np.array([float(-w.real / (2 * mp.pi)), float(w.imag / (2 * mp.pi) + x[1])])
+            assert abs(g - float(g_ref)) <= 1e-15
+            assert np.max(np.abs(dg - dg_ref)) <= 1e-13 * max(np.linalg.norm(dg_ref), 1.0)
+        # g(0) = -(1/2pi) log(pi theta1'(0) / eta(i)), the limit of G + log|x| / 2pi
+        g0_ref = -mp.log(mp.pi * mp.jtheta(1, 0, q, 1) / eta_i) / (2 * mp.pi)
+    assert abs(green.regular_part_at_zero(2) - float(g0_ref)) <= 1e-16

@@ -177,6 +177,33 @@ def test_envelope_subadditive():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+def _envelope_by_search(M):
+    """The former O(M) search: every count up to ceil(M / threshold) + 1, first minimum."""
+    ns = np.arange(1, int(math.ceil(M / local.SINGLE_PARTICLE_THRESHOLD)) + 2, dtype=float)
+    m = M / ns
+    vals = ns * (m * m / (2 * math.pi) + 2.0 * np.sqrt(math.pi * m))
+    i = int(np.argmin(vals))
+    return i + 1, float(vals[i])
+
+
+# masses at which n and n + 1 parts cost exactly the same in floating point, n = 1, 2, 3
+_EXACT_TIES = (6.982743252093421, 12.173829802451708, 17.24562742100342)
+
+
+def test_envelope_matches_the_full_search():
+    for n, M in enumerate(_EXACT_TIES, start=1):
+        assert _envelope_by_search(M)[0] == n  # the search keeps the first minimum
+        assert n * local.e2d(M / n) == (n + 1) * local.e2d(M / (n + 1))
+    rng = np.random.default_rng(29)
+    Ms = np.concatenate([np.exp(rng.uniform(math.log(0.05), math.log(1e4), 400)),
+                         local.OPTIMAL_PER_MASS * np.arange(1, 30), _EXACT_TIES])
+    for M in Ms:
+        res = local.envelope_2d(M)
+        n, value = _envelope_by_search(M)
+        assert (res.n, res.envelope_value) == (n, value)  # same arithmetic: bitwise equal
+    assert np.array_equal(local.envelope_2d_many(Ms), [_envelope_by_search(M)[1] for M in Ms])
+
+
 def test_envelope_tie_breaks_to_smaller_n():
     # at M with n e2d(M/n) == (n+1) e2d(M/(n+1)) the smaller count is returned;
     # nearby masses bracket the transition

@@ -192,9 +192,10 @@ def test_tail_bound_is_greens_truncation_bound():
         expect = pref * green.truncation_bound(2, p) * float(np.sum(cfg.masses)) ** 2
         assert bd.tail_bound == pytest.approx(expect, rel=1e-15)
         assert bd.tail_bound > 0.0
-    # alpha = 0.05 hits the real_cutoff cap; its real tail breaks the contract
+    # alpha = 0.05 hits the real_cutoff cap; its 3D real tail breaks the contract
+    # (the 2D theta form uses no Ewald parameters)
     with pytest.raises(CutoffTooSmall):
-        sharp.sharp_energy(cfg, params=green.EwaldParameters.for_alpha(0.05))
+        sharp.sharp_energy(FIXTURES_3D[2], params=green.EwaldParameters.for_alpha(0.05))
 
 
 def test_doubling_cutoff_stability():

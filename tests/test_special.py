@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import scipy.special
 
-from oklim._special import ball_form_factor, e1_plus_log
+from oklim._special import ball_form_factor
 
 
 def test_form_factor_small_argument_limits():
@@ -23,9 +21,3 @@ def test_form_factor_closed_forms():
     expect2 = 2 * scipy.special.j1(t) / t
     assert np.max(np.abs(ball_form_factor(2, t) - expect2)) < 1e-12
 
-
-def test_e1_plus_log_matches_scipy_and_is_smooth_at_zero():
-    z = np.geomspace(1e-12, 50.0, 400)
-    expect = scipy.special.exp1(z) + np.log(z)
-    assert np.max(np.abs(e1_plus_log(z) - expect)) < 1e-13
-    assert abs(e1_plus_log(0.0) + np.euler_gamma) < 1e-15
