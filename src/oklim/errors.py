@@ -34,7 +34,7 @@ class CutoffTooSmall(OklimError):
 
 
 class NoRoot(OklimError):
-    """A bracketing root search found no sign change."""
+    """A bracketing root search found no sign change; kept exported, nothing raises it."""
 
 
 class NoConvergence(OklimError):

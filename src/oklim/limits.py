@@ -3,7 +3,8 @@
 The first-order energy sums per-particle local energies and is blind to
 positions.  The second-order energy adds the constant g(0) self terms and
 the Coulomb-like pairwise interaction through the periodic Green's function;
-in 2D it is defined on equal-mass configurations only.
+in 2D it is defined on equal-mass configurations only.  ``_second_order_parts``
+builds its self terms, pair sum and tail bound for F0 and for ``sharp``.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both
@@ -135,6 +136,19 @@ def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     return out
 
 
+def _second_order_parts(dim, masses, positions, params=None):
+    """F0's (self, ordered cross, tail bound) over (n,) masses, (n, d) positions.
+
+    self = sum_i m_i^2 g(0), plus f0(m_i) in 2D, in sorted order; masses may differ.
+    """
+    vals = masses**2 * green.regular_part_at_zero(dim, params)
+    if dim == 2:
+        vals += [local.f0(m) for m in masses]
+    return (float(np.sum(np.sort(vals))),
+            interaction_energy(dim, masses, positions, params),
+            green.truncation_bound(dim, params) * float(np.sum(masses))**2)
+
+
 def f0_energy(config: PointConfiguration, params=None,
               pair_convention: str = "ordered") -> EnergyBreakdown:
     """Second-order limit energy over point positions.
@@ -146,16 +160,12 @@ def f0_energy(config: PointConfiguration, params=None,
     """
     if pair_convention not in ("ordered", "halved"):
         raise ValueError("pair_convention must be 'ordered' or 'halved'")
-    factor = 1.0 if pair_convention == "ordered" else 0.5
-    g0 = green.regular_part_at_zero(config.dim, params)
-    if config.dim == 2:
-        if not config.equal_masses():
-            raise UnequalMasses2D("2D second-order energy requires equal masses")
-        m = float(config.masses[0])
-        self_term = config.n * (local.f0(m) + m * m * g0)
-    else:
-        self_term = g0 * float(np.sum(np.sort(config.masses**2)))
-    cross = factor * interaction_energy(config.dim, config.masses, config.positions, params)
+    if config.dim == 2 and not config.equal_masses():
+        raise UnequalMasses2D("2D second-order energy requires equal masses")
+    self_term, cross, tail = _second_order_parts(config.dim, config.masses,
+                                                 config.positions, params)
+    if pair_convention == "halved":
+        cross *= 0.5
     return EnergyBreakdown(
         perimeter_term=0.0,
         self_h1_term=0.0,
@@ -163,7 +173,7 @@ def f0_energy(config: PointConfiguration, params=None,
         cross_term=cross,
         total=self_term + cross,
         dim=config.dim,
-        tail_bound=green.truncation_bound(config.dim, params) * float(np.sum(config.masses))**2,
+        tail_bound=tail,
     )
 
 

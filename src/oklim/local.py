@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breakdown import EnergyBreakdown
-from .errors import NoRoot
 
 #: Below this mass a 2D particle does not split (single-particle threshold).
 SINGLE_PARTICLE_THRESHOLD = 2.0 ** (-2.0 / 3.0) * math.pi
@@ -129,30 +128,15 @@ def concavity_coefficient(m) -> float:
     return -(2.0 / 9.0) * b.perimeter_term + (10.0 / 9.0) * b.self_h1_term
 
 
-def splitting_threshold_3d(tol: float = 1e-8) -> float:
+def splitting_threshold_3d() -> float:
     """Mass m* where one ball and two far-separated half-mass balls tie.
 
-    Root of e3d_ball(m) = 2 e3d_ball(m/2) by bisection on [1e-3, 1e3]; for
-    m > m* the split wins under the ball ansatz.
+    The ball energy is c2 m^(2/3) + c5 m^(5/3) with c2 / c5 = 10 pi, so
+    e3d_ball(m) = 2 e3d_ball(m/2) has the one positive root
+    m* = 10 pi (2^(1/3) - 1) / (1 - 2^(-2/3)); for m > m* the split wins
+    under the ball ansatz.
     """
-    def h(m):
-        return e3d_ball(m).total - 2.0 * e3d_ball(m / 2.0).total
-
-    lo, hi = 1e-3, 1e3
-    flo, fhi = h(lo), h(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoRoot("no sign change of the splitting comparison on [1e-3, 1e3]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (h(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 10 * math.pi * (2 ** (1.0 / 3.0) - 1) / (1 - 2 ** (-2.0 / 3.0))
 
 
 def lipschitz_probe_envelope(delta: float, n_pairs: int = 10_000) -> float:

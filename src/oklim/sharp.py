@@ -1,22 +1,26 @@
 """Rescaled sharp-interface energies of ball configurations, and the
 second-order quotients whose small-scale limits the library verifies.
 
-The H^-1(T^d) norm of v = sum_i eta^-d chi_{B(x_i, a_i)} is the double sum
-sum_{i, j} m_i m_j <G>_{ij}, where <G>_{ij} averages the periodic Green's
-function G over x in B(x_i, a_i) and y in B(x_j, a_j).  For disjoint balls of
-diameter below 1/2 that average is a closed form in point values of G: G
-minus its free-space singular part has constant Laplacian on every ball-pair
-difference set, so by the mean-value property (Newton's theorem)
+The H^-1(T^d) norm of v = sum_i eta^-d chi_{B(x_i, a_i)} is
+sum_{i, j} m_i m_j <G>_{ij}, the averages of the periodic Green's function G
+over pairs of balls.  For disjoint balls of diameter below 1/2, G minus its
+free-space singular part Gamma has constant Laplacian on every ball-pair
+difference set, so by the mean-value property (Newton's theorem), with
+q = 10 in 3D and 8 in 2D,
 
-    3D  <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / 10,
-        <G>_{ii} = 6 / (5 a_i) / (4 pi) + g(0) + a_i^2 / 5,
-    2D  <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / 8,
-        <G>_{ii} = -(log a_i - 1/4) / (2 pi) + g(0) + a_i^2 / 4,
+    <G>_{ij} = G(x_i - x_j) + (a_i^2 + a_j^2) / q,
+    <G>_{ii} = <Gamma>_{ii} + g(0) + 2 a_i^2 / q.
 
-with g(0) the regular part of G at the origin.  The energy is therefore the
-pair sum of ``limits`` (one batched evaluation of G over the n(n-1)/2
-pairs) plus closed forms in the radii, exact up to G's certified truncation
-bound, at every scale eta.  A ``BallConfiguration`` is a
+The prefactor pref (eta in 3D, 1/|log eta| in 2D) times m_i^2 <Gamma>_{ii}
+is exactly the whole-space self energy of the ball, 8 pi r_i^5 / 15 in 3D
+and m_i^2 / (2 pi) + pref f0(m_i) in 2D (r_i = a_i / eta), so the code never
+forms it.  The energy is the Gamma-expansion, exact at every eta up to G's
+certified truncation bound:
+
+    E_eta = sum_i local(m_i) + pref (F0 parts + eta^2 (2M/q) sum_i m_i r_i^2),
+
+M = sum m, with the F0 parts (self terms and ordered pair sum) from the
+helper that ``limits.f0_energy`` uses.  A ``BallConfiguration`` is a
 ``limits.PointConfiguration`` that also carries eta and the radii.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
 nothing with G and is kept as the independent check at moderate scales;
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green, limits, local
+from . import limits, local
 from ._special import ball_form_factor
 from .breakdown import EnergyBreakdown
 from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration,
@@ -87,27 +91,8 @@ class BallConfiguration(limits.PointConfiguration):
 
 
 # ---------------------------------------------------------------------------
-# H^-1 pair sums: sum_i m_i^2 <G>_ii and sum_{i != j} m_i m_j <G>_ij
+# the independent oracle: a truncated mode sum over the ball form factors
 # ---------------------------------------------------------------------------
-
-def _pair_sums_closed_form(config, params):
-    """Self and cross pair sums from point values of G; see the module docstring."""
-    m = config.masses
-    a = config.radii
-    g0 = green.regular_part_at_zero(config.dim, params)
-    if config.dim == 3:
-        q = 10.0
-        self_mean = 6.0 / (5.0 * a) / (4 * math.pi) + g0 + a**2 / 5.0
-    else:
-        q = 8.0
-        self_mean = -(np.log(a) - 0.25) / (2 * math.pi) + g0 + a**2 / 4.0
-    mass = float(np.sum(m))
-    self_sum = float(np.sum(m**2 * self_mean))
-    # sum_{i != j} m_i m_j (a_i^2 + a_j^2) / q = (2/q) sum_i m_i a_i^2 (M - m_i)
-    cross_sum = (limits.interaction_energy(config.dim, m, config.positions, params)
-                 + (2.0 / q) * float(np.sum(m * a**2 * (mass - m))))
-    return self_sum, cross_sum, green.truncation_bound(config.dim, params) * mass**2
-
 
 def _direct_mode_tail(dim, cutoff, masses, radii):
     """Envelope bound for the untruncated modes of the bare form-factor sum."""
@@ -174,34 +159,41 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     perimeter term, the scale-free self part (whole-space H^-1 norms in 3D,
     the mass-squared log coefficient in 2D), the remaining regular self
     interaction, and the cross interaction.  ``method='ewald'`` evaluates the
-    closed form through G (``params``: the 3D Ewald parameters); its tail bound
-    is pref * truncation_bound * (sum m)^2.  ``method='direct'`` sums the
-    bare mode sum up to ``fourier_cutoff`` instead; it is only usable at
-    moderate scales before its certified tail violates the accuracy contract.
+    Gamma-expansion of the module docstring through G (``params``: the 3D
+    Ewald parameters); its tail bound is pref * truncation_bound * (sum m)^2.
+    ``method='direct'`` sums the bare mode sum up to ``fourier_cutoff``
+    instead; it is only usable at moderate scales before its certified tail
+    violates the accuracy contract.
     """
     if fourier_cutoff < MIN_CUTOFF:
         raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
-    if method == "ewald":
-        diag, off, tail = _pair_sums_closed_form(config, params)
-    elif method == "direct":
-        diag, off, tail = _pair_sums_direct(config, fourier_cutoff)
-    else:
+    if method not in ("ewald", "direct"):
         raise ValueError("method must be 'ewald' or 'direct'")
 
     eta = config.eta
     m = config.masses
     if config.dim == 3:
-        pref = eta
+        pref, q = eta, 10.0
         r = config.radii / eta
         perim = float(np.sum(4 * math.pi * r**2))
         self_h1 = float(np.sum(8 * math.pi * r**5 / 15.0))
     else:
-        pref = 1.0 / abs(math.log(eta))
+        pref, q = 1.0 / abs(math.log(eta)), 8.0
         perim = float(np.sum(2.0 * np.sqrt(math.pi * m)))
         self_h1 = float(np.sum(m**2) / (2 * math.pi))
 
-    regular_self = pref * diag - self_h1
-    cross = pref * off
+    if method == "ewald":
+        # F0's parts plus the eta^2 term (2/q) sum_{i, j} m_i m_j a_i^2, a_i = eta r_i,
+        # split into its i = j and i != j sums
+        self_sum, cross_sum, tail = limits._second_order_parts(
+            config.dim, m, config.positions, params)
+        a2 = config.radii**2
+        regular_self = pref * (self_sum + (2.0 / q) * float(np.sum(m**2 * a2)))
+        cross = pref * (cross_sum + (2.0 / q) * float(np.sum(m * a2 * (np.sum(m) - m))))
+    else:
+        diag, off, tail = _pair_sums_direct(config, fourier_cutoff)
+        regular_self = pref * diag - self_h1
+        cross = pref * off
     total = perim + self_h1 + regular_self + cross
     tail_scaled = pref * tail
     breakdown = EnergyBreakdown(

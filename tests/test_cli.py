@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,3 +384,78 @@ def test_energy_exits_cleanly_on_generated_configs(case):
     for line in lines[2:]:
         for cell in line.split(",")[1:]:
             assert cell == "" or math.isfinite(float(cell))
+
+
+def _run_main(argv, alpha=None):
+    """cli.main in-process with OKLIM_EWALD_ALPHA set to ``alpha`` (None: unset)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("OKLIM_EWALD_ALPHA", None)
+        if alpha is not None:
+            os.environ["OKLIM_EWALD_ALPHA"] = alpha
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_json_exit(code, out, err):
+    """Exit code 0-4, no traceback, and stdout empty or JSON with only finite numbers."""
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        return
+    stack = [json.loads(out, parse_constant=_reject_non_finite)]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, float):
+            assert math.isfinite(v)
+
+
+@pytest.mark.parametrize("alpha", ["0.05", "50"])
+def test_green_rejects_an_ewald_alpha_out_of_bounds(alpha):
+    # 0.05 hits the real_cutoff cap; 50 lies above the range, with a k cube of 175^3 vectors
+    builds = green._tables.cache_info().misses
+    code, out, err = _run_main(["green", "--dim", "3", "--x", "0.1,0.2,0.3"], alpha)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert ("certified tail" in err) == (alpha == "0.05")
+    assert green._tables.cache_info().misses == builds  # rejected before any table
+
+
+def _coordinate():
+    # anywhere on a few cells, or on or 1e-12 off a lattice coordinate
+    near_lattice = st.integers(-2, 2).flatmap(
+        lambda k: st.sampled_from([float(k), k + 1e-12, k - 1e-12]))
+    return st.one_of(st.floats(-2.0, 2.0), near_lattice)
+
+
+_ALPHA_ENV = st.one_of(
+    st.none(),
+    st.floats(math.log(0.05), math.log(20.0)).map(lambda t: repr(math.exp(t))),
+    st.sampled_from(["nan", "-1", "inf", "abc"]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.lists(_coordinate(), min_size=d, max_size=d)),
+       st.sets(st.sampled_from(["--grad", "--regular"])), _ALPHA_ENV)
+def test_green_exits_cleanly_on_generated_inputs(x, flags, alpha):
+    argv = ["green", "--dim", str(len(x)), "--x=" + ",".join(map(repr, x)), *sorted(flags)]
+    _assert_clean_json_exit(*_run_main(argv, alpha))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["2", "3"]),
+       st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+       st.sets(st.sampled_from(["--partition", "--concavity", "--splitting", "--threshold"])))
+def test_local_exits_cleanly_on_generated_inputs(dim, mass, flags):
+    argv = ["local", "--dim", dim, "--mass=" + repr(mass), *sorted(flags)]
+    _assert_clean_json_exit(*_run_main(argv))

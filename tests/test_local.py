@@ -317,7 +317,7 @@ def test_splitting_threshold_algebraic_oracle():
     # with e(m) = c2 m^(2/3) + c5 m^(5/3) and c2/c5 = 10 pi the root reduces to
     # m* = 10 pi (2^(1/3) - 1) / (1 - 2^(-2/3))
     closed = 10 * PI * (2 ** (1.0 / 3.0) - 1) / (1 - 2 ** (-2.0 / 3.0))
-    assert abs(local.splitting_threshold_3d() - closed) < 1e-7
+    assert abs(local.splitting_threshold_3d() - closed) <= 4 * math.ulp(closed)
 
 
 def test_single_ball_wins_below_threshold():

@@ -113,14 +113,25 @@ def test_matches_exact_green_identity(config, params):
     assert bd.tail_bound <= 1e-8 * abs(bd.total)
 
 
-def test_single_ball_decomposition_cross_check(params):
+@pytest.mark.parametrize("dim", [3, 2])
+@pytest.mark.parametrize("eta", [0.05, 1e-4, 1e-6])
+def test_single_ball_decomposition_cross_check(eta, dim, params):
     # scale-free whole-space self part plus g-integral, g-integral taken as
-    # m^2 g(0) plus its second-order ball correction
-    cfg = sharp.BallConfiguration(3, 0.05, [(1.0, (0.4, 0.1, 0.8))])
+    # m^2 g(0) (plus f0 in 2D) and its second-order ball correction.  pref times
+    # the singular self-mean is the whole-space self energy, so the regular self
+    # term is exact at every scale
+    m = 1.0 if dim == 3 else 2.0
+    cfg = sharp.BallConfiguration(dim, eta, [(m, (0.4, 0.1, 0.8)[:dim])])
     bd = sharp.sharp_energy(cfg)
     a = cfg.radii[0]
-    g_integral = 1.0 * (green.regular_part_at_zero(3, params) + a * a / 5.0)
-    expect = local.e3d_ball(1.0).total + cfg.eta * g_integral
+    g0 = green.regular_part_at_zero(dim, params)
+    if dim == 3:
+        regular_self = eta * m * m * (g0 + a * a / 5.0)
+        expect = local.e3d_ball(m).total + regular_self
+    else:
+        regular_self = (local.f0(m) + m * m * g0 + m * m * a * a / 4.0) / abs(math.log(eta))
+        expect = local.e2d(m) + regular_self
+    assert abs(bd.regular_self_term - regular_self) <= 1e-14 * abs(regular_self)
     assert abs(bd.total - expect) <= 1e-6 * expect
 
 
