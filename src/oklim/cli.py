@@ -2,11 +2,13 @@
 finite-scale energies, the eta-sweep expansion table, and particle placement.
 
 Exit codes: 0 success, 1 usage/schema (or Ewald parameters whose certified
-tail breaks the accuracy contract, or a result outside the float range),
-2 singularity, 3 physical validation, 4 admissibility.  All numeric output
-is finite and carries 17 significant digits; CSV columns are append-only
-across versions.  The environment variable OKLIM_EWALD_ALPHA overrides the
-default splitting parameter of the 3D Ewald sum (the 2D theta form has none).
+tail breaks the accuracy contract, a result outside the float range, or
+any other library error), 2 singularity, 3 physical validation,
+4 admissibility.  All numeric output is finite and carries 17 significant
+digits; CSV columns are append-only across versions.  The 3D Ewald sum
+chooses its splitting parameter from the particle count; the environment
+variable OKLIM_EWALD_ALPHA fixes it instead (the 2D theta form has none).
+Manifests name the parameters that ran.
 """
 
 from __future__ import annotations
@@ -151,20 +153,30 @@ def load_point_configuration(path: str):
     return cfg, data.get("eta")
 
 
-def default_params() -> green.EwaldParameters:
-    # OKLIM_EWALD_ALPHA is checked before any lattice table is built: at the ends
-    # of [0.5, 10] the 3D tables hold 12,167 images or 50,653 k-vectors
+def default_params(dim=3, n=None) -> green.EwaldParameters:
+    """The 3D Ewald parameters a command runs with, named in its manifest.
+
+    OKLIM_EWALD_ALPHA's alpha with for_alpha's cutoffs when it is set;
+    otherwise those the 3D pair sum chooses for n particles, or the default
+    for a single G evaluation (n=None) and in 2D, which uses none.  The
+    variable is checked before any lattice table is built: at the ends of
+    [0.5, 10] the 3D tables hold 12,167 images or 50,653 k-vectors.
+    """
     env = os.environ.get("OKLIM_EWALD_ALPHA")
     if not env:
-        return green.EwaldParameters.default()
-    params = green.EwaldParameters.for_alpha(float(env))
-    tail = green.truncation_bound(3, params)
-    if tail > 1e-13:  # a cutoff cap was hit
-        raise CutoffTooSmall(f"OKLIM_EWALD_ALPHA={env}: the certified tail {tail:.3g} of G "
-                             "exceeds 1e-13")
-    if not 0.5 <= params.alpha <= 10.0:
-        raise ValueError(f"OKLIM_EWALD_ALPHA must lie in [0.5, 10], got {env}")
-    return params
+        if dim == 2 or n is None:
+            return green.EwaldParameters.default()
+        return green.EwaldParameters.for_count(n)
+    try:
+        alpha = float(env)
+    except ValueError:
+        raise ValueError(f"OKLIM_EWALD_ALPHA must be a number, got {env!r}") from None
+    if not 0.5 <= alpha <= 10.0:
+        why = ""
+        if 0.0 < alpha < 0.5:
+            why = ": below 0.5 a certified tail of 1e-13 takes at least 12,167 real-space images"
+        raise ValueError(f"OKLIM_EWALD_ALPHA must lie in [0.5, 10], got {env}{why}")
+    return green.EwaldParameters.for_alpha(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +201,16 @@ def cmd_green(args) -> int:
     return 0
 
 
+# the flags of `local` that the other dimension's energies have no output for
+_FOREIGN_LOCAL_FLAGS = {2: ("concavity", "splitting", "threshold"), 3: ("partition",)}
+
+
 def cmd_local(args) -> int:
     if args.mass is None or not (args.mass > 0 and math.isfinite(args.mass)):
         raise ValueError("--mass must be a positive finite number")
+    for flag in _FOREIGN_LOCAL_FLAGS[args.dim]:
+        if getattr(args, flag):
+            raise ValueError(f"--{flag} does not apply to --dim {args.dim}")
     m = args.mass
     payload = {}
     if args.dim == 2:
@@ -224,8 +243,8 @@ def _breakdown_row(kind, bd) -> list:
 
 def cmd_energy(args) -> int:
     t0 = time.perf_counter()
-    params = default_params()
     cfg, inline_eta = load_point_configuration(args.config)
+    params = default_params(cfg.dim, cfg.n)
     eta = args.eta if args.eta is not None else inline_eta
     rows = []
     if eta is not None:
@@ -248,8 +267,8 @@ def cmd_energy(args) -> int:
 
 def cmd_expand(args) -> int:
     t0 = time.perf_counter()
-    params = default_params()
     cfg, _ = load_point_configuration(args.config)
+    params = default_params(cfg.dim, cfg.n)
     etas = [float(v) for v in args.etas.split(",") if v.strip()]
     if not etas:
         raise ValueError("--etas must list at least one value")
@@ -281,7 +300,6 @@ def cmd_expand(args) -> int:
 
 def cmd_place(args) -> int:
     t0 = time.perf_counter()
-    params = default_params()
     initial = None
     if args.config:
         cfg, _ = load_point_configuration(args.config)
@@ -294,6 +312,7 @@ def cmd_place(args) -> int:
             raise ValueError("--n and --mass are required without --config")
         masses = np.full(args.n, args.mass)
         dim = args.dim
+    params = default_params(dim, len(masses))
     converged = True
     try:
         result = optimize.place(dim, masses, restarts=args.restarts, seed=args.seed,
@@ -411,6 +430,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OverflowError as exc:
         sys.stderr.write(f"error: an input is outside the float range ({exc})\n")
+        return EXIT_USAGE
+    except OklimError as exc:  # any library error without an exit code of its own
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 

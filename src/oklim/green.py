@@ -10,7 +10,12 @@ form (Lin & Wang, Ann. Math. 172, 2010), with z = x + iy and q = e^-pi:
 the constant set by the zero mean (Jensen's formula) and the product cut
 after THETA_FACTORS pairs.  In 3D it is the Ewald sum, from one value kernel:
 a short-range erfc lattice sum, a Gaussian-damped reciprocal sum and the
-background constant -1/(4 alpha^2).  The regular part g, G minus -log|x|/2pi
+background constant -1/(4 alpha^2).  The 3D pair sum sum_{i != j} m_i m_j G of
+n particles and its gradient have their own kernel, ``_particle_sum``: the same
+Ewald sum rearranged through the structure factor (Ewald, Ann. Phys. 369,
+1921; Essmann et al., J. Chem. Phys. 103, 1995), O(pairs * images + n * K)
+instead of O(pairs * (images + K)), with alpha chosen from n by operation
+count among PAIR_SUM_ALPHAS.  The regular part g, G minus -log|x|/2pi
 or 1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
 |sin pi z| / |x|; the 3D n = 0 lattice term is combined with the singular
 part analytically.  Values are taken at |x| in the centered cell, where G is
@@ -124,16 +129,15 @@ class EwaldParameters:
     fourier_cutoff: int
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.real_cutoff < 1 or self.fourier_cutoff < 1:
             raise ValueError("cutoffs must be positive integers")
 
     @classmethod
     def for_alpha(cls, alpha: float, tol: float = 1e-13) -> "EwaldParameters":
         """Choose the smallest shell cutoffs whose tail bounds are <= tol."""
-        alpha = float(alpha)
-        rc = 2
+        alpha = _check_alpha(float(alpha))  # before the shell sums, which a bad alpha makes slow
+        rc = 1
         while _real_tail_bound(alpha, rc) > tol and rc < 80:
             rc += 1
         fc = 2
@@ -147,6 +151,38 @@ class EwaldParameters:
         # cached: every params=None call resolves here, and for_alpha's shell
         # sums cost ~20 us, more than a small green_eval_many batch
         return cls.for_alpha(_SQRT_PI)
+
+    @classmethod
+    def for_count(cls, n: int) -> "EwaldParameters":
+        """The PAIR_SUM_ALPHAS parameters with the fewest operations for an n-particle pair sum.
+
+        ``_particle_sum`` costs about pairs * images + n * K (K half-space
+        k-vectors): a small alpha suits few particles, a large one many.
+        """
+        pairs = n * (n - 1) // 2
+        return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + n * c[2])[0]
+
+
+def _check_alpha(alpha):
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
+
+
+#: Splitting parameters the pair sum chooses from by n: the default (343 images,
+#: 128 half-space k-vectors; n <= 2), 2.75 (125 images, 257; n <= 27) and 5
+#: (27 images, 1535); each certifies a tail <= 1e-13 at for_alpha's cutoffs.
+PAIR_SUM_ALPHAS = (_SQRT_PI, 2.75, 5.0)
+
+
+@lru_cache(maxsize=1)
+def _pair_sum_candidates():
+    # (params, images, half-space k-vectors), built on the first 3D pair sum
+    out = []
+    for alpha in PAIR_SUM_ALPHAS:
+        p = EwaldParameters.for_alpha(alpha)
+        out.append((p, (2 * p.real_cutoff + 1)**3, len(_tables(p.fourier_cutoff)[0])))
+    return tuple(out)
 
 
 def _shell_sum(term, start):
@@ -176,7 +212,8 @@ def _fourier_tail_bound(alpha, fc):
     # each with a coefficient below the one at |k| = j
     def term(j):
         cnt = 4 * math.pi * (j + 1) ** 2 + 6
-        return cnt * math.exp(-(math.pi * j / alpha) ** 2) / (4 * math.pi**2 * j * j)
+        z = math.pi * j / alpha  # z * z, unlike z ** 2, gives inf rather than OverflowError
+        return cnt * math.exp(-z * z) / (4 * math.pi**2 * j * j)
     return _shell_sum(term, fc)
 
 
@@ -195,18 +232,28 @@ def truncation_bound(dim, params=None) -> float:
             + _fourier_tail_bound(params.alpha, params.fourier_cutoff))
 
 
+@lru_cache(maxsize=32)
 def _cube(c):
+    """The integer vectors |n|_inf <= c in lexicographic order, read-only."""
     r = np.arange(-c, c + 1, dtype=float)
-    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    cube.flags.writeable = False
+    return cube
 
 
 @lru_cache(maxsize=32)
-def _tables(real_cutoff: int, fourier_cutoff: int):
-    nvecs = _cube(real_cutoff)
+def _tables(fourier_cutoff: int):
+    """The k-vectors 0 < |k| <= fourier_cutoff of one half-space, one of each pair +-k, and |k|^2.
+
+    The coefficients are even in k, so a sum over all k is twice the sum over these.
+    """
     kvecs = _cube(fourier_cutoff)
     k2 = np.sum(kvecs**2, axis=1)
-    keep = (k2 > 0) & (k2 <= fourier_cutoff**2)
-    return nvecs, nvecs[np.any(nvecs != 0.0, axis=1)], kvecs[keep], k2[keep]
+    # the cube is in lexicographic order, so -k sits at the mirrored index of k:
+    # the second half holds the lexicographically positive k
+    keep = k2 <= fourier_cutoff**2
+    keep[:len(kvecs) // 2 + 1] = False
+    return kvecs[keep], k2[keep]
 
 
 def _resolve(params):
@@ -233,26 +280,64 @@ def _cell(X, name):
     return X
 
 
-def _lattice_sum(X, params, images):
-    """3D screened sum over ``images``, reciprocal sum and constant at rows x >= 0 of the cell."""
-    _, _, kvecs, k2 = _tables(params.real_cutoff, params.fourier_cutoff)
-    alpha = params.alpha
-    kcoef = _fourier_coef(params, k2)
+# elements per chunk of the (rows x images) and (rows x k-vectors) temporaries
+_CHUNK = 1_000_000
 
+
+def _image_distances(X, rc):
+    """|x + n| over the image cube |n|_inf <= rc, a row per x, in ``_cube(rc)`` order.
+
+    The cube is a product of the offsets -rc..rc per axis, so |x + n|^2 is
+    built from three (rows, 2 rc + 1) factors instead of (rows, images, 3).
+    """
+    off = np.arange(-rc, rc + 1, dtype=float)
+    sq = [(X[:, i, None] + off) ** 2 for i in range(3)]
+    r2 = sq[0][:, :, None, None] + sq[1][:, None, :, None]
+    r2 = r2 + sq[2][:, None, None, :]
+    return np.sqrt(r2.reshape(len(X), -1))
+
+
+def _real_space(X, alpha, rc, origin=True):
+    """Screened image sum per row: sum_n erfc(alpha r) / (4 pi r), r = |x + n|, |n|_inf <= rc.
+
+    ``origin=False`` leaves out the image n = 0.
+    """
     out = np.empty(X.shape[0])
-    chunk = max(1, int(4e6) // max(len(images), len(kvecs)))
+    chunk = max(1, _CHUNK // (2 * rc + 1)**3)
+    for lo in range(0, X.shape[0], chunk):
+        r = _image_distances(X[lo:lo + chunk], rc)
+        if not origin:
+            r = np.delete(r, r.shape[1] // 2, axis=1)
+        out[lo:lo + chunk] = np.sum(erfc(alpha * r) / r, axis=1)
+    return out / (4 * math.pi)
+
+
+def _real_space_grad(X, alpha, rc):
+    """Gradient of ``_real_space`` per row: -sum_n w(r) (x + n) = -(x sum_n w + sum_n w n)."""
+    out = np.empty_like(X)
+    chunk = max(1, _CHUNK // (2 * rc + 1)**3)
     for lo in range(0, X.shape[0], chunk):
         xb = X[lo:lo + chunk]
-        r = np.linalg.norm(xb[:, None, :] + images[None, :, :], axis=2)
-        real = np.sum(erfc(alpha * r) / (4 * math.pi * r), axis=1)
-        del r  # chunk-sized: free before the reciprocal temporary is made
-        four = xb @ kvecs.T
-        four *= 2 * math.pi
-        np.cos(four, out=four)
-        four *= kcoef  # reduced row by row: a matrix-vector product rounds by row position
-        out[lo:lo + chunk] = real + four.sum(axis=1) - 1.0 / (4 * alpha**2)
-        del four
-    return out
+        r = _image_distances(xb, rc)
+        w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
+        out[lo:lo + chunk] = -(xb * w.sum(axis=1)[:, None] + w @ _cube(rc))
+    return out / (4 * math.pi)
+
+
+def _lattice_sum(X, params, origin=True):
+    """3D screened image sum, reciprocal sum and constant at rows x >= 0 of the cell."""
+    kvecs, k2 = _tables(params.fourier_cutoff)
+    kcoef = 2.0 * _fourier_coef(params, k2)  # the +-k pairs
+    four = np.empty(X.shape[0])
+    chunk = max(1, 4 * _CHUNK // len(kvecs))
+    for lo in range(0, X.shape[0], chunk):
+        cos = X[lo:lo + chunk] @ kvecs.T
+        cos *= 2 * math.pi
+        np.cos(cos, out=cos)
+        cos *= kcoef  # reduced row by row: a matrix-vector product rounds by row position
+        four[lo:lo + chunk] = cos.sum(axis=1)
+    return (_real_space(X, params.alpha, params.real_cutoff, origin) + four
+            - 1.0 / (4 * params.alpha**2))
 
 
 def green_eval_many(dim, X, params=None):
@@ -261,7 +346,7 @@ def green_eval_many(dim, X, params=None):
     if dim == 2:
         return _theta_green(X, 1.0)
     params = _resolve(params)
-    return _lattice_sum(X, params, _tables(params.real_cutoff, params.fourier_cutoff)[0])
+    return _lattice_sum(X, params)
 
 
 def green_eval(dim, x, params=None) -> float:
@@ -279,23 +364,58 @@ def green_grad_many(dim, X, params=None):
     if dim == 2:
         return _theta_grad(X)
     params = _resolve(params)
-    nvecs, _, kvecs, k2 = _tables(params.real_cutoff, params.fourier_cutoff)
-    alpha = params.alpha
-    kcoef = _fourier_coef(params, k2)
-
-    out = np.empty_like(X)
-    chunk = max(1, int(2e6) // max(len(nvecs), len(kvecs)))
+    kvecs, k2 = _tables(params.fourier_cutoff)
+    kcoef = 2.0 * _fourier_coef(params, k2)  # the +-k pairs
+    out = _real_space_grad(X, params.alpha, params.real_cutoff)
+    chunk = max(1, 2 * _CHUNK // len(kvecs))
     for lo in range(0, X.shape[0], chunk):
-        xb = X[lo:lo + chunk]
-        d = xb[:, None, :] + nvecs[None, :, :]
-        r = np.linalg.norm(d, axis=2)
-        w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (
-            4 * math.pi * r * r)
-        real = -np.sum(w[:, :, None] * d, axis=1)
-        phase = 2 * math.pi * (xb @ kvecs.T)
-        four = -(np.sin(phase) * kcoef[None, :]) @ (2 * math.pi * kvecs)
-        out[lo:lo + chunk] = real + four
+        phase = 2 * math.pi * (X[lo:lo + chunk] @ kvecs.T)
+        out[lo:lo + chunk] += -(np.sin(phase) * kcoef[None, :]) @ (2 * math.pi * kvecs)
     return out
+
+
+def _particle_sum(masses, positions, pairs, params, gradient=False):
+    """3D ordered pair sum sum_{i != j} m_i m_j G(x_i - x_j), or its gradient, by structure factor.
+
+    With S(k) = sum_j m_j e^(2 pi i k.x_j) over the half-space k-vectors, R the
+    screened image sum of ``_real_space`` and M = sum m,
+
+        sum_{i != j} m_i m_j G = sum_{i != j} m_i m_j R(x_i - x_j)
+                                 + 2 sum_k c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
+
+    the same truncated Ewald sum as the per-pair G, in O(pairs * images + n * K).
+    The gradient is that of this sum: the real-space pair forces, plus
+    m_i sum_k 4 c_k (2 pi k) (cos_ik Im S - sin_ik Re S).  ``pairs`` holds
+    (i, j, x_i - x_j) for the pairs i < j, differences in the centered cell.
+    S is formed in the lexicographic order of the positions, and the pair
+    terms are summed in sorted order, so the value is exactly permutation
+    invariant.
+    """
+    if len(masses) < 2:
+        return np.zeros_like(positions) if gradient else 0.0
+    iu, ju, d = pairs
+    kvecs, k2 = _tables(params.fourier_cutoff)
+    order = np.lexsort(positions.T[::-1])
+    m = masses[order]
+    phase = positions[order] @ kvecs.T
+    phase *= 2 * math.pi
+    cos, sin = np.cos(phase), np.sin(phase)
+    re, im = m @ cos, m @ sin
+    coef = _fourier_coef(params, k2)
+    mpair = masses[iu] * masses[ju]
+    if gradient:
+        out = np.zeros_like(positions)
+        w = 2.0 * mpair[:, None] * _real_space_grad(d, params.alpha, params.real_cutoff)
+        np.add.at(out, iu, w)
+        np.add.at(out, ju, -w)
+        k = 2 * math.pi * kvecs
+        fk = 4.0 * coef
+        out[order] += m[:, None] * (cos @ ((fk * im)[:, None] * k) - sin @ ((fk * re)[:, None] * k))
+        return out
+    real = float(np.sum(np.sort(mpair * _real_space(np.abs(d), params.alpha, params.real_cutoff))))
+    mm, total = float(m @ m), float(np.sum(m))
+    recip = float(coef @ (re * re + im * im - mm))
+    return 2.0 * (real + recip) - (total * total - mm) / (4 * params.alpha**2)
 
 
 def green_grad(dim, x, params=None) -> np.ndarray:
@@ -333,5 +453,4 @@ def regular_part(dim, x, params=None) -> float:
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])
     params = _resolve(params)
-    nonzero = _tables(params.real_cutoff, params.fourier_cutoff)[1]
-    return _g_smooth_n0(r, params.alpha) + float(_lattice_sum(x, params, nonzero)[0])
+    return _g_smooth_n0(r, params.alpha) + float(_lattice_sum(x, params, origin=False)[0])

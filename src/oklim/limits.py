@@ -11,8 +11,11 @@ sum (the convention the finite-scale expansion converges to, in both
 dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
 ``interaction_energy`` and its gradient serve F0, the finite-scale energy of
 ``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
-placement optimizer; summed in sorted order, it is exactly permutation
-invariant.
+placement optimizer; it is exactly permutation invariant.  In 2D it sums the
+per-pair theta-form G in sorted order.  In 3D it is green's structure-factor
+kernel, O(n * K) rather than O(n^2 * K) in the k-vectors, with the Ewald
+parameters chosen from n unless given; F0's self terms and tail bound then
+use the same parameters.
 """
 
 from __future__ import annotations
@@ -115,11 +118,19 @@ def _pairs(positions):
     return iu, ju, diffs, np.linalg.norm(diffs, axis=1)
 
 
+def _pair_params(n, params):
+    # explicit parameters run as given; otherwise alpha is chosen from n by operation count
+    return green.EwaldParameters.for_count(n) if params is None else params
+
+
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
     iu, ju, diffs, dist = _pairs(positions)
     if np.any(dist <= green.SINGULAR_GUARD):
         raise CoincidentPoints("coincident points: interaction energy is +inf")
+    if dim == 3:
+        return green._particle_sum(masses, positions, (iu, ju, diffs),
+                                   _pair_params(len(masses), params))
     g = green.green_eval_many(dim, diffs, params)
     # row-independent G values in a canonical order: exactly permutation invariant
     return 2.0 * float(np.sum(np.sort(masses[iu] * masses[ju] * g)))
@@ -128,6 +139,9 @@ def interaction_energy(dim, masses, positions, params=None) -> float:
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
     iu, ju, diffs, _ = _pairs(positions)
+    if dim == 3:
+        return green._particle_sum(masses, positions, (iu, ju, diffs),
+                                   _pair_params(len(masses), params), gradient=True)
     gr = green.green_grad_many(dim, diffs, params)
     w = (2.0 * masses[iu] * masses[ju])[:, None] * gr
     out = np.zeros_like(positions)
@@ -140,7 +154,11 @@ def _second_order_parts(dim, masses, positions, params=None):
     """F0's (self, ordered cross, tail bound) over (n,) masses, (n, d) positions.
 
     self = sum_i m_i^2 g(0), plus f0(m_i) in 2D, in sorted order; masses may differ.
+    All three use the same Ewald parameters: ``params``, or in 3D those the
+    pair sum chooses for n particles.
     """
+    if dim == 3:
+        params = _pair_params(len(masses), params)
     vals = masses**2 * green.regular_part_at_zero(dim, params)
     if dim == 2:
         vals += [local.f0(m) for m in masses]

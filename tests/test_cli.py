@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oklim import cli, green, limits
+from oklim.errors import OklimError
 
 PI = math.pi
 
@@ -459,3 +460,111 @@ def test_green_exits_cleanly_on_generated_inputs(x, flags, alpha):
 def test_local_exits_cleanly_on_generated_inputs(dim, mass, flags):
     argv = ["local", "--dim", dim, "--mass=" + repr(mass), *sorted(flags)]
     _assert_clean_json_exit(*_run_main(argv))
+
+
+def test_unmapped_library_errors_exit_1():
+    class FutureError(OklimError):
+        pass
+
+    with mock.patch.object(cli, "cmd_green", side_effect=FutureError("a new failure")):
+        code, out, err = _run_main(["green", "--dim", "2", "--x", "0.1,0.2"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: a new failure"]
+
+
+@pytest.mark.parametrize("dim, flag", [("2", "--concavity"), ("2", "--splitting"),
+                                       ("2", "--threshold"), ("3", "--partition")])
+def test_local_rejects_flags_of_the_other_dimension(dim, flag):
+    code, out, err = _run_main(["local", "--dim", dim, "--mass", "1", flag])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and flag in err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "1e-300", "abc"])
+def test_ewald_alpha_is_checked_before_the_cutoff_search(alpha):
+    with mock.patch.object(green.EwaldParameters, "for_alpha",
+                           side_effect=AssertionError("cutoff search ran")):
+        code, out, err = _run_main(["green", "--dim", "3", "--x", "0.1,0.2,0.3"], alpha)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "OKLIM_EWALD_ALPHA" in err
+
+
+def test_for_alpha_rejects_a_bad_alpha_before_the_cutoff_search():
+    with mock.patch.object(green, "_real_tail_bound", side_effect=AssertionError("searched")):
+        for alpha in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                green.EwaldParameters.for_alpha(alpha)
+
+
+def test_energy_manifest_names_the_parameters_that_ran(tmp_path):
+    rng = np.random.default_rng(5)
+    masses = rng.uniform(0.5, 1.5, 30)
+    cfg = write_config(tmp_path, "thirty.json", {"dim": 3, "particles": [
+        {"mass": float(m), "position": [float(v) for v in rng.random(3)]} for m in masses]})
+    for env, alpha in ((None, 5.0), ({"OKLIM_EWALD_ALPHA": "2.0"}, 2.0)):
+        r = run_cli("energy", "--config", cfg, env_extra=env)
+        manifest = json.loads(r.stdout.splitlines()[0][len("# manifest:"):])
+        params = green.EwaldParameters.for_alpha(alpha)
+        assert manifest["ewald"] == {"alpha": alpha, "real_cutoff": params.real_cutoff,
+                                     "fourier_cutoff": params.fourier_cutoff}
+        f0_row = r.stdout.splitlines()[3].split(",")
+        assert f0_row[0] == "F0"
+        tail = green.truncation_bound(3, params) * float(np.sum(masses)) ** 2
+        assert float(f0_row[8]) == pytest.approx(tail, rel=1e-15)
+
+
+def _assert_clean_csv_exit(code, out, err):
+    """Exit code 0-4, no traceback, and stdout empty or a manifest and CSV of finite numbers."""
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    if code != 0:
+        assert lines == [] and len(err.splitlines()) == 1
+        return
+    assert lines[0].startswith("# manifest:")
+    json.loads(lines[0][len("# manifest:"):], parse_constant=_reject_non_finite)
+    for line in lines[2:]:
+        for cell in line.split(",")[1:]:
+            assert cell == "" or math.isfinite(float(cell))
+
+
+@st.composite
+def point_configs(draw, max_n):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, max_n))
+    equal = draw(st.booleans())
+    masses = draw(st.lists(st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+                           min_size=1 if equal else n, max_size=1 if equal else n))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * dim, max_size=n * dim))
+    return {"dim": dim, "particles": [
+        {"mass": masses[0 if equal else i], "position": coords[i * dim:(i + 1) * dim]}
+        for i in range(n)]}
+
+
+def _run_on_config(payload, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return _run_main([argv[0], "--config", path, *argv[1:]])
+
+
+_ETA = st.floats(math.log(1e-6), math.log(0.3)).map(math.exp)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(point_configs(4), st.lists(_ETA, min_size=1, max_size=3), st.booleans())
+def test_expand_exits_cleanly_on_generated_configs(payload, etas, richardson):
+    argv = ["expand", "--etas", ",".join(map(repr, etas))]
+    if richardson:
+        argv.append("--richardson")
+    _assert_clean_csv_exit(*_run_on_config(payload, argv))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(point_configs(4), st.integers(-1, 2), st.integers(0, 3),
+       st.sets(st.sampled_from(["--from-config", "--lattice-compare"])))
+def test_place_exits_cleanly_on_generated_inputs(payload, restarts, seed, flags):
+    argv = ["place", "--restarts", str(restarts), "--seed", str(seed), "--tol", "1e-6",
+            *sorted(flags)]
+    _assert_clean_json_exit(*_run_on_config(payload, argv))

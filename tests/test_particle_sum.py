@@ -1,0 +1,138 @@
+"""The 3D structure-factor pair sum against per-pair sums of G and grad G.
+
+The oracle is the pair sum built from ``green_eval_many``/``green_grad_many``
+one pair at a time, the per-point API that the structure-factor kernel does
+not call; agreement is checked to a fraction of (sum m)^2.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from oklim import green, limits, optimize
+
+
+def pair_energy(masses, positions, params):
+    iu, ju, diffs, _ = limits._pairs(positions)
+    return 2.0 * float(np.sum(masses[iu] * masses[ju] * green.green_eval_many(3, diffs, params)))
+
+
+def pair_gradient(masses, positions, params):
+    iu, ju, diffs, _ = limits._pairs(positions)
+    w = (2.0 * masses[iu] * masses[ju])[:, None] * green.green_grad_many(3, diffs, params)
+    out = np.zeros_like(positions)
+    np.add.at(out, iu, w)
+    np.add.at(out, ju, -w)
+    return out
+
+
+def near_face_configuration(n, seed, min_dist=0.02):
+    """Unequal masses; about a third of the coordinates on or next to a cell face or mid-cell.
+
+    Points closer than ``min_dist`` are redrawn: near coalescence grad G grows
+    like 1/r^2, and rounding alone would then exceed the tolerances.
+    """
+    rng = np.random.default_rng([n, seed])
+    x = np.empty((0, 3))
+    while len(x) < n:
+        p = rng.random(3)
+        special = rng.random(3) < 0.35
+        p[special] = rng.choice([0.0, 1e-7, 1.0 - 1e-7, 0.5 - 1e-7, 0.5 + 1e-7], special.sum())
+        if np.all(np.linalg.norm(green.min_image(x - p), axis=1) >= min_dist):
+            x = np.vstack([x, p])
+    return rng.uniform(0.3, 2.0, n), x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 27, 64])
+def test_structure_factor_sum_matches_the_per_pair_sum(n):
+    for seed in range(3):
+        m, x = near_face_configuration(n, seed)
+        params = green.EwaldParameters.for_count(n)
+        scale = float(np.sum(m)) ** 2
+        energy = limits.interaction_energy(3, m, x)
+        assert abs(energy - pair_energy(m, x, params)) <= 1e-14 * scale
+        grad = limits.interaction_gradient(3, m, x)
+        assert np.max(np.abs(grad - pair_gradient(m, x, params))) <= 1e-13 * scale
+
+
+def test_gradient_matches_central_differences_of_the_energy():
+    h = 1e-6
+    for n in (3, 30):
+        m, x = near_face_configuration(n, 7)
+        x = 0.1 + 0.8 * x  # central differences need the points off the cell faces
+        grad = limits.interaction_gradient(3, m, x)
+        fd = np.zeros_like(x)
+        for i in range(n):
+            for k in range(3):
+                e = np.zeros_like(x)
+                e[i, k] = h
+                fd[i, k] = (limits.interaction_energy(3, m, x + e)
+                            - limits.interaction_energy(3, m, x - e)) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * float(np.sum(m)) ** 2
+
+
+@pytest.mark.parametrize("alpha", green.PAIR_SUM_ALPHAS)
+def test_each_candidate_alpha_is_within_its_tail_of_long_cutoffs(alpha):
+    params = green.EwaldParameters.for_alpha(alpha)
+    bound = green.truncation_bound(3, params)
+    assert bound <= 1e-13
+    long = green.EwaldParameters(alpha=alpha, real_cutoff=params.real_cutoff + 3,
+                                 fourier_cutoff=params.fourier_cutoff + 6)
+    for n in (2, 9, 40):
+        m, x = near_face_configuration(n, 3)
+        weight = float(np.sum(m)) ** 2 - float(np.sum(m * m))  # sum_{i != j} m_i m_j
+        energy = limits.interaction_energy(3, m, x, params)
+        assert abs(energy - pair_energy(m, x, long)) <= bound * weight
+        grad = limits.interaction_gradient(3, m, x, params)
+        # each grad G term is off by its real and Fourier gradient tails; both
+        # are far below the value bound at these cutoffs
+        assert np.max(np.abs(grad - pair_gradient(m, x, long))) <= 10 * bound * weight
+
+
+def test_alpha_is_chosen_from_the_particle_count():
+    chosen = {n: green.EwaldParameters.for_count(n).alpha for n in (0, 1, 2, 3, 27, 28, 250)}
+    assert chosen == {0: math.sqrt(math.pi), 1: math.sqrt(math.pi), 2: math.sqrt(math.pi),
+                      3: 2.75, 27: 2.75, 28: 5.0, 250: 5.0}
+    assert green.EwaldParameters.for_count(2) == green.EwaldParameters.default()
+    assert green.EwaldParameters.for_count(250).real_cutoff == 1
+
+
+def test_f0_tail_names_the_parameters_that_ran():
+    m, x = near_face_configuration(40, 1)
+    bd = limits.f0_energy(limits.PointConfiguration(3, list(zip(m, x))))
+    params = green.EwaldParameters.for_count(40)
+    assert bd.tail_bound == green.truncation_bound(3, params) * float(np.sum(m)) ** 2
+    assert bd.tail_bound <= 1e-13 * float(np.sum(m)) ** 2
+
+
+@pytest.mark.parametrize("n, configs", [(64, 8), (250, 2)])
+def test_structure_factor_sum_is_bitwise_permutation_invariant(n, configs):
+    rng = np.random.default_rng([n, 99])
+    for _ in range(configs):
+        x, m = rng.random((n, 3)), rng.uniform(0.5, 1.5, n)
+        base = limits.interaction_energy(3, m, x)
+        grad = limits.interaction_gradient(3, m, x)
+        p = rng.permutation(n)
+        assert limits.interaction_energy(3, m[p], x[p]) == base
+        assert np.allclose(limits.interaction_gradient(3, m[p], x[p]), grad[p],
+                           rtol=0, atol=1e-14 * n * n)
+
+
+def test_single_particle_pair_sum_is_exactly_zero():
+    x = np.array([[0.3, 0.4, 0.9]])
+    assert limits.interaction_energy(3, np.array([1.7]), x) == 0.0
+    assert not limits.interaction_gradient(3, np.array([1.7]), x).any()
+
+
+@pytest.mark.parametrize("n, restarts", [(4, 3), (8, 2)])
+def test_place_reaches_the_minima_of_the_per_pair_sum(monkeypatch, n, restarts):
+    masses = np.ones(n)
+    result = optimize.place(3, masses, restarts=restarts, seed=0)
+    # the per-pair sum at the default parameters: the pair sum place descended before
+    monkeypatch.setattr(optimize, "interaction_energy",
+                        lambda dim, m, x, params=None: pair_energy(m, x, params))
+    monkeypatch.setattr(optimize, "interaction_gradient",
+                        lambda dim, m, x, params=None: pair_gradient(m, x, params))
+    reference = optimize.place(3, masses, restarts=restarts, seed=0)
+    assert abs(result.energy - reference.energy) <= 1e-12 * abs(reference.energy)
