@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .breakdown import EnergyBreakdown
 from .errors import (CoincidentPoints, CutoffTooSmall, DiameterTooLarge,
                      IncommensurateCount, InadmissibleConfiguration, NoConvergence,
-                     NoRoot, OklimError, OverlappingBalls, SingularPoint,
-                     UnequalMasses2D)
+                     OklimError, OverlappingBalls, SingularPoint, UnequalMasses2D)
 from .green import EwaldParameters, TorusPoint, green_eval, green_grad, regular_part, \
     regular_part_at_zero
 from .limits import AdmissibilityReport, PointConfiguration, check_admissible, e0, f0_energy
@@ -24,7 +23,7 @@ from .sharp import (BallConfiguration, diameter_estimate, rescale_to_original,
 __all__ = [
     "AdmissibilityReport", "BallConfiguration", "CoincidentPoints", "CutoffTooSmall",
     "DiameterTooLarge", "EnergyBreakdown", "EwaldParameters", "IncommensurateCount",
-    "InadmissibleConfiguration", "NoConvergence", "NoRoot", "OklimError",
+    "InadmissibleConfiguration", "NoConvergence", "OklimError",
     "OptimizationResult", "OverlappingBalls", "PartitionResult", "PointConfiguration",
     "SingularPoint", "TorusPoint", "UnequalMasses2D", "check_admissible",
     "concavity_coefficient", "diameter_estimate", "e0", "e2d", "e3d_ball",

@@ -33,10 +33,6 @@ class CutoffTooSmall(OklimError):
     """Certified truncation tail exceeds the accuracy contract."""
 
 
-class NoRoot(OklimError):
-    """A bracketing root search found no sign change; kept exported, nothing raises it."""
-
-
 class NoConvergence(OklimError):
     """No optimizer restart reached the gradient tolerance.
 

@@ -8,16 +8,22 @@ form (Lin & Wang, Ann. Math. 172, 2010), with z = x + iy and q = e^-pi:
                   + sum_n log|1 - q^2n e^(2 pi i z)| |1 - q^2n e^(-2 pi i z)|] + y^2/2,
 
 the constant set by the zero mean (Jensen's formula) and the product cut
-after THETA_FACTORS pairs.  In 3D it is the Ewald sum, from one value kernel:
-a short-range erfc lattice sum, a Gaussian-damped reciprocal sum and the
-background constant -1/(4 alpha^2).  The 3D pair sum sum_{i != j} m_i m_j G of
-n particles and its gradient have their own kernel, ``_particle_sum``: the same
-Ewald sum rearranged through the structure factor (Ewald, Ann. Phys. 369,
-1921; Essmann et al., J. Chem. Phys. 103, 1995), O(pairs * images + n * K)
-instead of O(pairs * (images + K)), with alpha chosen from n by operation
-count among PAIR_SUM_ALPHAS.  The regular part g, G minus -log|x|/2pi
-or 1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
-|sin pi z| / |x|; the 3D n = 0 lattice term is combined with the singular
+after THETA_FACTORS pairs.  In 3D it is the Ewald sum: a short-range erfc
+image sum, a Gaussian-damped reciprocal sum and the background constant
+-1/(4 alpha^2).
+
+Every evaluation is one split (Ewald, Ann. Phys. 369, 1921; Essmann et al.,
+J. Chem. Phys. 103, 1995): G = per-pair part + long-range part.
+``_pair_part`` is the whole theta form in 2D and the 3D image sum.  The
+long-range part is zero in 2D; in 3D it comes per point from
+``_long_range`` (the reciprocal sum and the background at rows x), and for
+the pair sum sum_{i != j} m_i m_j G of n particles from ``_set_long_range``,
+the same terms for the whole set at once through the structure factor, so
+the pair sum costs O(pairs * images + n * K) rather than O(pairs * (images + K)),
+with alpha chosen from n by operation count among PAIR_SUM_ALPHAS.  Each
+part has its gradient.  The regular part g, G minus -log|x|/2pi or
+1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
+|sin pi z| / |x|; the 3D n = 0 image term is combined with the singular
 part analytically.  Values are taken at |x| in the centered cell, where G is
 even in each coordinate, and reduced row by row, so each value is
 independent of its row in the batch.
@@ -35,6 +41,7 @@ from scipy.special import erfc
 from .errors import SingularPoint
 
 SINGULAR_GUARD = 1e-9
+_TAIL_TOL = 1e-13  # for_alpha's bound on the certified tail of each of its two shell sums
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -134,14 +141,14 @@ class EwaldParameters:
             raise ValueError("cutoffs must be positive integers")
 
     @classmethod
-    def for_alpha(cls, alpha: float, tol: float = 1e-13) -> "EwaldParameters":
-        """Choose the smallest shell cutoffs whose tail bounds are <= tol."""
+    def for_alpha(cls, alpha: float) -> "EwaldParameters":
+        """Choose the smallest shell cutoffs whose tail bounds are <= _TAIL_TOL."""
         alpha = _check_alpha(float(alpha))  # before the shell sums, which a bad alpha makes slow
         rc = 1
-        while _real_tail_bound(alpha, rc) > tol and rc < 80:
+        while _real_tail_bound(alpha, rc) > _TAIL_TOL and rc < 80:
             rc += 1
         fc = 2
-        while _fourier_tail_bound(alpha, fc) > tol and fc < 200:
+        while _fourier_tail_bound(alpha, fc) > _TAIL_TOL and fc < 200:
             fc += 1
         return cls(alpha=alpha, real_cutoff=rc, fourier_cutoff=fc)
 
@@ -156,8 +163,9 @@ class EwaldParameters:
     def for_count(cls, n: int) -> "EwaldParameters":
         """The PAIR_SUM_ALPHAS parameters with the fewest operations for an n-particle pair sum.
 
-        ``_particle_sum`` costs about pairs * images + n * K (K half-space
-        k-vectors): a small alpha suits few particles, a large one many.
+        The pair sum costs about pairs * images (per-pair part) + n * K
+        (set long-range part, K half-space k-vectors): a small alpha suits
+        few particles, a large one many.
         """
         pairs = n * (n - 1) // 2
         return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + n * c[2])[0]
@@ -171,7 +179,8 @@ def _check_alpha(alpha):
 
 #: Splitting parameters the pair sum chooses from by n: the default (343 images,
 #: 128 half-space k-vectors; n <= 2), 2.75 (125 images, 257; n <= 27) and 5
-#: (27 images, 1535); each certifies a tail <= 1e-13 at for_alpha's cutoffs.
+#: (27 images, 1535); at for_alpha's cutoffs (_TAIL_TOL per shell sum) each
+#: certifies a total tail <= 1e-13.
 PAIR_SUM_ALPHAS = (_SQRT_PI, 2.75, 5.0)
 
 
@@ -280,8 +289,16 @@ def _cell(X, name):
     return X
 
 
-# elements per chunk of the (rows x images) and (rows x k-vectors) temporaries
+# elements per chunk of every (rows x images) and (rows x k-vectors) temporary
 _CHUNK = 1_000_000
+
+
+def _by_rows(rows, X, columns, out):
+    """out = rows(X) over chunks of rows, with rows * columns <= _CHUNK per chunk."""
+    step = max(1, _CHUNK // columns)
+    for lo in range(0, len(X), step):
+        out[lo:lo + step] = rows(X[lo:lo + step])
+    return out
 
 
 def _image_distances(X, rc):
@@ -302,51 +319,96 @@ def _real_space(X, alpha, rc, origin=True):
 
     ``origin=False`` leaves out the image n = 0.
     """
-    out = np.empty(X.shape[0])
-    chunk = max(1, _CHUNK // (2 * rc + 1)**3)
-    for lo in range(0, X.shape[0], chunk):
-        r = _image_distances(X[lo:lo + chunk], rc)
+    def rows(x):
+        r = _image_distances(x, rc)
         if not origin:
             r = np.delete(r, r.shape[1] // 2, axis=1)
-        out[lo:lo + chunk] = np.sum(erfc(alpha * r) / r, axis=1)
-    return out / (4 * math.pi)
+        return np.sum(erfc(alpha * r) / r, axis=1)
+    return _by_rows(rows, X, (2 * rc + 1)**3, np.empty(len(X))) / (4 * math.pi)
 
 
 def _real_space_grad(X, alpha, rc):
     """Gradient of ``_real_space`` per row: -sum_n w(r) (x + n) = -(x sum_n w + sum_n w n)."""
-    out = np.empty_like(X)
-    chunk = max(1, _CHUNK // (2 * rc + 1)**3)
-    for lo in range(0, X.shape[0], chunk):
-        xb = X[lo:lo + chunk]
-        r = _image_distances(xb, rc)
+    def rows(x):
+        r = _image_distances(x, rc)
         w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
-        out[lo:lo + chunk] = -(xb * w.sum(axis=1)[:, None] + w @ _cube(rc))
-    return out / (4 * math.pi)
+        return -(x * w.sum(axis=1)[:, None] + w @ _cube(rc))
+    return _by_rows(rows, X, (2 * rc + 1)**3, np.empty_like(X)) / (4 * math.pi)
 
 
-def _lattice_sum(X, params, origin=True):
-    """3D screened image sum, reciprocal sum and constant at rows x >= 0 of the cell."""
+def _pair_part(dim, X, params, gradient=False):
+    """The per-pair part of G at rows |x|, or of grad G at rows x, of the centered cell.
+
+    2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
+    """
+    if dim == 2:
+        return _theta_grad(X) if gradient else _theta_green(X, 1.0)
+    if gradient:
+        return _real_space_grad(X, params.alpha, params.real_cutoff)
+    return _real_space(X, params.alpha, params.real_cutoff)
+
+
+def _long_range(dim, X, params, gradient=False):
+    """The per-point long-range part of G at rows |x|, or of grad G at rows x: zero in 2D.
+
+    3D: the reciprocal sum sum_k c_k cos(2 pi k.x) over all k != 0 minus the
+    background 1/(4 alpha^2), or its gradient.
+    """
+    if dim == 2:
+        return 0.0
     kvecs, k2 = _tables(params.fourier_cutoff)
     kcoef = 2.0 * _fourier_coef(params, k2)  # the +-k pairs
-    four = np.empty(X.shape[0])
-    chunk = max(1, 4 * _CHUNK // len(kvecs))
-    for lo in range(0, X.shape[0], chunk):
-        cos = X[lo:lo + chunk] @ kvecs.T
+    if gradient:
+        def rows(x):
+            phase = 2 * math.pi * (x @ kvecs.T)
+            return -(np.sin(phase) * kcoef[None, :]) @ (2 * math.pi * kvecs)
+        return _by_rows(rows, X, len(kvecs), np.empty_like(X))
+
+    def rows(x):
+        cos = x @ kvecs.T
         cos *= 2 * math.pi
         np.cos(cos, out=cos)
         cos *= kcoef  # reduced row by row: a matrix-vector product rounds by row position
-        four[lo:lo + chunk] = cos.sum(axis=1)
-    return (_real_space(X, params.alpha, params.real_cutoff, origin) + four
-            - 1.0 / (4 * params.alpha**2))
+        return cos.sum(axis=1)
+    return _by_rows(rows, X, len(kvecs), np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
+
+
+def _set_long_range(dim, masses, positions, params, gradient=False):
+    """The particle-set long-range part of sum_{i != j} m_i m_j G, or its gradient: zero in 2D.
+
+    3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) over the half-space k-vectors
+    and M = sum m: 2 sum_k c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
+    the reciprocal and background terms of all ordered pairs i != j at once;
+    its gradient is m_i sum_k 4 c_k (2 pi k) (cos_ik Im S - sin_ik Re S).  S is
+    formed in the lexicographic order of the positions, so the value is exactly
+    permutation invariant.  Zero for fewer than two particles.
+    """
+    if dim == 2 or len(masses) < 2:
+        return 0.0
+    kvecs, k2 = _tables(params.fourier_cutoff)
+    order = np.lexsort(positions.T[::-1])
+    m = masses[order]
+    phase = positions[order] @ kvecs.T
+    phase *= 2 * math.pi
+    cos, sin = np.cos(phase), np.sin(phase)
+    re, im = m @ cos, m @ sin
+    coef = _fourier_coef(params, k2)
+    if gradient:
+        k = 2 * math.pi * kvecs
+        fk = 4.0 * coef
+        out = np.empty_like(positions)
+        out[order] = m[:, None] * (cos @ ((fk * im)[:, None] * k) - sin @ ((fk * re)[:, None] * k))
+        return out
+    mm, total = float(m @ m), float(np.sum(m))
+    recip = float(coef @ (re * re + im * im - mm))
+    return 2.0 * recip - (total * total - mm) / (4 * params.alpha**2)
 
 
 def green_eval_many(dim, X, params=None):
     """G evaluated at an (M, d) array of coordinate differences."""
     X = np.abs(_cell(X, "green_eval"))
-    if dim == 2:
-        return _theta_green(X, 1.0)
     params = _resolve(params)
-    return _lattice_sum(X, params)
+    return _pair_part(dim, X, params) + _long_range(dim, X, params)
 
 
 def green_eval(dim, x, params=None) -> float:
@@ -361,61 +423,8 @@ def green_eval(dim, x, params=None) -> float:
 def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
     X = _cell(X, "green_grad")
-    if dim == 2:
-        return _theta_grad(X)
     params = _resolve(params)
-    kvecs, k2 = _tables(params.fourier_cutoff)
-    kcoef = 2.0 * _fourier_coef(params, k2)  # the +-k pairs
-    out = _real_space_grad(X, params.alpha, params.real_cutoff)
-    chunk = max(1, 2 * _CHUNK // len(kvecs))
-    for lo in range(0, X.shape[0], chunk):
-        phase = 2 * math.pi * (X[lo:lo + chunk] @ kvecs.T)
-        out[lo:lo + chunk] += -(np.sin(phase) * kcoef[None, :]) @ (2 * math.pi * kvecs)
-    return out
-
-
-def _particle_sum(masses, positions, pairs, params, gradient=False):
-    """3D ordered pair sum sum_{i != j} m_i m_j G(x_i - x_j), or its gradient, by structure factor.
-
-    With S(k) = sum_j m_j e^(2 pi i k.x_j) over the half-space k-vectors, R the
-    screened image sum of ``_real_space`` and M = sum m,
-
-        sum_{i != j} m_i m_j G = sum_{i != j} m_i m_j R(x_i - x_j)
-                                 + 2 sum_k c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
-
-    the same truncated Ewald sum as the per-pair G, in O(pairs * images + n * K).
-    The gradient is that of this sum: the real-space pair forces, plus
-    m_i sum_k 4 c_k (2 pi k) (cos_ik Im S - sin_ik Re S).  ``pairs`` holds
-    (i, j, x_i - x_j) for the pairs i < j, differences in the centered cell.
-    S is formed in the lexicographic order of the positions, and the pair
-    terms are summed in sorted order, so the value is exactly permutation
-    invariant.
-    """
-    if len(masses) < 2:
-        return np.zeros_like(positions) if gradient else 0.0
-    iu, ju, d = pairs
-    kvecs, k2 = _tables(params.fourier_cutoff)
-    order = np.lexsort(positions.T[::-1])
-    m = masses[order]
-    phase = positions[order] @ kvecs.T
-    phase *= 2 * math.pi
-    cos, sin = np.cos(phase), np.sin(phase)
-    re, im = m @ cos, m @ sin
-    coef = _fourier_coef(params, k2)
-    mpair = masses[iu] * masses[ju]
-    if gradient:
-        out = np.zeros_like(positions)
-        w = 2.0 * mpair[:, None] * _real_space_grad(d, params.alpha, params.real_cutoff)
-        np.add.at(out, iu, w)
-        np.add.at(out, ju, -w)
-        k = 2 * math.pi * kvecs
-        fk = 4.0 * coef
-        out[order] += m[:, None] * (cos @ ((fk * im)[:, None] * k) - sin @ ((fk * re)[:, None] * k))
-        return out
-    real = float(np.sum(np.sort(mpair * _real_space(np.abs(d), params.alpha, params.real_cutoff))))
-    mm, total = float(m @ m), float(np.sum(m))
-    recip = float(coef @ (re * re + im * im - mm))
-    return 2.0 * (real + recip) - (total * total - mm) / (4 * params.alpha**2)
+    return _pair_part(dim, X, params, gradient=True) + _long_range(dim, X, params, gradient=True)
 
 
 def green_grad(dim, x, params=None) -> np.ndarray:
@@ -453,4 +462,5 @@ def regular_part(dim, x, params=None) -> float:
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])
     params = _resolve(params)
-    return _g_smooth_n0(r, params.alpha) + float(_lattice_sum(x, params, origin=False)[0])
+    smooth = _real_space(x, params.alpha, params.real_cutoff, origin=False)
+    return _g_smooth_n0(r, params.alpha) + float(smooth[0] + _long_range(3, x, params)[0])

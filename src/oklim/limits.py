@@ -11,11 +11,12 @@ sum (the convention the finite-scale expansion converges to, in both
 dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
 ``interaction_energy`` and its gradient serve F0, the finite-scale energy of
 ``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
-placement optimizer; it is exactly permutation invariant.  In 2D it sums the
-per-pair theta-form G in sorted order.  In 3D it is green's structure-factor
-kernel, O(n * K) rather than O(n^2 * K) in the k-vectors, with the Ewald
-parameters chosen from n unless given; F0's self terms and tail bound then
-use the same parameters.
+placement optimizer; it is exactly permutation invariant.  It is one driver
+over green's split of G in both dimensions: one coincidence guard, the
+per-pair parts (summed in sorted order, or scattered for the gradient),
+then the particle-set long-range part, with the Ewald parameters chosen
+from n unless given; F0's self terms and tail bound then use the same
+parameters.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class PointConfiguration:
         obj_set = object.__setattr__
         obj_set(self, "dim", dim)
         obj_set(self, "particles", tuple(parts))
-        if np.any(_pairs(self.positions)[3] <= green.SINGULAR_GUARD):
-            raise CoincidentPoints("positions must be pairwise distinct (min-image > 1e-9)")
+        _distinct_pairs(self.positions)  # CoincidentPoints if two positions coincide
 
     @property
     def masses(self) -> np.ndarray:
@@ -118,6 +118,15 @@ def _pairs(positions):
     return iu, ju, diffs, np.linalg.norm(diffs, axis=1)
 
 
+def _distinct_pairs(positions):
+    """``_pairs`` without the lengths; CoincidentPoints if two positions are within 1e-9."""
+    iu, ju, diffs, dist = _pairs(positions)
+    if (dist <= green.SINGULAR_GUARD).any():
+        raise CoincidentPoints("coincident points (min-image distance <= 1e-9): "
+                               "the interaction energy is +inf")
+    return iu, ju, diffs
+
+
 def _pair_params(n, params):
     # explicit parameters run as given; otherwise alpha is chosen from n by operation count
     return green.EwaldParameters.for_count(n) if params is None else params
@@ -125,40 +134,34 @@ def _pair_params(n, params):
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
-    iu, ju, diffs, dist = _pairs(positions)
-    if np.any(dist <= green.SINGULAR_GUARD):
-        raise CoincidentPoints("coincident points: interaction energy is +inf")
-    if dim == 3:
-        return green._particle_sum(masses, positions, (iu, ju, diffs),
-                                   _pair_params(len(masses), params))
-    g = green.green_eval_many(dim, diffs, params)
-    # row-independent G values in a canonical order: exactly permutation invariant
-    return 2.0 * float(np.sum(np.sort(masses[iu] * masses[ju] * g)))
+    iu, ju, diffs = _distinct_pairs(positions)
+    params = _pair_params(len(masses), params)
+    terms = masses[iu] * masses[ju] * green._pair_part(dim, np.abs(diffs), params)
+    # row-independent pair terms in a canonical order: exactly permutation invariant
+    return (2.0 * float(np.sum(np.sort(terms)))
+            + green._set_long_range(dim, masses, positions, params))
 
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
-    iu, ju, diffs, _ = _pairs(positions)
-    if dim == 3:
-        return green._particle_sum(masses, positions, (iu, ju, diffs),
-                                   _pair_params(len(masses), params), gradient=True)
-    gr = green.green_grad_many(dim, diffs, params)
-    w = (2.0 * masses[iu] * masses[ju])[:, None] * gr
+    iu, ju, diffs = _distinct_pairs(positions)
+    params = _pair_params(len(masses), params)
+    grad = green._pair_part(dim, diffs, params, gradient=True)
+    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
     out = np.zeros_like(positions)
     np.add.at(out, iu, w)
     np.add.at(out, ju, -w)
-    return out
+    return out + green._set_long_range(dim, masses, positions, params, gradient=True)
 
 
 def _second_order_parts(dim, masses, positions, params=None):
     """F0's (self, ordered cross, tail bound) over (n,) masses, (n, d) positions.
 
     self = sum_i m_i^2 g(0), plus f0(m_i) in 2D, in sorted order; masses may differ.
-    All three use the same Ewald parameters: ``params``, or in 3D those the
-    pair sum chooses for n particles.
+    All three use the same Ewald parameters: ``params``, or those the pair
+    sum chooses for n particles (3D; 2D uses none).
     """
-    if dim == 3:
-        params = _pair_params(len(masses), params)
+    params = _pair_params(len(masses), params)
     vals = masses**2 * green.regular_part_at_zero(dim, params)
     if dim == 2:
         vals += [local.f0(m) for m in masses]

@@ -143,6 +143,17 @@ def test_f0_energy_divergence_at_coalescence(params):
         assert abs(total / asymptote - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interaction_gradient_rejects_coincident_points(dim):
+    x = np.array([[0.1] * dim, [0.6] * dim, [0.1] * dim])
+    with pytest.raises(CoincidentPoints):
+        limits.interaction_gradient(dim, np.ones(3), x)
+    # coincidence across the periodic wrap
+    x[2, 0] = 1.1 + 1e-12
+    with pytest.raises(CoincidentPoints):
+        limits.interaction_gradient(dim, np.ones(3), x)
+
+
 def test_check_admissible_2d_cases():
     m = local.OPTIMAL_PER_MASS
     for n in (1, 2, 3):

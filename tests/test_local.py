@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from oklim import local
-from oklim.errors import NoRoot
 
 PI = math.pi
 
@@ -323,10 +322,6 @@ def test_splitting_threshold_algebraic_oracle():
 def test_single_ball_wins_below_threshold():
     m = local.splitting_threshold_3d() / 2
     assert local.e3d_ball(m).total < 2 * local.e3d_ball(m / 2).total
-
-
-def test_splitting_threshold_no_root_guard():
-    assert isinstance(NoRoot("x"), Exception)
 
 
 # ---------------------------------------------------------------------------
