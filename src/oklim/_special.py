@@ -1,4 +1,8 @@
-"""Special-function kernels: ball form factors for the direct mode sum."""
+"""Special-function kernels: ball form factors for the direct mode sum.
+
+``sharp``'s direct sum evaluates them once per shell |k|^2 of its orthant
+walk.  Nothing here is shared with the Green's function G.
+"""
 
 from __future__ import annotations
 

@@ -23,8 +23,12 @@ M = sum m, with the F0 parts (self terms and ordered pair sum) from the
 helper that ``limits.f0_energy`` uses.  A ``BallConfiguration`` is a
 ``limits.PointConfiguration`` that also carries eta and the radii.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
-nothing with G and is kept as the independent check at moderate scales;
-``fourier_cutoff`` is its mode cutoff.
+nothing with G (it calls nothing in ``green`` or ``limits``) and is kept as
+the independent check at moderate scales; ``fourier_cutoff`` is its mode
+cutoff.  It runs over the orthant k >= 0 with per-axis cosine tables,
+evaluates the form factors once per shell |k|^2, a bounded window of shells
+at a time, and bounds its omitted modes by the closed-form integral of a
+piecewise power-law envelope.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration
 MIN_CUTOFF = 16
 TAIL_CONTRACT = 1e-8  # certified tail must stay below this fraction of the total
 CLEARANCE = 1e-6
+_CHUNK = 1 << 14  # elements per temporary of the direct mode sum
 
 
 def ball_scale_radius(dim: int, mass: float, eta: float) -> float:
@@ -95,55 +100,97 @@ class BallConfiguration(limits.PointConfiguration):
 # ---------------------------------------------------------------------------
 
 def _direct_mode_tail(dim, cutoff, masses, radii):
-    """Envelope bound for the untruncated modes of the bare form-factor sum."""
-    from scipy.integrate import quad  # imported here: only this oracle path needs it
+    """Certified bound on the modes |k| > cutoff of the bare form-factor sum.
 
-    def envelope(k):
-        t = 2 * math.pi * k * radii
-        if dim == 3:
-            e = np.minimum(1.0, 3.0 * (1.0 + t) / t**3)
-        else:
-            e = np.minimum(1.0, math.sqrt(8.0 / math.pi) * t**-1.5)
-        return float(np.sum(masses * e))
-
-    def integrand(k):
-        shell = 4 * math.pi * k * k if dim == 3 else 2 * math.pi * k
-        return envelope(k) ** 2 * shell / (4 * math.pi**2 * k * k)
-
-    val, _ = quad(integrand, cutoff, np.inf, limit=200)
-    return 1.6 * val  # slack for lattice-shell counts above the continuum
+    |phi_i| <= min(1, f_i) with f_i = sqrt(8/pi) t^-1.5 (2D) or 3 (1 + t)/t^3
+    (3D), t = 2 pi |k| a_i, and 1.6 times the radial integral of
+    (sum_i m_i min(1, f_i))^2 / (4 pi^2 k^2) over the shell area bounds the
+    lattice sum.  Between the kinks where f_i = 1 the envelope is a sum of
+    powers of k, so the integral is exact, piece by piece.
+    """
+    tk = 2 * math.pi * radii  # t per unit |k|
+    if dim == 3:
+        gold = (1.0 + math.sqrt(5.0)) / 2.0
+        t_kink = gold ** (2.0 / 3.0) + gold ** (-2.0 / 3.0)  # the root of t^3 = 3 t + 3
+        powers = np.array([0.0, -2.0, -3.0])
+        coef = np.stack([masses, 3.0 * masses / tk**2, 3.0 * masses / tk**3])
+        measure, scale = 0.0, 1.0 / math.pi  # 4 pi k^2 / (4 pi^2 k^2)
+    else:
+        t_kink = (8.0 / math.pi) ** (1.0 / 3.0)
+        powers = np.array([0.0, -1.5])
+        coef = np.stack([masses, math.sqrt(8.0 / math.pi) * masses * tk**-1.5])
+        measure, scale = -1.0, 1.0 / (2 * math.pi)  # 2 pi k / (4 pi^2 k^2)
+    kink = t_kink / tk
+    p = powers[:, None] + powers[None, :] + (measure + 1.0)  # exponents of the antiderivative
+    edges = np.unique(np.concatenate([[cutoff], kink[kink > cutoff], [np.inf]]))
+    val = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # envelope on [lo, hi): the masses not yet decayed plus the decayed power laws
+        decayed = kink <= lo
+        c = np.concatenate([[np.sum(coef[0, ~decayed])], np.sum(coef[1:, decayed], axis=1)])
+        cc = np.outer(c, c)
+        for e, w in zip(p[cc != 0], cc[cc != 0]):
+            val += w * (math.log(hi / lo) if e == 0 else (hi**e - lo**e) / e)
+    return 1.6 * scale * val  # slack for lattice-shell counts above the continuum
 
 
 def _pair_sums_direct(config, cutoff):
-    n = config.n
-    m = config.masses
-    x = config.positions
-    a = config.radii
-    S = np.zeros((n, n))
-    rng = np.arange(-cutoff, cutoff + 1, dtype=float)
-    grids1 = np.meshgrid(*([rng] * (config.dim - 1)), indexing="ij")
-    krest = np.stack([g.ravel() for g in grids1], axis=-1)
-    # half space k1 >= 0 with weight 2, the k1 = 0 plane halved lexicographically
-    for k1 in np.arange(0.0, cutoff + 1):
-        k = np.concatenate([np.full((krest.shape[0], 1), k1), krest], axis=1)
-        k2 = np.sum(k**2, axis=1)
-        keep = (k2 > 0) & (k2 <= cutoff**2)
-        if k1 == 0:
-            pos = k[:, 1] > 0
-            if config.dim == 3:
-                pos |= (k[:, 1] == 0) & (k[:, 2] > 0)
-            keep &= pos
-        k = k[keep]
-        k2 = k2[keep]
-        w = 2.0 / (4 * math.pi**2 * k2)
-        phi = ball_form_factor(config.dim, 2 * math.pi * np.sqrt(k2)[:, None] * a[None, :])
-        phi = phi * m[None, :]
-        phase = 2 * math.pi * (k @ x.T)
-        P = phi * np.cos(phase)
-        Q = phi * np.sin(phase)
-        S += (P * w[:, None]).T @ P + (Q * w[:, None]).T @ Q
-    diag = float(np.trace(S))
-    return diag, float(np.sum(S)) - diag, _direct_mode_tail(config.dim, cutoff, m, a)
+    """(diag, off, tail): the trace and the off-diagonal sum of the truncated mode sum
+
+        S_ij = sum_{0 < |k| <= cutoff} m_i m_j phi_i phi_j cos(2 pi k.(x_i - x_j)) / (4 pi^2 |k|^2)
+
+    and the bound on its omitted modes.  The sign flips of k add cos(2 pi k.d)
+    up to 2^(nonzero coordinates) prod_a cos(2 pi k_a d_a), so k runs over the
+    orthant k >= 0 and each axis contributes one row of a cosine table.  The
+    form factors phi depend only on the shell s = |k|^2: each pair's phases
+    are summed per shell first (row 0, at d = 0, counts the shell's modes),
+    and phi is evaluated once per shell.  The shells are walked in windows of
+    at most _CHUNK // rows points (k_1, u), u a shell of the remaining axes,
+    so a window's temporaries stay within about _CHUNK elements; only a
+    one-shell window may hold more.
+    """
+    dim, n, m, a = config.dim, config.n, config.masses, config.radii
+    iu, ju = np.triu_indices(n, 1)
+    d = np.concatenate([np.zeros((1, dim)), config.positions[iu] - config.positions[ju]])
+    rows = d.shape[0]
+    kk = np.arange(cutoff + 1)
+    sq = kk * kk
+    c2 = cutoff * cutoff
+    tab = np.where(kk > 0, 2.0, 1.0) * np.cos(2 * math.pi * d[:, :, None] * kk)
+    # the shells u of the axes after the first, with each row's phase sum over them
+    if dim == 3:
+        k2, k3 = (g.ravel() for g in np.meshgrid(kk, kk, indexing="ij"))
+        keep = sq[k2] + sq[k3] <= c2
+        k2, k3 = k2[keep], k3[keep]
+        u, inv = np.unique(sq[k2] + sq[k3], return_inverse=True)
+        rest = np.stack([np.bincount(inv, t[1, k2] * t[2, k3], u.size) for t in tab])
+    else:
+        u, rest = sq, tab[:, 1]
+    budget = max(1, _CHUNK // rows)
+    diag = off = 0.0
+    s0, width = 1, budget
+    while s0 <= c2:
+        # the window of shells [s0, s1): per k_1, the run of u with s0 <= k_1^2 + u < s1
+        s1 = min(s0 + width, c2 + 1)
+        lo = np.searchsorted(u, s0 - sq)
+        cnt = np.searchsorted(u, s1 - sq) - lo
+        total = int(cnt.sum())
+        if total > budget and width > 1:
+            width //= 2
+            continue
+        k1 = np.repeat(kk, cnt)
+        j = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        pos = (sq[k1] + u[j] - s0) + (s1 - s0) * np.arange(rows)[:, None]
+        acc = np.bincount(pos.ravel(), (tab[:, 0, k1] * rest[:, j]).ravel(),
+                          rows * (s1 - s0)).reshape(rows, s1 - s0)
+        shell = np.flatnonzero(acc[0])
+        s = (s0 + shell).astype(float)
+        phi = m[:, None] * ball_form_factor(dim, 2 * math.pi * np.sqrt(s) * a[:, None])
+        w = acc[:, shell] / (4 * math.pi**2 * s)
+        diag += float(np.sum(w[0] * phi**2))
+        off += 2.0 * float(np.sum(w[1:] * phi[iu] * phi[ju]))
+        s0, width = s1, min(2 * width, budget)
+    return diag, off, _direct_mode_tail(dim, cutoff, m, a)
 
 
 # ---------------------------------------------------------------------------

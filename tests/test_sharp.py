@@ -1,6 +1,11 @@
+import contextlib
 import math
+import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
+import scipy.special
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +156,93 @@ def test_direct_mode_agrees_3d():
     bd_e = sharp.sharp_energy(cfg)
     bd_d = sharp.sharp_energy(cfg, fourier_cutoff=260, method="direct")
     assert abs(bd_d.total - bd_e.total) <= bd_d.tail_bound
+
+
+def _per_mode_pair_sums(config, cutoff):
+    """diag and off of the truncated mode sum, one mode of the full cube at a time."""
+    m, x, a = config.masses, config.positions, config.radii
+    k = np.stack(np.meshgrid(*([np.arange(-cutoff, cutoff + 1.0)] * config.dim),
+                             indexing="ij"), axis=-1).reshape(-1, config.dim)
+    k2 = np.sum(k**2, axis=1)
+    k = k[(k2 > 0) & (k2 <= cutoff**2)]
+    S = np.zeros((config.n, config.n))
+    for kv in k:
+        t = 2 * PI * np.linalg.norm(kv) * a
+        if config.dim == 3:
+            phi = 3 * (np.sin(t) - t * np.cos(t)) / t**3
+        else:
+            phi = 2 * scipy.special.j1(t) / t
+        mp = m * phi
+        ph = 2 * PI * (x @ kv)
+        S += np.outer(mp, mp) * np.cos(ph[:, None] - ph[None, :]) / (4 * PI**2 * (kv @ kv))
+    return float(np.trace(S)), float(np.sum(S) - np.trace(S))
+
+
+@pytest.mark.parametrize("dim, eta, cutoff, particles", [
+    (2, 0.2, 24, [(1.3, (0.3, 0.7))]),
+    (2, 0.2, 24, [(1.0, (0.1, 0.2)), (0.6, (0.1, 0.65))]),
+    (2, 0.2, 24, [(1.0, (0.1, 0.2)), (0.6, (0.1, 0.65)), (1.4, (0.55, 0.4))]),
+    (3, 0.15, 12, [(1.3, (0.3, 0.7, 0.2))]),
+    (3, 0.15, 12, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3))]),
+    (3, 0.15, 12, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3)), (1.4, (0.55, 0.4, 0.8))]),
+])
+def test_direct_pair_sums_match_per_mode_reference(dim, eta, cutoff, particles):
+    # the orthant/shell rearrangement against the sum it rearranges; the shared
+    # coordinate puts a zero difference on an axis
+    cfg = sharp.BallConfiguration(dim, eta, particles)
+    diag, off, _ = sharp._pair_sums_direct(cfg, cutoff)
+    ref_diag, ref_off = _per_mode_pair_sums(cfg, cutoff)
+    assert abs(diag - ref_diag) <= 1e-13 * abs(ref_diag)
+    assert abs(off - ref_off) <= 1e-13 * abs(ref_off)
+
+
+def _mpmath_tail(dim, cutoff, masses, radii):
+    """1.6 times the envelope integral, split at each kink where the envelope switches."""
+    mpmath.mp.dps = 30
+
+    def f(t):
+        return 3 * (1 + t) / t**3 if dim == 3 else mpmath.sqrt(8 / mpmath.pi) * t**-1.5
+
+    t_kink = mpmath.findroot(lambda t: f(t) - 1, 2.0)
+    kinks = [t_kink / (2 * mpmath.pi * mpmath.mpf(r)) for r in radii]
+
+    def integrand(k):
+        env = sum(mpmath.mpf(mi) * min(1, f(2 * mpmath.pi * k * mpmath.mpf(r)))
+                  for mi, r in zip(masses, radii))
+        shell = 4 * mpmath.pi * k * k if dim == 3 else 2 * mpmath.pi * k
+        return env**2 * shell / (4 * mpmath.pi**2 * k * k)
+
+    points = [mpmath.mpf(cutoff)] + sorted(k for k in kinks if k > cutoff) + [mpmath.inf]
+    return 1.6 * float(mpmath.quad(integrand, points))
+
+
+@pytest.mark.parametrize("cutoff", [16, 100, 500])
+@pytest.mark.parametrize("dim, radii", [(2, (0.02, 0.004, 0.0005)), (3, (0.03, 0.006, 0.0008))])
+def test_direct_tail_is_the_exact_envelope_integral(dim, radii, cutoff):
+    # the kinks sit near |k| = 11, 55 and 420, so the cutoffs fall between them
+    masses = np.array([1.0, 0.5, 2.0])
+    tail = sharp._direct_mode_tail(dim, cutoff, masses, np.array(radii))
+    assert tail == pytest.approx(_mpmath_tail(dim, cutoff, masses, radii), rel=1e-12)
+
+
+def test_direct_mode_memory_stays_bounded():
+    cfg = sharp.BallConfiguration(2, 0.25, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7))])
+    tracemalloc.start()
+    try:
+        sharp.sharp_energy(cfg, fourier_cutoff=500, method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("cutoff", [16, 100, 300])
+@pytest.mark.parametrize("config", FIXTURES_2D + FIXTURES_3D + [JITTERED_2D_N9])
+def test_direct_mode_emits_no_warnings(config, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.suppress(CutoffTooSmall):
+            sharp.sharp_energy(config, fourier_cutoff=cutoff, method="direct")
 
 
 # 2 or 3 discs of unequal mass on jittered sites of the 2 x 2 lattice, shifted as
