@@ -160,7 +160,7 @@ def default_params(dim=3, n=None) -> green.EwaldParameters:
     otherwise those the 3D pair sum chooses for n particles, or the default
     for a single G evaluation (n=None) and in 2D, which uses none.  The
     variable is checked before any lattice table is built: at the ends of
-    [0.5, 10] the 3D tables hold 12,167 images or 50,653 k-vectors.
+    [0.5, 11] the 3D tables hold 10,648 images or 59,319 k-vectors.
     """
     env = os.environ.get("OKLIM_EWALD_ALPHA")
     if not env:
@@ -171,11 +171,11 @@ def default_params(dim=3, n=None) -> green.EwaldParameters:
         alpha = float(env)
     except ValueError:
         raise ValueError(f"OKLIM_EWALD_ALPHA must be a number, got {env!r}") from None
-    if not 0.5 <= alpha <= 10.0:
+    if not 0.5 <= alpha <= 11.0:
         why = ""
         if 0.0 < alpha < 0.5:
-            why = ": below 0.5 a certified tail of 1e-13 takes at least 12,167 real-space images"
-        raise ValueError(f"OKLIM_EWALD_ALPHA must lie in [0.5, 10], got {env}{why}")
+            why = ": below 0.5 a certified tail of 1e-13 takes at least 10,648 real-space images"
+        raise ValueError(f"OKLIM_EWALD_ALPHA must lie in [0.5, 11], got {env}{why}")
     return green.EwaldParameters.for_alpha(alpha)
 
 

@@ -15,18 +15,24 @@ image sum, a Gaussian-damped reciprocal sum and the background constant
 Every evaluation is one split (Ewald, Ann. Phys. 369, 1921; Essmann et al.,
 J. Chem. Phys. 103, 1995): G = per-pair part + long-range part.
 ``_pair_part`` is the whole theta form in 2D and the 3D image sum.  The
-long-range part is zero in 2D; in 3D it comes per point from
-``_long_range`` (the reciprocal sum and the background at rows x), and for
-the pair sum sum_{i != j} m_i m_j G of n particles from ``_set_long_range``,
-the same terms for the whole set at once through the structure factor, so
-the pair sum costs O(pairs * images + n * K) rather than O(pairs * (images + K)),
-with alpha chosen from n by operation count among PAIR_SUM_ALPHAS.  Each
-part has its gradient.  The regular part g, G minus -log|x|/2pi or
-1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
-|sin pi z| / |x|; the 3D n = 0 image term is combined with the singular
-part analytically.  Values are taken at |x| in the centered cell, where G is
-even in each coordinate, and reduced row by row, so each value is
-independent of its row in the batch.
+3D image sum is taken at |x| in [0, 1/2]^3 over the images n in o(c)^3,
+c = real_cutoff offsets per axis, o(c) = {-floor(c/2), ..., ceil(c/2) - 1}:
+growing c to c + 1 adds the offset ceil(c/2) or -floor(c/2) - 1, each at
+distance >= c/2 from |x|, so the omitted tail is at most
+sum_{L >= c} ((L+1)^3 - L^3) erfc(alpha L / 2) / (2 pi L); its gradient is
+sign(x) times the gradient at |x|.  The long-range part is zero in 2D; in
+3D it comes per point from ``_long_range`` (the reciprocal sum and the
+background at rows x), and for the pair sum sum_{i != j} m_i m_j G of n
+particles from ``_set_long_range``, the same terms for the whole set at
+once through the structure factor S(k), built from per-axis phase tables
+by one matrix product, so the pair sum costs O(pairs * images + n * K)
+rather than O(pairs * (images + K)), with alpha chosen from n by operation
+count among PAIR_SUM_ALPHAS.  Each part has its gradient.  The regular
+part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
+2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
+with the singular part analytically.  Values are taken at |x| in the
+centered cell, where G is even in each coordinate, and reduced row by row,
+so each value is independent of its row in the batch.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import SingularPoint
 
 SINGULAR_GUARD = 1e-9
 _TAIL_TOL = 1e-13  # for_alpha's bound on the certified tail of each of its two shell sums
+_MAX_REAL_CUTOFF = 161  # for_alpha's cap on the image offsets per axis: at most 161^3 images
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -125,10 +132,13 @@ def _theta_grad(X):
 
 @dataclass(frozen=True)
 class EwaldParameters:
-    """Splitting parameter and shell cutoffs of the 3D screened lattice sums.
+    """Splitting parameter and cutoffs of the 3D screened lattice sums.
 
-    Any two admissible parameter sets give the same G to ~1e-12; alpha is a
-    pure identity parameter of the splitting.  2D uses none of them.
+    real_cutoff is c, the image offsets per axis: the image sum runs over
+    o(c)^3 with o(c) = {-floor(c/2), ..., ceil(c/2) - 1}, c^3 images at |x|
+    (odd c is the centred cube of radius (c - 1)/2).  fourier_cutoff bounds
+    |k|.  Any two admissible parameter sets give the same G to ~1e-12; alpha
+    is a pure identity parameter of the splitting.  2D uses none of them.
     """
 
     alpha: float
@@ -142,10 +152,10 @@ class EwaldParameters:
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "EwaldParameters":
-        """Choose the smallest shell cutoffs whose tail bounds are <= _TAIL_TOL."""
+        """Choose the smallest cutoffs whose tail bounds are <= _TAIL_TOL (c at most 161)."""
         alpha = _check_alpha(float(alpha))  # before the shell sums, which a bad alpha makes slow
         rc = 1
-        while _real_tail_bound(alpha, rc) > _TAIL_TOL and rc < 80:
+        while _real_tail_bound(alpha, rc) > _TAIL_TOL and rc < _MAX_REAL_CUTOFF:
             rc += 1
         fc = 2
         while _fourier_tail_bound(alpha, fc) > _TAIL_TOL and fc < 200:
@@ -163,12 +173,15 @@ class EwaldParameters:
     def for_count(cls, n: int) -> "EwaldParameters":
         """The PAIR_SUM_ALPHAS parameters with the fewest operations for an n-particle pair sum.
 
-        The pair sum costs about pairs * images (per-pair part) + n * K
-        (set long-range part, K half-space k-vectors): a small alpha suits
-        few particles, a large one many.
+        The pair sum costs about pairs * images (per-pair part) plus
+        (n + 30) * H / 40 (set long-range part, H entries of the half cube of
+        ``_structure_weights``; the 30 is its per-call work on the cube):
+        measured over energy and gradient, an image term costs about 40 times
+        a half-cube entry of one particle.  A small alpha suits few particles,
+        a large one many.
         """
         pairs = n * (n - 1) // 2
-        return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + n * c[2])[0]
+        return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + (n + 30) * c[2] / 40)[0]
 
 
 def _check_alpha(alpha):
@@ -177,20 +190,24 @@ def _check_alpha(alpha):
     return alpha
 
 
-#: Splitting parameters the pair sum chooses from by n: the default (343 images,
-#: 128 half-space k-vectors; n <= 2), 2.75 (125 images, 257; n <= 27) and 5
-#: (27 images, 1535); at for_alpha's cutoffs (_TAIL_TOL per shell sum) each
-#: certifies a total tail <= 1e-13.
-PAIR_SUM_ALPHAS = (_SQRT_PI, 2.75, 5.0)
+#: Splitting parameters the pair sum chooses from by n: 2.75 (64 images,
+#: fourier_cutoff 5; n <= 7), 3.8 (27, 7; n <= 20), 5.5 (8, 10; n <= 209) and
+#: 10.7 (the origin image alone, 19).  Each certifies its image count at the
+#: fewest k and lies near the alpha of least certified tail, a little below it
+#: for 10.7, since g(0)'s Fourier truncation enters every self term with one
+#: sign; at for_alpha's cutoffs (_TAIL_TOL per shell sum) each certifies a
+#: total tail <= 1e-13.
+PAIR_SUM_ALPHAS = (2.75, 3.8, 5.5, 10.7)
 
 
 @lru_cache(maxsize=1)
 def _pair_sum_candidates():
-    # (params, images, half-space k-vectors), built on the first 3D pair sum
+    # (params, images, half-cube entries), built on the first 3D pair sum
     out = []
     for alpha in PAIR_SUM_ALPHAS:
         p = EwaldParameters.for_alpha(alpha)
-        out.append((p, (2 * p.real_cutoff + 1)**3, len(_tables(p.fourier_cutoff)[0])))
+        fc = p.fourier_cutoff
+        out.append((p, p.real_cutoff**3, (2 * fc + 1)**2 * (fc + 1)))
     return tuple(out)
 
 
@@ -208,12 +225,11 @@ def _shell_sum(term, start):
 
 
 def _real_tail_bound(alpha, rc):
-    # cube shells |n|_inf = j hold 24 j^2 + 2 sites, each at distance
-    # r >= j - sqrt(3)/2 from every point of the centered cell
-    def term(j):
-        r = j - math.sqrt(3) / 2.0
-        return (24 * j * j + 2) * math.erfc(alpha * r) / (4 * math.pi * r)
-    return _shell_sum(term, rc + 1)
+    # growing the image set from L to L + 1 offsets per axis adds (L+1)^3 - L^3
+    # images, each at distance |x + n| >= L/2 from every |x| in [0, 1/2]^3
+    def term(L):
+        return ((L + 1)**3 - L**3) * math.erfc(alpha * L / 2) / (2 * math.pi * L)
+    return _shell_sum(term, rc)
 
 
 def _fourier_tail_bound(alpha, fc):
@@ -241,10 +257,15 @@ def truncation_bound(dim, params=None) -> float:
             + _fourier_tail_bound(params.alpha, params.fourier_cutoff))
 
 
+def _offsets(c):
+    """o(c), the c integers -floor(c/2) .. ceil(c/2) - 1: the image offsets of one axis."""
+    return np.arange(-(c // 2), (c + 1) // 2, dtype=float)
+
+
 @lru_cache(maxsize=32)
-def _cube(c):
-    """The integer vectors |n|_inf <= c in lexicographic order, read-only."""
-    r = np.arange(-c, c + 1, dtype=float)
+def _images(c):
+    """The c^3 integer vectors of o(c)^3 in lexicographic order, read-only."""
+    r = _offsets(c)
     cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     cube.flags.writeable = False
     return cube
@@ -256,7 +277,7 @@ def _tables(fourier_cutoff: int):
 
     The coefficients are even in k, so a sum over all k is twice the sum over these.
     """
-    kvecs = _cube(fourier_cutoff)
+    kvecs = _images(2 * fourier_cutoff + 1)  # the cube |k|_inf <= fourier_cutoff
     k2 = np.sum(kvecs**2, axis=1)
     # the cube is in lexicographic order, so -k sits at the mirrored index of k:
     # the second half holds the lexicographically positive k
@@ -302,38 +323,39 @@ def _by_rows(rows, X, columns, out):
 
 
 def _image_distances(X, rc):
-    """|x + n| over the image cube |n|_inf <= rc, a row per x, in ``_cube(rc)`` order.
+    """|x + n| over the images n of o(rc)^3, a row per x, in ``_images(rc)`` order.
 
-    The cube is a product of the offsets -rc..rc per axis, so |x + n|^2 is
-    built from three (rows, 2 rc + 1) factors instead of (rows, images, 3).
+    The image set is a product of the offsets o(rc) per axis, so |x + n|^2 is
+    built from the (rows, 3, rc) squared per-axis terms instead of (rows, images, 3).
     """
-    off = np.arange(-rc, rc + 1, dtype=float)
-    sq = [(X[:, i, None] + off) ** 2 for i in range(3)]
-    r2 = sq[0][:, :, None, None] + sq[1][:, None, :, None]
-    r2 = r2 + sq[2][:, None, None, :]
+    sq = X[:, :, None] + _offsets(rc)
+    sq *= sq
+    r2 = sq[:, 0, :, None, None] + sq[:, 1, None, :, None]
+    r2 = r2 + sq[:, 2, None, None, :]
     return np.sqrt(r2.reshape(len(X), -1))
 
 
 def _real_space(X, alpha, rc, origin=True):
-    """Screened image sum per row: sum_n erfc(alpha r) / (4 pi r), r = |x + n|, |n|_inf <= rc.
+    """Screened image sum per row |x|: sum_n erfc(alpha r) / (4 pi r), r = |x + n|, n in o(rc)^3.
 
     ``origin=False`` leaves out the image n = 0.
     """
     def rows(x):
         r = _image_distances(x, rc)
         if not origin:
-            r = np.delete(r, r.shape[1] // 2, axis=1)
-        return np.sum(erfc(alpha * r) / r, axis=1)
-    return _by_rows(rows, X, (2 * rc + 1)**3, np.empty(len(X))) / (4 * math.pi)
+            r = np.delete(r, (rc // 2) * (rc * rc + rc + 1), axis=1)  # n = 0 in ``_images(rc)``
+        return (erfc(alpha * r) / r).sum(axis=1)
+    return _by_rows(rows, X, rc**3, np.empty(len(X))) / (4 * math.pi)
 
 
 def _real_space_grad(X, alpha, rc):
-    """Gradient of ``_real_space`` per row: -sum_n w(r) (x + n) = -(x sum_n w + sum_n w n)."""
+    """Gradient of the image sum at rows x: sign(x) * -sum_n w(r) (|x| + n), r = ||x| + n|."""
     def rows(x):
-        r = _image_distances(x, rc)
+        a = np.abs(x)
+        r = _image_distances(a, rc)
         w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
-        return -(x * w.sum(axis=1)[:, None] + w @ _cube(rc))
-    return _by_rows(rows, X, (2 * rc + 1)**3, np.empty_like(X)) / (4 * math.pi)
+        return -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ _images(rc))
+    return _by_rows(rows, X, rc**3, np.empty_like(X)) / (4 * math.pi)
 
 
 def _pair_part(dim, X, params, gradient=False):
@@ -373,35 +395,70 @@ def _long_range(dim, X, params, gradient=False):
     return _by_rows(rows, X, len(kvecs), np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
 
 
+@lru_cache(maxsize=32)
+def _structure_weights(params):
+    """c_k over the half cube |k1|, |k2| <= fc, 0 <= k3 <= fc, as a read-only (K^2, fc + 1) array.
+
+    K = 2 fc + 1; rows are (k1, k2) in lexicographic order, columns k3.  Zero
+    at k = 0 and outside |k| <= fc, and doubled for k3 > 0, where k stands
+    for the pair +-k.
+    """
+    fc = params.fourier_cutoff
+    k = np.arange(-fc, fc + 1, dtype=float)
+    ksq = (k[:, None]**2 + k**2).reshape(-1, 1) + k[fc:]**2
+    keep = (ksq > 0) & (ksq <= fc * fc)
+    w = np.where(keep, _fourier_coef(params, np.where(keep, ksq, 1.0)), 0.0)
+    w[:, 1:] *= 2.0
+    w.flags.writeable = False
+    return w
+
+
 def _set_long_range(dim, masses, positions, params, gradient=False):
     """The particle-set long-range part of sum_{i != j} m_i m_j G, or its gradient: zero in 2D.
 
-    3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) over the half-space k-vectors
-    and M = sum m: 2 sum_k c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
+    3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) and M = sum m:
+    sum_{k != 0} c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
     the reciprocal and background terms of all ordered pairs i != j at once;
-    its gradient is m_i sum_k 4 c_k (2 pi k) (cos_ik Im S - sin_ik Re S).  S is
-    formed in the lexicographic order of the positions, so the value is exactly
-    permutation invariant.  Zero for fewer than two particles.
+    its gradient is -4 pi m_j sum_k c_k k Im(conj S(k) e^(2 pi i k.x_j)).
+    S(-k) = conj S(k), so both run over the half cube of ``_structure_weights``.
+    S comes from the per-axis tables E_d[j, k] = e^(2 pi i k x_jd) (Essmann et
+    al., 1995) by one matrix product, (m E_1 (x) E_2).T @ E_3, with no trig per
+    k-vector; the gradient contracts back through the same tables, one axis
+    at a time.  S is formed in the lexicographic order of the positions, so
+    the value is exactly permutation invariant.  Zero for fewer than two
+    particles.
     """
     if dim == 2 or len(masses) < 2:
         return 0.0
-    kvecs, k2 = _tables(params.fourier_cutoff)
+    fc = params.fourier_cutoff
+    K = 2 * fc + 1
+    w = _structure_weights(params)
+    k = np.arange(-fc, fc + 1, dtype=float)
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    phase = positions[order] @ kvecs.T
-    phase *= 2 * math.pi
-    cos, sin = np.cos(phase), np.sin(phase)
-    re, im = m @ cos, m @ sin
-    coef = _fourier_coef(params, k2)
+    e = np.exp(positions[order][:, :, None] * (2j * math.pi * k))  # (n, 3, K)
+    e[:, 0] *= m[:, None]  # the masses ride on E_1
+    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2, fc:]
+    step = max(1, _CHUNK // (2 * K * K))  # particles per chunk: (chunk, 2 K^2) temporaries
+    chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
+    # S over the half cube, (K^2, fc + 1), summed over chunks of particles
+    s = sum((e1[c, :, None] * e2[c, None, :]).reshape(-1, K * K).T @ e3[c] for c in chunks)
     if gradient:
-        k = 2 * math.pi * kvecs
-        fk = 4.0 * coef
+        v = (w * np.conj(s)).T
         out = np.empty_like(positions)
-        out[order] = m[:, None] * (cos @ ((fk * im)[:, None] * k) - sin @ ((fk * re)[:, None] * k))
+        for c in chunks:
+            # the k3 sums first, plain and times k3, (2, chunk, K, K)
+            u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
+            y = (u @ e2[c, :, None])[..., 0]  # then the k2 sums, (2, chunk, K)
+            z = (e1[c, None, :] @ u[0])[:, 0]  # or the k1 sums, (chunk, K)
+            p = (y * e1[c]).imag
+            g = np.empty((len(z), 3))
+            g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
+            out[order[c]] = (-4 * math.pi) * g
         return out
-    mm, total = float(m @ m), float(np.sum(m))
-    recip = float(coef @ (re * re + im * im - mm))
-    return 2.0 * recip - (total * total - mm) / (4 * params.alpha**2)
+    mm, total = float(m @ m), float(m.sum())
+    recip = float(np.vdot(s, w * s).real) - mm * float(w.sum())  # sum_k c_k (|S(k)|^2 - sum m^2)
+    return recip - (total * total - mm) / (4 * params.alpha**2)
 
 
 def green_eval_many(dim, X, params=None):

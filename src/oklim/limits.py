@@ -36,7 +36,11 @@ MASS_EQUALITY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Weighted point masses {(m_i, x_i)} with distinct positions."""
+    """Weighted point masses {(m_i, x_i)} with distinct positions.
+
+    ``masses`` (n,) and ``positions`` (n, d), each coordinate reduced to [0, 1)
+    as ``TorusPoint`` reduces it, are read-only arrays built once.
+    """
 
     dim: int
     particles: tuple  # of (mass, TorusPoint)
@@ -58,18 +62,15 @@ class PointConfiguration:
             parts.append((m, pos))
         if not parts:
             raise ValueError("configuration must contain at least one particle")
+        masses = np.array([m for m, _ in parts])
+        positions = np.array([p.coords for _, p in parts])
+        masses.flags.writeable = positions.flags.writeable = False
         obj_set = object.__setattr__
         obj_set(self, "dim", dim)
         obj_set(self, "particles", tuple(parts))
-        _distinct_pairs(self.positions)  # CoincidentPoints if two positions coincide
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([m for m, _ in self.particles])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([p.array for _, p in self.particles])
+        obj_set(self, "masses", masses)
+        obj_set(self, "positions", positions)
+        _distinct_pairs(positions)  # CoincidentPoints if two positions coincide
 
     @property
     def n(self) -> int:
@@ -96,7 +97,7 @@ def e0(config: PointConfiguration) -> float:
     ball ansatz, an upper bound for the true infimum.
     """
     if config.dim == 2:
-        vals = [local.envelope_2d(m).envelope_value for m in config.masses]
+        vals = local.envelope_2d_many(config.masses)
     else:
         vals = [local.e3d_ball(m).total for m in config.masses]
     # canonical summation order keeps the value exactly permutation invariant

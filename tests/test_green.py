@@ -23,7 +23,7 @@ def test_matches_direct_fourier_oracle(params):
 def test_parameter_independence():
     sets = [green.EwaldParameters.for_alpha(math.sqrt(math.pi)),
             green.EwaldParameters.for_alpha(2 * math.sqrt(math.pi)),
-            green.EwaldParameters(alpha=1.1, real_cutoff=7, fourier_cutoff=9)]
+            green.EwaldParameters(alpha=1.1, real_cutoff=15, fourier_cutoff=9)]
     rng = np.random.default_rng(11)
     for dim in (2, 3):
         X = np.array([random_torus_point(rng, dim, min_dist=1e-3) for _ in range(50)])

@@ -35,6 +35,30 @@ def test_point_configuration_rejects_non_finite_values(bad):
         config(2, [(1.0, green.TorusPoint((bad, 0.2)))])
 
 
+def test_point_configuration_arrays_are_built_once_and_read_only():
+    rng = np.random.default_rng(8)
+    raw = rng.uniform(-2.0, 3.0, (40, 3))
+    raw[0] = (-1e-20, 1.0, 2.5)  # coordinates that reduce to 1.0 and 0.0
+    c = config(3, [(m, p) for m, p in zip(rng.uniform(0.5, 2.0, 40), raw)])
+    assert c.positions.tolist() == [list(green.TorusPoint(p).coords) for p in raw]
+    assert c.masses.tolist() == [m for m, _ in c.particles]
+    assert all(isinstance(p, green.TorusPoint) for _, p in c.particles)
+    assert c.positions is c.positions and c.masses is c.masses
+    for a in (c.masses, c.positions):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def test_e0_2d_is_bitwise_the_per_mass_loop():
+    rng = np.random.default_rng(4)
+    masses = np.concatenate([rng.uniform(0.01, 80.0, 300),
+                             local.OPTIMAL_PER_MASS * np.arange(1, 21)])  # integer optimal counts
+    c = config(2, list(zip(masses, rng.random((len(masses), 2)))))
+    loop = [local.envelope_2d(m).envelope_value for m in c.masses]
+    assert local.envelope_2d_many(c.masses).tolist() == loop
+    assert limits.e0(c) == float(np.sum(np.sort(loop)))
+
+
 def test_e0_values_and_position_blindness():
     c1 = config(2, [(5.0, (0.1, 0.1))])
     assert limits.e0(c1) == local.envelope_2d(5.0).envelope_value

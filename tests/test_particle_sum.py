@@ -5,10 +5,12 @@ one pair at a time, the per-point API that the structure-factor kernel does
 not call; agreement is checked to a fraction of (sum m)^2.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from oklim import green, limits, optimize
 
@@ -91,11 +93,70 @@ def test_each_candidate_alpha_is_within_its_tail_of_long_cutoffs(alpha):
 
 
 def test_alpha_is_chosen_from_the_particle_count():
-    chosen = {n: green.EwaldParameters.for_count(n).alpha for n in (0, 1, 2, 3, 27, 28, 250)}
-    assert chosen == {0: math.sqrt(math.pi), 1: math.sqrt(math.pi), 2: math.sqrt(math.pi),
-                      3: 2.75, 27: 2.75, 28: 5.0, 250: 5.0}
-    assert green.EwaldParameters.for_count(2) == green.EwaldParameters.default()
-    assert green.EwaldParameters.for_count(250).real_cutoff == 1
+    counts = (0, 1, 2, 7, 8, 20, 21, 209, 210, 250)
+    chosen = {n: green.EwaldParameters.for_count(n).alpha for n in counts}
+    assert chosen == {0: 2.75, 1: 2.75, 2: 2.75, 7: 2.75, 8: 3.8, 20: 3.8,
+                      21: 5.5, 209: 5.5, 210: 10.7, 250: 10.7}
+    assert [green.EwaldParameters.for_count(n).real_cutoff for n in (2, 8, 21, 250)] == [4, 3, 2, 1]
+
+
+def _face_points():
+    """|x| on and 1e-12 inside the faces and corners of [0, 1/2]^3, and 1e-6 from the origin."""
+    edge = (0.0, 1e-12, 0.5 - 1e-12, 0.5)
+    X = np.array([p for p in itertools.product(edge, repeat=3) if max(p) > 1e-12])
+    near = 1e-6 * np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0] / np.sqrt(3)])
+    return np.vstack([X, near])
+
+
+@pytest.mark.parametrize("alpha", (*green.PAIR_SUM_ALPHAS, math.sqrt(math.pi)))
+def test_real_space_tail_is_certified_on_the_faces_and_corners(alpha):
+    # the terms of the images in o(c + 6)^3 that o(c)^3 omits, summed on their own
+    params = green.EwaldParameters.for_alpha(alpha)
+    c = params.real_cutoff
+    omitted = ~np.all(np.isin(green._images(c + 6), green._offsets(c)), axis=1)
+    r = green._image_distances(_face_points(), c + 6)[:, omitted]
+    tail = np.sum(erfc(alpha * r) / r, axis=1) / (4 * math.pi)
+    assert np.max(tail) <= green._real_tail_bound(alpha, c) <= green.truncation_bound(3, params)
+    assert green.truncation_bound(3, params) <= 1e-13
+
+
+def test_alpha_005_hits_the_real_cutoff_cap():
+    params = green.EwaldParameters.for_alpha(0.05)
+    assert params.real_cutoff == green._MAX_REAL_CUTOFF
+    assert green.truncation_bound(3, params) > 1e-13
+
+
+def trig_set_long_range(masses, positions, params, gradient=False):
+    """The set long-range part summed per k-vector with cos and sin, over the ball |k| <= fc."""
+    fc, alpha = params.fourier_cutoff, params.alpha
+    r = np.arange(-fc, fc + 1)
+    kvecs = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    k2 = np.sum(kvecs**2, axis=1)
+    kvecs, k2 = kvecs[(k2 > 0) & (k2 <= fc * fc)], k2[(k2 > 0) & (k2 <= fc * fc)]
+    coef = np.exp(-math.pi**2 * k2 / alpha**2) / (4 * math.pi**2 * k2)
+    mm, total = float(masses @ masses), float(np.sum(masses))
+    energy, grad = 0.0, np.zeros_like(positions)
+    for lo in range(0, len(kvecs), 2000):  # in blocks of k-vectors, to keep the phases small
+        k, c = kvecs[lo:lo + 2000], coef[lo:lo + 2000]
+        phase = 2 * math.pi * positions @ k.T
+        cos, sin = np.cos(phase), np.sin(phase)
+        re, im = masses @ cos, masses @ sin
+        energy += float(c @ (re * re + im * im - mm))
+        grad += 4 * math.pi * masses[:, None] * (((cos * im - sin * re) * c) @ k)
+    return grad if gradient else energy - (total * total - mm) / (4 * alpha**2)
+
+
+@pytest.mark.parametrize("n, chunk", [(2, None), (4, None), (27, None), (27, 3000), (250, None)])
+def test_separable_structure_factor_matches_the_per_k_trig_sum(monkeypatch, n, chunk):
+    if chunk:  # a few particles per chunk
+        monkeypatch.setattr(green, "_CHUNK", chunk)
+    m, x = near_face_configuration(n, 5)
+    params = green.EwaldParameters.for_count(n)
+    scale = float(np.sum(m)) ** 2
+    energy = green._set_long_range(3, m, x, params)
+    assert abs(energy - trig_set_long_range(m, x, params)) <= 1e-14 * scale
+    grad = green._set_long_range(3, m, x, params, gradient=True)
+    assert np.max(np.abs(grad - trig_set_long_range(m, x, params, gradient=True))) <= 1e-14 * scale
 
 
 def test_f0_tail_names_the_parameters_that_ran():
