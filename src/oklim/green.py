@@ -191,13 +191,13 @@ def _check_alpha(alpha):
 
 
 #: Splitting parameters the pair sum chooses from by n: 2.75 (64 images,
-#: fourier_cutoff 5; n <= 7), 3.8 (27, 7; n <= 20), 5.5 (8, 10; n <= 209) and
-#: 10.7 (the origin image alone, 19).  Each certifies its image count at the
-#: fewest k and lies near the alpha of least certified tail, a little below it
-#: for 10.7, since g(0)'s Fourier truncation enters every self term with one
-#: sign; at for_alpha's cutoffs (_TAIL_TOL per shell sum) each certifies a
-#: total tail <= 1e-13.
-PAIR_SUM_ALPHAS = (2.75, 3.8, 5.5, 10.7)
+#: fourier_cutoff 5; n <= 13), 5.5 (8, 10; n <= 209) and 10.7 (the origin
+#: image alone, 19).  Each certifies its image count at the fewest k and lies
+#: near the alpha of least certified tail, a little below it for 10.7, since
+#: g(0)'s Fourier truncation enters every self term with one sign; at
+#: for_alpha's cutoffs (_TAIL_TOL per shell sum) each certifies a total tail
+#: <= 1e-13.
+PAIR_SUM_ALPHAS = (2.75, 5.5, 10.7)
 
 
 @lru_cache(maxsize=1)

@@ -122,7 +122,7 @@ def test_f0_energy_2d_formula_and_mass_guard(params):
 
 
 def test_f0_tail_bound_is_certified_and_nonzero(params):
-    short = green.EwaldParameters(alpha=math.sqrt(PI), real_cutoff=1, fourier_cutoff=2)
+    short = green.EwaldParameters(alpha=math.sqrt(PI), real_cutoff=3, fourier_cutoff=2)
     m = 2 ** (2.0 / 3.0) * PI
     cases = ((3, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.8, 0.1))]),
              (2, [(m, (0.1, 0.2)), (m, (0.55, 0.65))]))

@@ -93,11 +93,11 @@ def test_each_candidate_alpha_is_within_its_tail_of_long_cutoffs(alpha):
 
 
 def test_alpha_is_chosen_from_the_particle_count():
-    counts = (0, 1, 2, 7, 8, 20, 21, 209, 210, 250)
+    counts = (0, 1, 2, 13, 14, 209, 210, 250)
     chosen = {n: green.EwaldParameters.for_count(n).alpha for n in counts}
-    assert chosen == {0: 2.75, 1: 2.75, 2: 2.75, 7: 2.75, 8: 3.8, 20: 3.8,
-                      21: 5.5, 209: 5.5, 210: 10.7, 250: 10.7}
-    assert [green.EwaldParameters.for_count(n).real_cutoff for n in (2, 8, 21, 250)] == [4, 3, 2, 1]
+    assert chosen == {0: 2.75, 1: 2.75, 2: 2.75, 13: 2.75, 14: 5.5,
+                      209: 5.5, 210: 10.7, 250: 10.7}
+    assert [green.EwaldParameters.for_count(n).real_cutoff for n in (2, 14, 250)] == [4, 2, 1]
 
 
 def _face_points():
