@@ -160,7 +160,7 @@ def default_params(dim=3, n=None) -> green.EwaldParameters:
     otherwise those the 3D pair sum chooses for n particles, or the default
     for a single G evaluation (n=None) and in 2D, which uses none.  The
     variable is checked before any lattice table is built: at the ends of
-    [0.5, 11] the 3D tables hold 10,648 images or 59,319 k-vectors.
+    [0.5, 11] the 3D tables hold 10,648 images or 30,420 half-cube k entries.
     """
     env = os.environ.get("OKLIM_EWALD_ALPHA")
     if not env:

@@ -21,18 +21,18 @@ growing c to c + 1 adds the offset ceil(c/2) or -floor(c/2) - 1, each at
 distance >= c/2 from |x|, so the omitted tail is at most
 sum_{L >= c} ((L+1)^3 - L^3) erfc(alpha L / 2) / (2 pi L); its gradient is
 sign(x) times the gradient at |x|.  The long-range part is zero in 2D; in
-3D it comes per point from ``_long_range`` (the reciprocal sum and the
-background at rows x), and for the pair sum sum_{i != j} m_i m_j G of n
-particles from ``_set_long_range``, the same terms for the whole set at
-once through the structure factor S(k), built from per-axis phase tables
-by one matrix product, so the pair sum costs O(pairs * images + n * K)
-rather than O(pairs * (images + K)), with alpha chosen from n by operation
-count among PAIR_SUM_ALPHAS.  Each part has its gradient.  The regular
-part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
-2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
-with the singular part analytically.  Values are taken at |x| in the
-centered cell, where G is even in each coordinate, and reduced row by row,
-so each value is independent of its row in the batch.
+3D it is the reciprocal sum and the background over one k-space: the
+half-cube weights of ``_structure_weights`` and the per-axis phase tables of
+``_phases``, with no trig per k-vector.  ``_long_range`` contracts them per
+point; ``_set_long_range`` forms from them the structure factor S(k) of the
+pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
+O(pairs * images + n * K) rather than O(pairs * (images + K)), with alpha
+chosen from n by operation count among PAIR_SUM_ALPHAS.  Each part has its
+gradient.  The regular part g, G minus -log|x|/2pi or 1/(4pi|x|), stays
+smooth through x = 0: the 2D log is taken of |sin pi z| / |x|; the 3D n = 0
+image term is combined with the singular part analytically.  Values are
+taken at |x| in the centered cell, where G is even in each coordinate, and
+reduced row by row, so each value is independent of its row in the batch.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class TorusPoint:
     coords: tuple
 
     def __init__(self, coords):
-        c = tuple(float(v) % 1.0 for v in coords)
+        # v % 1.0 rounds to 1.0 for tiny negative v; NaN stays NaN
+        c = tuple(0.0 if r == 1.0 else r for r in (float(v) % 1.0 for v in coords))
         if len(c) not in (2, 3):
             raise ValueError(f"torus points are 2D or 3D, got {len(c)} coordinates")
         object.__setattr__(self, "coords", c)
@@ -271,21 +272,6 @@ def _images(c):
     return cube
 
 
-@lru_cache(maxsize=32)
-def _tables(fourier_cutoff: int):
-    """The k-vectors 0 < |k| <= fourier_cutoff of one half-space, one of each pair +-k, and |k|^2.
-
-    The coefficients are even in k, so a sum over all k is twice the sum over these.
-    """
-    kvecs = _images(2 * fourier_cutoff + 1)  # the cube |k|_inf <= fourier_cutoff
-    k2 = np.sum(kvecs**2, axis=1)
-    # the cube is in lexicographic order, so -k sits at the mirrored index of k:
-    # the second half holds the lexicographically positive k
-    keep = k2 <= fourier_cutoff**2
-    keep[:len(kvecs) // 2 + 1] = False
-    return kvecs[keep], k2[keep]
-
-
 def _resolve(params):
     return params if params is not None else EwaldParameters.default()
 
@@ -295,11 +281,6 @@ def _coords(x, dim):
     if arr.shape != (dim,):
         raise ValueError(f"expected {dim} coordinates, got shape {arr.shape}")
     return arr
-
-
-def _fourier_coef(params, k2):
-    a2 = params.alpha**2
-    return np.exp(-(math.pi**2) * k2 / a2) / (4 * math.pi**2 * k2)
 
 
 def _cell(X, name):
@@ -370,47 +351,64 @@ def _pair_part(dim, X, params, gradient=False):
     return _real_space(X, params.alpha, params.real_cutoff)
 
 
-def _long_range(dim, X, params, gradient=False):
-    """The per-point long-range part of G at rows |x|, or of grad G at rows x: zero in 2D.
-
-    3D: the reciprocal sum sum_k c_k cos(2 pi k.x) over all k != 0 minus the
-    background 1/(4 alpha^2), or its gradient.
-    """
-    if dim == 2:
-        return 0.0
-    kvecs, k2 = _tables(params.fourier_cutoff)
-    kcoef = 2.0 * _fourier_coef(params, k2)  # the +-k pairs
-    if gradient:
-        def rows(x):
-            phase = 2 * math.pi * (x @ kvecs.T)
-            return -(np.sin(phase) * kcoef[None, :]) @ (2 * math.pi * kvecs)
-        return _by_rows(rows, X, len(kvecs), np.empty_like(X))
-
-    def rows(x):
-        cos = x @ kvecs.T
-        cos *= 2 * math.pi
-        np.cos(cos, out=cos)
-        cos *= kcoef  # reduced row by row: a matrix-vector product rounds by row position
-        return cos.sum(axis=1)
-    return _by_rows(rows, X, len(kvecs), np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
-
-
 @lru_cache(maxsize=32)
 def _structure_weights(params):
     """c_k over the half cube |k1|, |k2| <= fc, 0 <= k3 <= fc, as a read-only (K^2, fc + 1) array.
 
-    K = 2 fc + 1; rows are (k1, k2) in lexicographic order, columns k3.  Zero
-    at k = 0 and outside |k| <= fc, and doubled for k3 > 0, where k stands
-    for the pair +-k.
+    c_k = e^(-pi^2 |k|^2 / alpha^2) / (4 pi^2 |k|^2); K = 2 fc + 1; rows are
+    (k1, k2) in lexicographic order, columns k3.  Zero at k = 0 and outside
+    |k| <= fc, and doubled for k3 > 0, where k stands for the pair +-k.
     """
     fc = params.fourier_cutoff
     k = np.arange(-fc, fc + 1, dtype=float)
     ksq = (k[:, None]**2 + k**2).reshape(-1, 1) + k[fc:]**2
     keep = (ksq > 0) & (ksq <= fc * fc)
-    w = np.where(keep, _fourier_coef(params, np.where(keep, ksq, 1.0)), 0.0)
+    ksq = np.where(keep, ksq, 1.0)
+    w = np.where(keep, np.exp(-(math.pi**2) * ksq / params.alpha**2) / (4 * math.pi**2 * ksq), 0.0)
     w[:, 1:] *= 2.0
     w.flags.writeable = False
     return w
+
+
+def _phases(positions, fc):
+    """The per-axis tables E_d[j, k] = e^(2 pi i k x_jd), k = -fc..fc, as an (n, 3, K) array."""
+    return np.exp(positions[:, :, None] * (2j * math.pi * np.arange(-fc, fc + 1, dtype=float)))
+
+
+def _long_range(dim, X, params, gradient=False):
+    """The per-point long-range part of G at rows |x|, or of grad G at rows x: zero in 2D.
+
+    3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus the background
+    1/(4 alpha^2), or its gradient, with w of ``_structure_weights`` and E of
+    ``_phases``: Re sum w E_1 E_2 E_3 and -2 pi sum w k Im(E_1 E_2 E_3) over
+    the half cube.  w is even in k1 and in k2, so with C = Re E, S = Im E
+    only the terms even in both remain: sum w C_1 C_2 C_3 and
+    -2 pi sum w (k1 S_1 C_2 C_3, k2 C_1 S_2 C_3, k3 C_1 C_2 S_3), contracted
+    one axis at a time by einsum, which reduces every row in the same order
+    (a matrix product rounds by row position).
+    """
+    if dim == 2:
+        return 0.0
+    fc = params.fourier_cutoff
+    K = 2 * fc + 1
+    k = np.arange(-fc, fc + 1, dtype=float)
+    w = _structure_weights(params).reshape(K, K, fc + 1).transpose(1, 2, 0)  # (k2, k3, k1)
+
+    def rows(x):
+        e = _phases(x, fc)
+        c1, c2, c3 = e.real[:, 0], e.real[:, 1], e.real[:, 2, fc:]
+        t = np.einsum("bca,ja->jbc", w, c1)  # the k1 sums, (rows, K, fc + 1)
+        if not gradient:
+            return np.einsum("jbc,jb,jc->j", t, c2, c3)
+        s = e.imag * k
+        g = np.empty((len(x), 3))
+        g[:, 0] = np.einsum("jbc,jb,jc->j", np.einsum("bca,ja->jbc", w, s[:, 0]), c2, c3)
+        g[:, 1] = np.einsum("jbc,jb,jc->j", t, s[:, 1], c3)
+        g[:, 2] = np.einsum("jbc,jb,jc->j", t, c2, s[:, 2, fc:])
+        return (-2 * math.pi) * g
+    if gradient:
+        return _by_rows(rows, X, 2 * K * (fc + 1), np.empty_like(X))
+    return _by_rows(rows, X, K * (fc + 1), np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
 
 
 def _set_long_range(dim, masses, positions, params, gradient=False):
@@ -421,12 +419,11 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     the reciprocal and background terms of all ordered pairs i != j at once;
     its gradient is -4 pi m_j sum_k c_k k Im(conj S(k) e^(2 pi i k.x_j)).
     S(-k) = conj S(k), so both run over the half cube of ``_structure_weights``.
-    S comes from the per-axis tables E_d[j, k] = e^(2 pi i k x_jd) (Essmann et
-    al., 1995) by one matrix product, (m E_1 (x) E_2).T @ E_3, with no trig per
-    k-vector; the gradient contracts back through the same tables, one axis
-    at a time.  S is formed in the lexicographic order of the positions, so
-    the value is exactly permutation invariant.  Zero for fewer than two
-    particles.
+    S comes from the per-axis tables E_d of ``_phases`` (Essmann et al., 1995)
+    by one matrix product, (m E_1 (x) E_2).T @ E_3; the gradient contracts
+    back through the same tables, one axis at a time.  S is formed in the
+    lexicographic order of the positions, so the value is exactly
+    permutation invariant.  Zero for fewer than two particles.
     """
     if dim == 2 or len(masses) < 2:
         return 0.0
@@ -436,7 +433,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     k = np.arange(-fc, fc + 1, dtype=float)
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    e = np.exp(positions[order][:, :, None] * (2j * math.pi * k))  # (n, 3, K)
+    e = _phases(positions[order], fc)  # (n, 3, K)
     e[:, 0] *= m[:, None]  # the masses ride on E_1
     e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2, fc:]
     step = max(1, _CHUNK // (2 * K * K))  # particles per chunk: (chunk, 2 K^2) temporaries

@@ -149,9 +149,8 @@ def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     params = _pair_params(len(masses), params)
     grad = green._pair_part(dim, diffs, params, gradient=True)
     w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
-    out = np.zeros_like(positions)
-    np.add.at(out, iu, w)
-    np.add.at(out, ju, -w)
+    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
+    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
     return out + green._set_long_range(dim, masses, positions, params, gradient=True)
 
 

@@ -423,13 +423,13 @@ def _assert_clean_json_exit(code, out, err):
 
 @pytest.mark.parametrize("alpha", ["0.05", "50"])
 def test_green_rejects_an_ewald_alpha_out_of_bounds(alpha):
-    # 0.05 hits the real_cutoff cap; 50 lies above the range, with a k cube of 175^3 vectors
-    builds = green._tables.cache_info().misses
+    # 0.05 hits the real_cutoff cap; 50 lies above the range: a half cube of 175^2 * 88 entries
+    builds = green._structure_weights.cache_info().misses
     code, out, err = _run_main(["green", "--dim", "3", "--x", "0.1,0.2,0.3"], alpha)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert ("certified tail" in err) == (alpha == "0.05")
-    assert green._tables.cache_info().misses == builds  # rejected before any table
+    assert green._structure_weights.cache_info().misses == builds  # rejected before any table
 
 
 def _coordinate():

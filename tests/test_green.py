@@ -71,9 +71,13 @@ def test_values_do_not_depend_on_batch_row_or_sign(params):
     for dim in (2, 3):
         X = np.array([random_torus_point(rng, dim, min_dist=1e-3) for _ in range(300)])
         vals = green.green_eval_many(dim, X, params)
+        grads = green.green_grad_many(dim, X, params)
         p = rng.permutation(len(X))
         assert np.array_equal(green.green_eval_many(dim, X[p], params), vals[p])
         assert np.array_equal(green.green_eval_many(dim, -X[p], params), vals[p])
+        assert np.array_equal(green.green_grad_many(dim, X[p], params), grads[p])
+        assert np.array_equal(green.green_grad_many(dim, -X, params), -grads)
+        assert np.array_equal(green.green_eval_many(dim, X[5:8], params), vals[5:8])
 
 
 def test_ewald_parameters_reject_non_finite_alpha():

@@ -38,9 +38,11 @@ def test_point_configuration_rejects_non_finite_values(bad):
 def test_point_configuration_arrays_are_built_once_and_read_only():
     rng = np.random.default_rng(8)
     raw = rng.uniform(-2.0, 3.0, (40, 3))
-    raw[0] = (-1e-20, 1.0, 2.5)  # coordinates that reduce to 1.0 and 0.0
+    raw[0] = (-1e-20, 1.0, 2.5)  # -1e-20 % 1.0 rounds to 1.0, which is stored as 0.0
     c = config(3, [(m, p) for m, p in zip(rng.uniform(0.5, 2.0, 40), raw)])
     assert c.positions.tolist() == [list(green.TorusPoint(p).coords) for p in raw]
+    assert c.positions[0].tolist() == [0.0, 0.0, 0.5]
+    assert ((c.positions >= 0.0) & (c.positions < 1.0)).all()
     assert c.masses.tolist() == [m for m, _ in c.particles]
     assert all(isinstance(p, green.TorusPoint) for _, p in c.particles)
     assert c.positions is c.positions and c.masses is c.masses

@@ -100,6 +100,9 @@ def test_alpha_is_chosen_from_the_particle_count():
     assert [green.EwaldParameters.for_count(n).real_cutoff for n in (2, 14, 250)] == [4, 2, 1]
 
 
+ALPHAS = (*green.PAIR_SUM_ALPHAS, math.sqrt(math.pi))  # the pair sum's and the default
+
+
 def _face_points():
     """|x| on and 1e-12 inside the faces and corners of [0, 1/2]^3, and 1e-6 from the origin."""
     edge = (0.0, 1e-12, 0.5 - 1e-12, 0.5)
@@ -108,7 +111,7 @@ def _face_points():
     return np.vstack([X, near])
 
 
-@pytest.mark.parametrize("alpha", (*green.PAIR_SUM_ALPHAS, math.sqrt(math.pi)))
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_real_space_tail_is_certified_on_the_faces_and_corners(alpha):
     # the terms of the images in o(c + 6)^3 that o(c)^3 omits, summed on their own
     params = green.EwaldParameters.for_alpha(alpha)
@@ -126,14 +129,19 @@ def test_alpha_005_hits_the_real_cutoff_cap():
     assert green.truncation_bound(3, params) > 1e-13
 
 
-def trig_set_long_range(masses, positions, params, gradient=False):
-    """The set long-range part summed per k-vector with cos and sin, over the ball |k| <= fc."""
+def _k_ball(params):
+    """The k-vectors 0 < |k| <= fc and their coefficients c_k."""
     fc, alpha = params.fourier_cutoff, params.alpha
     r = np.arange(-fc, fc + 1)
     kvecs = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     k2 = np.sum(kvecs**2, axis=1)
     kvecs, k2 = kvecs[(k2 > 0) & (k2 <= fc * fc)], k2[(k2 > 0) & (k2 <= fc * fc)]
-    coef = np.exp(-math.pi**2 * k2 / alpha**2) / (4 * math.pi**2 * k2)
+    return kvecs, np.exp(-math.pi**2 * k2 / alpha**2) / (4 * math.pi**2 * k2)
+
+
+def trig_set_long_range(masses, positions, params, gradient=False):
+    """The set long-range part summed per k-vector with cos and sin, over the ball |k| <= fc."""
+    kvecs, coef = _k_ball(params)
     mm, total = float(masses @ masses), float(np.sum(masses))
     energy, grad = 0.0, np.zeros_like(positions)
     for lo in range(0, len(kvecs), 2000):  # in blocks of k-vectors, to keep the phases small
@@ -143,7 +151,26 @@ def trig_set_long_range(masses, positions, params, gradient=False):
         re, im = masses @ cos, masses @ sin
         energy += float(c @ (re * re + im * im - mm))
         grad += 4 * math.pi * masses[:, None] * (((cos * im - sin * re) * c) @ k)
-    return grad if gradient else energy - (total * total - mm) / (4 * alpha**2)
+    return grad if gradient else energy - (total * total - mm) / (4 * params.alpha**2)
+
+
+def trig_long_range(X, params, gradient=False):
+    """The per-point long-range part at rows x, summed per k-vector of the ball with cos or sin."""
+    kvecs, coef = _k_ball(params)
+    phase = 2 * math.pi * X @ kvecs.T
+    if gradient:
+        return -2 * math.pi * (np.sin(phase) * coef) @ kvecs
+    return np.cos(phase) @ coef - 1.0 / (4 * params.alpha**2)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_per_point_long_range_matches_the_per_k_trig_sum(alpha):
+    params = green.EwaldParameters.for_alpha(alpha)
+    X = np.vstack([_face_points(), np.random.default_rng(9).uniform(-0.5, 0.5, (300, 3))])
+    value = green._long_range(3, np.abs(X), params)
+    assert np.max(np.abs(value - trig_long_range(np.abs(X), params))) <= 1e-14
+    grad = green._long_range(3, X, params, gradient=True)
+    assert np.max(np.abs(grad - trig_long_range(X, params, gradient=True))) <= 1e-14
 
 
 @pytest.mark.parametrize("n, chunk", [(2, None), (4, None), (27, None), (27, 3000), (250, None)])
