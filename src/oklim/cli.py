@@ -6,8 +6,9 @@ tail breaks the accuracy contract, a result outside the float range, or
 any other library error), 2 singularity, 3 physical validation,
 4 admissibility.  All numeric output is finite and carries 17 significant
 digits; CSV columns are append-only across versions.  The 3D Ewald sum
-chooses its splitting parameter from the particle count; the environment
-variable OKLIM_EWALD_ALPHA fixes it instead (the 2D theta form has none).
+chooses its splitting parameter from the particle count, and the green
+command takes the choice for one pair, n = 2; the environment variable
+OKLIM_EWALD_ALPHA fixes it instead (the 2D theta form has none).
 Manifests name the parameters that ran.
 """
 
@@ -153,20 +154,18 @@ def load_point_configuration(path: str):
     return cfg, data.get("eta")
 
 
-def default_params(dim=3, n=None) -> green.EwaldParameters:
+def default_params(n=2) -> green.EwaldParameters:
     """The 3D Ewald parameters a command runs with, named in its manifest.
 
     OKLIM_EWALD_ALPHA's alpha with for_alpha's cutoffs when it is set;
-    otherwise those the 3D pair sum chooses for n particles, or the default
-    for a single G evaluation (n=None) and in 2D, which uses none.  The
-    variable is checked before any lattice table is built: at the ends of
-    [0.5, 11] the 3D tables hold 10,648 images or 30,420 half-cube k entries.
+    otherwise the library's choice for n particles, ``for_count(n)``, with
+    n = 2 for a single G evaluation (2D uses none).  The variable is checked
+    before any lattice table is built: at the ends of [0.5, 11] the 3D
+    tables hold 10,648 images or 30,420 half-cube k entries.
     """
     env = os.environ.get("OKLIM_EWALD_ALPHA")
     if not env:
-        if dim == 2 or n is None:
-            return green.EwaldParameters.default()
-        return green.EwaldParameters.for_count(n)
+        return green._resolve(None, n)
     try:
         alpha = float(env)
     except ValueError:
@@ -244,7 +243,7 @@ def _breakdown_row(kind, bd) -> list:
 def cmd_energy(args) -> int:
     t0 = time.perf_counter()
     cfg, inline_eta = load_point_configuration(args.config)
-    params = default_params(cfg.dim, cfg.n)
+    params = default_params(cfg.n)
     eta = args.eta if args.eta is not None else inline_eta
     rows = []
     if eta is not None:
@@ -268,7 +267,7 @@ def cmd_energy(args) -> int:
 def cmd_expand(args) -> int:
     t0 = time.perf_counter()
     cfg, _ = load_point_configuration(args.config)
-    params = default_params(cfg.dim, cfg.n)
+    params = default_params(cfg.n)
     etas = [float(v) for v in args.etas.split(",") if v.strip()]
     if not etas:
         raise ValueError("--etas must list at least one value")
@@ -312,7 +311,8 @@ def cmd_place(args) -> int:
             raise ValueError("--n and --mass are required without --config")
         masses = np.full(args.n, args.mass)
         dim = args.dim
-    params = default_params(dim, len(masses))
+    params = default_params(len(masses))
+    equal = float(np.ptp(masses)) == 0.0  # place injects a lattice start only then
     converged = True
     try:
         result = optimize.place(dim, masses, restarts=args.restarts, seed=args.seed,
@@ -336,6 +336,9 @@ def cmd_place(args) -> int:
     if args.lattice_compare:
         candidates = []
         for lattice in ("square", "triangular-sheared"):
+            if not equal:
+                candidates.append({"lattice": lattice, "skipped": "the masses are not all equal"})
+                continue
             try:
                 e = optimize.lattice_candidate_energy(dim, len(masses), float(masses[0]),
                                                       lattice, params)
@@ -345,7 +348,7 @@ def cmd_place(args) -> int:
         payload["lattice_candidates"] = candidates
     payload["manifest"] = make_manifest("place", {
         "dim": dim, "n": len(masses),
-        "mass": float(masses[0]) if float(np.ptp(masses)) == 0.0 else None,
+        "mass": float(masses[0]) if equal else None,
         "masses": [float(m) for m in masses],
         "restarts": args.restarts, "seed": args.seed, "tol": args.tol},
         params, time.perf_counter() - t0, dim)

@@ -26,13 +26,16 @@ half-cube weights of ``_structure_weights`` and the per-axis phase tables of
 ``_phases``, with no trig per k-vector.  ``_long_range`` contracts them per
 point; ``_set_long_range`` forms from them the structure factor S(k) of the
 pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
-O(pairs * images + n * K) rather than O(pairs * (images + K)), with alpha
-chosen from n by operation count among PAIR_SUM_ALPHAS.  Each part has its
-gradient.  The regular part g, G minus -log|x|/2pi or 1/(4pi|x|), stays
-smooth through x = 0: the 2D log is taken of |sin pi z| / |x|; the 3D n = 0
-image term is combined with the singular part analytically.  Values are
-taken at |x| in the centered cell, where G is even in each coordinate, and
-reduced row by row, so each value is independent of its row in the batch.
+O(pairs * images + n * K) rather than O(pairs * (images + K)).  Without
+explicit parameters, alpha is chosen from n by operation count among
+PAIR_SUM_ALPHAS, and a per-point G takes the choice for one pair, n = 2.
+Each part has its gradient.  The regular part g, G minus -log|x|/2pi or
+1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
+|sin pi z| / |x|; the 3D n = 0 image term is combined with the singular
+part analytically.  Values are taken at |x| in the centered cell, where G
+is even in each coordinate, and reduced row by row, so each value is
+independent of its row in the batch.  Non-finite coordinates raise
+ValueError before the reduction to the cell, which would make them NaN.
 """
 
 from __future__ import annotations
@@ -164,18 +167,14 @@ class EwaldParameters:
         return cls(alpha=alpha, real_cutoff=rc, fourier_cutoff=fc)
 
     @classmethod
-    @lru_cache(maxsize=None)
-    def default(cls) -> "EwaldParameters":
-        # cached: every params=None call resolves here, and for_alpha's shell
-        # sums cost ~20 us, more than a small green_eval_many batch
-        return cls.for_alpha(_SQRT_PI)
-
-    @classmethod
     def for_count(cls, n: int) -> "EwaldParameters":
         """The PAIR_SUM_ALPHAS parameters with the fewest operations for an n-particle pair sum.
 
-        The pair sum costs about pairs * images (per-pair part) plus
-        (n + 30) * H / 40 (set long-range part, H entries of the half cube of
+        Every 3D evaluation without explicit parameters runs these: a pair
+        sum with its n, and a per-point G, grad G, g, g(0) or truncation
+        bound with n = 2, the parameters of a one-pair sum.  The pair sum
+        costs about pairs * images (per-pair part) plus (n + 30) * H / 40
+        (set long-range part, H entries of the half cube of
         ``_structure_weights``; the 30 is its per-call work on the cube):
         measured over energy and gradient, an image term costs about 40 times
         a half-cube entry of one particle.  A small alpha suits few particles,
@@ -191,7 +190,8 @@ def _check_alpha(alpha):
     return alpha
 
 
-#: Splitting parameters the pair sum chooses from by n: 2.75 (64 images,
+#: Splitting parameters of every 3D G without explicit parameters, chosen
+#: from the particle count n (2 for a per-point G): 2.75 (64 images,
 #: fourier_cutoff 5; n <= 13), 5.5 (8, 10; n <= 209) and 10.7 (the origin
 #: image alone, 19).  Each certifies its image count at the fewest k and lies
 #: near the alpha of least certified tail, a little below it for 10.7, since
@@ -272,8 +272,12 @@ def _images(c):
     return cube
 
 
-def _resolve(params):
-    return params if params is not None else EwaldParameters.default()
+def _resolve(params, n=2):
+    """``params``, or the PAIR_SUM_ALPHAS parameters of an n-particle pair sum.
+
+    The one policy for ``params=None``: a per-point G is a one-pair sum, n = 2.
+    """
+    return params if params is not None else EwaldParameters.for_count(n)
 
 
 def _coords(x, dim):
@@ -283,10 +287,17 @@ def _coords(x, dim):
     return arr
 
 
-def _cell(X, name):
-    """Rows of X in the centered cell; SingularPoint within 1e-9 of a lattice point."""
-    X = min_image(np.atleast_2d(np.asarray(X, dtype=float)))
-    if (np.linalg.norm(X, axis=1) < SINGULAR_GUARD).any():
+def _cell(X, name, guard=True):
+    """Rows of X in the centered cell.
+
+    ValueError at a non-finite coordinate, which min_image would turn into NaN;
+    with ``guard``, SingularPoint within 1e-9 of a lattice point.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} needs finite coordinates, got {X[~np.isfinite(X)][0]}")
+    X = min_image(X)
+    if guard and (np.linalg.norm(X, axis=1) < SINGULAR_GUARD).any():
         raise SingularPoint(f"{name} at a lattice point (min-image distance < 1e-9)")
     return X
 
@@ -511,7 +522,7 @@ def regular_part(dim, x, params=None) -> float:
     singular part is divided out inside the 2D log, or combined analytically
     with the n = 0 screened term in 3D, instead of subtracted numerically.
     """
-    x = np.abs(min_image(_coords(x, dim)))[None, :]
+    x = np.abs(_cell(_coords(x, dim), "regular_part", guard=False))
     r = float(np.linalg.norm(x))
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])

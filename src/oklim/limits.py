@@ -128,15 +128,10 @@ def _distinct_pairs(positions):
     return iu, ju, diffs
 
 
-def _pair_params(n, params):
-    # explicit parameters run as given; otherwise alpha is chosen from n by operation count
-    return green.EwaldParameters.for_count(n) if params is None else params
-
-
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
     iu, ju, diffs = _distinct_pairs(positions)
-    params = _pair_params(len(masses), params)
+    params = green._resolve(params, len(masses))
     terms = masses[iu] * masses[ju] * green._pair_part(dim, np.abs(diffs), params)
     # row-independent pair terms in a canonical order: exactly permutation invariant
     return (2.0 * float(np.sum(np.sort(terms)))
@@ -146,7 +141,7 @@ def interaction_energy(dim, masses, positions, params=None) -> float:
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
     iu, ju, diffs = _distinct_pairs(positions)
-    params = _pair_params(len(masses), params)
+    params = green._resolve(params, len(masses))
     grad = green._pair_part(dim, diffs, params, gradient=True)
     w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
     idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
@@ -161,7 +156,7 @@ def _second_order_parts(dim, masses, positions, params=None):
     All three use the same Ewald parameters: ``params``, or those the pair
     sum chooses for n particles (3D; 2D uses none).
     """
-    params = _pair_params(len(masses), params)
+    params = green._resolve(params, len(masses))
     vals = masses**2 * green.regular_part_at_zero(dim, params)
     if dim == 2:
         vals += [local.f0(m) for m in masses]

@@ -333,8 +333,8 @@ def richardson_extrapolate(etas, quotients) -> tuple[float, float]:
     """Least-squares fit of q = q0 + c * eta; returns (q0, c)."""
     etas = np.asarray(etas, dtype=float)
     q = np.asarray(quotients, dtype=float)
-    if etas.size < 2:
-        raise ValueError("extrapolation needs at least two scales")
+    if np.unique(etas).size < 2:  # one abscissa leaves the slope undetermined
+        raise ValueError("extrapolation needs at least two distinct scales")
     A = np.stack([np.ones_like(etas), etas], axis=1)
     coef, *_ = np.linalg.lstsq(A, q, rcond=None)
     return float(coef[0]), float(coef[1])

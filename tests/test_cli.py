@@ -103,6 +103,24 @@ def test_results_outside_the_float_range_are_usage_errors(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_green_rejects_non_finite_coordinates():
+    for dim, x in (("2", "inf,0.1"), ("3", "0.1,nan,0.2")):
+        r = run_cli("green", "--dim", dim, "--x", x, "--grad", "--regular")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert "finite coordinates" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_expand_richardson_rejects_repeated_scales(tmp_path):
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    r = run_cli("expand", "--config", cfg, "--etas", "0.02,0.02", "--richardson")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert "distinct" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_usage_error_exit_code():
     r = run_cli("green", "--dim", "5", "--x", "0,0")
     assert r.returncode == 1
@@ -210,6 +228,18 @@ def test_place_lattice_compare_skips_incommensurate(tmp_path):
     by_name = {c["lattice"]: c for c in payload["lattice_candidates"]}
     assert "skipped" in by_name["square"]
     assert "skipped" in by_name["triangular-sheared"]  # 3 != 2 k^2 either
+
+
+def test_place_lattice_compare_skips_unequal_masses(tmp_path):
+    # the lattices hold n equal masses; masses[0] alone would report four unit masses
+    cfg = write_config(tmp_path, "mixed.json", {"dim": 2, "particles": [
+        {"mass": m, "position": [0.1 + 0.5 * (i % 2), 0.2 + 0.5 * (i // 2)]}
+        for i, m in enumerate([1.0, 3.0, 1.0, 3.0])]})
+    r = run_cli("place", "--config", cfg, "--restarts", "1", "--seed", "1", "--lattice-compare")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert [set(c) for c in payload["lattice_candidates"]] == [{"lattice", "skipped"}] * 2
+    assert all("not all equal" in c["skipped"] for c in payload["lattice_candidates"])
 
 
 def test_ewald_alpha_env_override(params):

@@ -202,9 +202,46 @@ def test_torus_point_reduction_and_distance():
         green.TorusPoint((0.1,))
 
 
-def test_simple_cubic_lattice_constant():
-    # 4 pi g(0) for the simple cubic lattice (Nijboer & de Wette, Physica 23, 1957)
-    assert abs(4 * math.pi * green.regular_part_at_zero(3) + 2.837297479480619) < 1e-14
+# 4 pi g(0) for the simple cubic lattice (Nijboer & de Wette, Physica 23, 1957)
+_SC_4PI_G0 = -2.837297479480619
+
+
+def test_simple_cubic_lattice_constant(params):
+    assert abs(4 * math.pi * green.regular_part_at_zero(3, params) - _SC_4PI_G0) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", green.PAIR_SUM_ALPHAS)
+def test_simple_cubic_lattice_constant_within_each_pair_sum_tail(alpha):
+    p = green.EwaldParameters.for_alpha(alpha)
+    g0 = _SC_4PI_G0 / (4 * math.pi)
+    assert abs(green.regular_part_at_zero(3, p) - g0) <= green.truncation_bound(3, p)
+
+
+def test_per_point_green_without_params_runs_the_one_pair_parameters():
+    # params=None resolves in one place, to the parameters of a one-pair sum
+    p = green.EwaldParameters.for_count(2)
+    X = np.random.default_rng(29).uniform(-0.5, 0.5, (40, 3))
+    assert np.array_equal(green.green_eval_many(3, X), green.green_eval_many(3, X, p))
+    assert np.array_equal(green.green_grad_many(3, X), green.green_grad_many(3, X, p))
+    x = (0.1, 0.2, 0.3)
+    assert green.green_eval(3, x) == green.green_eval(3, x, p)
+    assert np.array_equal(green.green_grad(3, x), green.green_grad(3, x, p))
+    assert green.regular_part(3, x) == green.regular_part(3, x, p)
+    assert green.regular_part_at_zero(3) == green.regular_part_at_zero(3, p)
+    assert green.truncation_bound(3) == green.truncation_bound(3, p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_coordinates_are_rejected(dim, bad):
+    x = [0.1, 0.2, 0.3][:dim]
+    x[dim - 1] = bad
+    calls = [lambda: green.green_eval(dim, x), lambda: green.green_grad(dim, x),
+             lambda: green.green_eval_many(dim, [x[::-1], x]),
+             lambda: green.green_grad_many(dim, [x]), lambda: green.regular_part(dim, x)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"finite coordinates, got {bad}"):
+            call()
 
 
 def test_2d_truncation_bound_is_the_theta_product_tail():

@@ -100,7 +100,8 @@ def test_alpha_is_chosen_from_the_particle_count():
     assert [green.EwaldParameters.for_count(n).real_cutoff for n in (2, 14, 250)] == [4, 2, 1]
 
 
-ALPHAS = (*green.PAIR_SUM_ALPHAS, math.sqrt(math.pi))  # the pair sum's and the default
+# every 3D G's choices without explicit parameters, and the sqrt(pi) of the params fixture
+ALPHAS = (*green.PAIR_SUM_ALPHAS, math.sqrt(math.pi))
 
 
 def _face_points():

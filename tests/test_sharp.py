@@ -418,6 +418,12 @@ def test_richardson_exact_on_linear_data():
     assert c_hat == pytest.approx(2.0, abs=1e-10)
 
 
+def test_richardson_needs_two_distinct_scales():
+    # a repeated eta leaves the slope undetermined: lstsq would return a minimum-norm guess
+    with pytest.raises(ValueError, match="two distinct scales"):
+        sharp.richardson_extrapolate([0.02, 0.02], [1.0, 1.1])
+
+
 def test_diameter_estimate_on_fixtures():
     for cfg in FIXTURES_2D:
         lhs, rhs = sharp.diameter_estimate(cfg)
