@@ -326,6 +326,7 @@ def cmd_place(args) -> int:
         "grad_norm": result.grad_norm,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
+        "evaluations": result.evaluations,
         "pairwise_distances": list(result.pairwise_distances),
         "config": {
             "dim": dim,

@@ -29,12 +29,13 @@ pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
 O(pairs * images + n * K) rather than O(pairs * (images + K)).  Without
 explicit parameters, alpha is chosen from n by operation count among
 PAIR_SUM_ALPHAS, and a per-point G takes the choice for one pair, n = 2.
-Each part has its gradient.  The regular part g, G minus -log|x|/2pi or
-1/(4pi|x|), stays smooth through x = 0: the 2D log is taken of
-|sin pi z| / |x|; the 3D n = 0 image term is combined with the singular
-part analytically.  Values are taken at |x| in the centered cell, where G
-is even in each coordinate, and reduced row by row, so each value is
-independent of its row in the batch.  Non-finite coordinates raise
+Each part has its gradient; ``_pair_part`` and ``_set_long_range`` form
+it together with the value, from one set of shared factors.  The regular
+part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
+2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
+with the singular part analytically.  Values are taken at |x| in the
+centered cell, where G is even in each coordinate, and reduced row by row,
+so each value is independent of its row in the batch.  Non-finite coordinates raise
 ValueError before the reduction to the cell, which would make them NaN.
 """
 
@@ -112,26 +113,29 @@ def _theta_factors(x, y):
     return np.exp(a, out=a), np.cos(2 * math.pi * x)[:, None], sine
 
 
-def _theta_green(X, scale):
-    """G at rows (x, y) >= 0 of the centered cell, with |sin pi z| divided by ``scale``."""
+def _theta_green(X, scale, gradient=False):
+    """G at rows (x, y) >= 0 of the centered cell, with |sin pi z| divided by ``scale``.
+
+    With ``gradient``, (G, grad G) at signed rows from one set of theta factors,
+    the gradient the derivative of the real logs at |x|.
+    """
     x, y = X[:, 0], X[:, 1]
+    if gradient:
+        x, y = np.abs(x), np.abs(y)
     a, c, sine = _theta_factors(x, y)
+    t = a * (a - 2 * c)
     bracket = (math.log(2.0) - math.pi / 6 + np.log(sine / scale)
-               + 0.5 * np.log1p(a * (a - 2 * c)).sum(axis=1))
-    return -bracket / (2 * math.pi) + 0.5 * y * y
-
-
-def _theta_grad(X):
-    """grad G at rows of the centered cell: the derivative of the real logs at |x|."""
-    x, y = np.abs(X[:, 0]), np.abs(X[:, 1])
-    a, c, sine = _theta_factors(x, y)
-    den = 1.0 + a * (a - 2 * c)
+               + 0.5 * np.log1p(t).sum(axis=1))
+    value = -bracket / (2 * math.pi) + 0.5 * y * y
+    if not gradient:
+        return value
+    den = 1.0 + t
     inv = 0.25 / sine**2
     da = a * (a - c) / den
     gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=1))
     gy = (-np.sinh(2 * math.pi * y) * inv
           + (da[:, :THETA_FACTORS] - da[:, THETA_FACTORS:]).sum(axis=1) + y)
-    return np.sign(X) * np.stack([gx, gy], axis=1)
+    return value, np.sign(X) * np.stack([gx, gy], axis=1)
 
 
 @dataclass(frozen=True)
@@ -327,39 +331,40 @@ def _image_distances(X, rc):
     return np.sqrt(r2.reshape(len(X), -1))
 
 
-def _real_space(X, alpha, rc, origin=True):
+def _real_space(X, alpha, rc, origin=True, gradient=False):
     """Screened image sum per row |x|: sum_n erfc(alpha r) / (4 pi r), r = |x + n|, n in o(rc)^3.
 
-    ``origin=False`` leaves out the image n = 0.
+    ``origin=False`` leaves out the image n = 0.  With ``gradient``, an
+    (M, 4) array at signed rows x from one set of image distances and erfc
+    terms: the value, then its gradient sign(x) * -sum_n w(r) (|x| + n),
+    r = ||x| + n|.
     """
     def rows(x):
-        r = _image_distances(x, rc)
+        a = np.abs(x) if gradient else x
+        r = _image_distances(a, rc)
         if not origin:
             r = np.delete(r, (rc // 2) * (rc * rc + rc + 1), axis=1)  # n = 0 in ``_images(rc)``
-        return (erfc(alpha * r) / r).sum(axis=1)
-    return _by_rows(rows, X, rc**3, np.empty(len(X))) / (4 * math.pi)
-
-
-def _real_space_grad(X, alpha, rc):
-    """Gradient of the image sum at rows x: sign(x) * -sum_n w(r) (|x| + n), r = ||x| + n|."""
-    def rows(x):
-        a = np.abs(x)
-        r = _image_distances(a, rc)
-        w = (erfc(alpha * r) / r + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
-        return -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ _images(rc))
-    return _by_rows(rows, X, rc**3, np.empty_like(X)) / (4 * math.pi)
+        f = erfc(alpha * r) / r
+        if not gradient:
+            return f.sum(axis=1)
+        w = (f + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
+        out = np.empty((len(x), 4))
+        out[:, 0] = f.sum(axis=1)
+        out[:, 1:] = -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ _images(rc))
+        return out
+    out = np.empty((len(X), 4) if gradient else len(X))
+    return _by_rows(rows, X, rc**3, out) / (4 * math.pi)
 
 
 def _pair_part(dim, X, params, gradient=False):
-    """The per-pair part of G at rows |x|, or of grad G at rows x, of the centered cell.
+    """The per-pair part of G at rows |x|, or (G, grad G) at rows x, of the centered cell.
 
     2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
     """
     if dim == 2:
-        return _theta_grad(X) if gradient else _theta_green(X, 1.0)
-    if gradient:
-        return _real_space_grad(X, params.alpha, params.real_cutoff)
-    return _real_space(X, params.alpha, params.real_cutoff)
+        return _theta_green(X, 1.0, gradient)
+    out = _real_space(X, params.alpha, params.real_cutoff, gradient=gradient)
+    return (out[:, 0], out[:, 1:]) if gradient else out
 
 
 @lru_cache(maxsize=32)
@@ -423,7 +428,7 @@ def _long_range(dim, X, params, gradient=False):
 
 
 def _set_long_range(dim, masses, positions, params, gradient=False):
-    """The particle-set long-range part of sum_{i != j} m_i m_j G, or its gradient: zero in 2D.
+    """The particle-set long-range part of sum_{i != j} m_i m_j G, and its gradient: zero in 2D.
 
     3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) and M = sum m:
     sum_{k != 0} c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
@@ -432,12 +437,13 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     S(-k) = conj S(k), so both run over the half cube of ``_structure_weights``.
     S comes from the per-axis tables E_d of ``_phases`` (Essmann et al., 1995)
     by one matrix product, (m E_1 (x) E_2).T @ E_3; the gradient contracts
-    back through the same tables, one axis at a time.  S is formed in the
+    back through the same tables, one axis at a time; ``gradient`` returns
+    (value, gradient) from one set of tables and one S.  S is formed in the
     lexicographic order of the positions, so the value is exactly
     permutation invariant.  Zero for fewer than two particles.
     """
     if dim == 2 or len(masses) < 2:
-        return 0.0
+        return (0.0, 0.0) if gradient else 0.0
     fc = params.fourier_cutoff
     K = 2 * fc + 1
     w = _structure_weights(params)
@@ -451,22 +457,23 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
     # S over the half cube, (K^2, fc + 1), summed over chunks of particles
     s = sum((e1[c, :, None] * e2[c, None, :]).reshape(-1, K * K).T @ e3[c] for c in chunks)
-    if gradient:
-        v = (w * np.conj(s)).T
-        out = np.empty_like(positions)
-        for c in chunks:
-            # the k3 sums first, plain and times k3, (2, chunk, K, K)
-            u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
-            y = (u @ e2[c, :, None])[..., 0]  # then the k2 sums, (2, chunk, K)
-            z = (e1[c, None, :] @ u[0])[:, 0]  # or the k1 sums, (chunk, K)
-            p = (y * e1[c]).imag
-            g = np.empty((len(z), 3))
-            g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
-            out[order[c]] = (-4 * math.pi) * g
-        return out
     mm, total = float(m @ m), float(m.sum())
     recip = float(np.vdot(s, w * s).real) - mm * float(w.sum())  # sum_k c_k (|S(k)|^2 - sum m^2)
-    return recip - (total * total - mm) / (4 * params.alpha**2)
+    value = recip - (total * total - mm) / (4 * params.alpha**2)
+    if not gradient:
+        return value
+    v = (w * np.conj(s)).T
+    out = np.empty_like(positions)
+    for c in chunks:
+        # the k3 sums first, plain and times k3, (2, chunk, K, K)
+        u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
+        y = (u @ e2[c, :, None])[..., 0]  # then the k2 sums, (2, chunk, K)
+        z = (e1[c, None, :] @ u[0])[:, 0]  # or the k1 sums, (chunk, K)
+        p = (y * e1[c]).imag
+        g = np.empty((len(z), 3))
+        g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
+        out[order[c]] = (-4 * math.pi) * g
+    return value, out
 
 
 def green_eval_many(dim, X, params=None):
@@ -489,7 +496,8 @@ def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
     X = _cell(X, "green_grad")
     params = _resolve(params)
-    return _pair_part(dim, X, params, gradient=True) + _long_range(dim, X, params, gradient=True)
+    _, grad = _pair_part(dim, X, params, gradient=True)
+    return grad + _long_range(dim, X, params, gradient=True)
 
 
 def green_grad(dim, x, params=None) -> np.ndarray:

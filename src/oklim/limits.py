@@ -11,12 +11,15 @@ sum (the convention the finite-scale expansion converges to, in both
 dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
 ``interaction_energy`` and its gradient serve F0, the finite-scale energy of
 ``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
-placement optimizer; it is exactly permutation invariant.  It is one driver
-over green's split of G in both dimensions: one coincidence guard, the
-per-pair parts (summed in sorted order, or scattered for the gradient),
-then the particle-set long-range part, with the Ewald parameters chosen
-from n unless given; F0's self terms and tail bound then use the same
-parameters.
+placement optimizer; it is exactly permutation invariant.  It is one driver,
+``_pair_sum``, over green's split of G in both dimensions: it takes one
+min-image pair table and runs one coincidence guard, the per-pair parts
+(summed in sorted order, and scattered for the gradient), then the
+particle-set long-range part.  Asked for the gradient, it returns the
+energy with it from one pass: one per-pair kernel call and one structure
+factor.  ``interaction_energy`` and ``interaction_gradient`` wrap it with the
+Ewald parameters chosen from n unless given; F0's self terms and tail bound
+then use the same parameters.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class PointConfiguration:
         obj_set(self, "particles", tuple(parts))
         obj_set(self, "masses", masses)
         obj_set(self, "positions", positions)
-        _distinct_pairs(positions)  # CoincidentPoints if two positions coincide
+        _check_distinct(_pairs(positions))
 
     @property
     def n(self) -> int:
@@ -119,34 +122,48 @@ def _pairs(positions):
     return iu, ju, diffs, np.linalg.norm(diffs, axis=1)
 
 
-def _distinct_pairs(positions):
-    """``_pairs`` without the lengths; CoincidentPoints if two positions are within 1e-9."""
-    iu, ju, diffs, dist = _pairs(positions)
-    if (dist <= green.SINGULAR_GUARD).any():
+def _check_distinct(pairs):
+    """The ``_pairs`` table; CoincidentPoints if two positions are within 1e-9."""
+    if (pairs[3] <= green.SINGULAR_GUARD).any():
         raise CoincidentPoints("coincident points (min-image distance <= 1e-9): "
                                "the interaction energy is +inf")
-    return iu, ju, diffs
+    return pairs
+
+
+def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
+    """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
+
+    One pass: the per-pair parts (summed in sorted order, and scattered for
+    the gradient), then the particle-set long-range part; with ``gradient``,
+    (energy, gradient) from one call of each.
+    """
+    iu, ju, diffs, _ = _check_distinct(pairs)
+    if gradient:
+        part, grad = green._pair_part(dim, diffs, params, gradient=True)
+        long, long_grad = green._set_long_range(dim, masses, positions, params, gradient=True)
+    else:
+        part = green._pair_part(dim, np.abs(diffs), params)
+        long = green._set_long_range(dim, masses, positions, params)
+    # row-independent pair terms in a canonical order: exactly permutation invariant
+    energy = 2.0 * float(np.sum(np.sort(masses[iu] * masses[ju] * part))) + long
+    if not gradient:
+        return energy
+    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
+    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
+    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
+    return energy, out + long_grad
 
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
-    iu, ju, diffs = _distinct_pairs(positions)
-    params = green._resolve(params, len(masses))
-    terms = masses[iu] * masses[ju] * green._pair_part(dim, np.abs(diffs), params)
-    # row-independent pair terms in a canonical order: exactly permutation invariant
-    return (2.0 * float(np.sum(np.sort(terms)))
-            + green._set_long_range(dim, masses, positions, params))
+    return _pair_sum(dim, masses, positions, _pairs(positions),
+                     green._resolve(params, len(masses)))
 
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
-    iu, ju, diffs = _distinct_pairs(positions)
-    params = green._resolve(params, len(masses))
-    grad = green._pair_part(dim, diffs, params, gradient=True)
-    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
-    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
-    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
-    return out + green._set_long_range(dim, masses, positions, params, gradient=True)
+    return _pair_sum(dim, masses, positions, _pairs(positions),
+                     green._resolve(params, len(masses)), gradient=True)[1]
 
 
 def _second_order_parts(dim, masses, positions, params=None):

@@ -1,20 +1,24 @@
 """Multi-start quasi-Newton descent for the pairwise interaction energy on the torus.
 
 Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``
-(``interaction_energy`` and ``interaction_gradient``), over particle positions with
-seeded uniform restarts and a deterministic reduction of the restart
-results.  Each restart follows the L-BFGS direction (two-loop recursion over
-the last 10 step/gradient-change pairs; Liu & Nocedal, Math. Prog. 45, 1989)
-with backtracking line search (Armijo 1e-4, shrink 0.5, first trial step 1
-capped so no particle moves more than 0.1 of the cell) and a coalescence
-guard.  Near the minimum, where the Armijo decrement falls below the
-rounding noise of the energy, the decrease is measured instead by the
-trapezoid rule on the slopes at both ends of the step.  A direction that is
-not a descent direction, or a line search that fails, clears the pair
-memory and retries along -grad; a failure along -grad ends the restart.
-Outputs are stationary candidates, never certified global minimizers;
-explicit lattice arrangements are available for comparison and are injected
-as extra starts when commensurate.
+(``interaction_energy`` and ``interaction_gradient``), over particle
+positions with seeded uniform restarts and a deterministic reduction of the
+restart results.  Each restart follows the L-BFGS direction (two-loop
+recursion over the last 10 step/gradient-change pairs; Liu & Nocedal,
+Math. Prog. 45, 1989) with backtracking line search (Armijo 1e-4, shrink
+0.5, first trial step 1 capped so no particle moves more than 0.1 of the
+cell) and a coalescence guard.  Each trial point costs one pass: the
+guard's min-image pair table goes to the pair-sum driver
+``limits._pair_sum``, which returns the energy and the gradient together,
+at Ewald parameters resolved once per ``place`` call; ``evaluations``
+counts the passes.  Near the minimum, where the Armijo decrement falls
+below the rounding noise of the energy, the decrease is measured instead by
+the trapezoid rule on the slopes at both ends of the step.  A direction
+that is not a descent direction, or a line search that fails, clears the
+pair memory and retries along -grad; a failure along -grad ends the
+restart.  Outputs are stationary candidates, never certified global
+minimizers; explicit lattice arrangements are available for comparison and
+are injected as extra starts when commensurate.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .errors import IncommensurateCount, NoConvergence
-from .limits import PointConfiguration, _pairs, interaction_energy, interaction_gradient
+# interaction_gradient is not called here: it stays importable beside interaction_energy
+from .limits import (PointConfiguration, _pair_sum, _pairs, interaction_energy,
+                     interaction_gradient)
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -47,6 +54,7 @@ class OptimizationResult:
     restarts_used: int
     pairwise_distances: tuple
     converged: bool
+    evaluations: int  # value-and-gradient passes over all restarts
 
 
 def _lbfgs_direction(g, memory):
@@ -67,14 +75,14 @@ def _lbfgs_direction(g, memory):
 
 def _descend(dim, masses, x0, tol, params, max_iterations):
     x = x0 % 1.0
-    energy = interaction_energy(dim, masses, x, params)
-    g = interaction_gradient(dim, masses, x, params)
+    energy, g = _pair_sum(dim, masses, x, _pairs(x), params, gradient=True)
+    evaluations = 1
     grad_norm = float(np.linalg.norm(g))
     memory = deque(maxlen=MEMORY)
     iters = 0
     for iters in range(1, max_iterations + 1):
         if grad_norm <= tol:
-            return x, energy, grad_norm, iters, True
+            return x, energy, grad_norm, iters, True, evaluations
         p = _lbfgs_direction(g, memory)
         slope = float(np.vdot(p, g))
         if slope >= 0.0:  # not a descent direction: drop the model, take -g
@@ -90,23 +98,23 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
         accepted = False
         while step > 1e-18:
             x_new = (x + step * p) % 1.0
-            if np.min(_pairs(x_new)[3]) < COALESCENCE_GUARD:
+            pairs = _pairs(x_new)
+            if np.min(pairs[3]) < COALESCENCE_GUARD:
                 step *= SHRINK  # energy diverges at coalescence; never step there
                 continue
             decrement = -ARMIJO * step * slope
-            e_new = interaction_energy(dim, masses, x_new, params)
-            g_new = None
+            # the slope at x_new is needed at almost every trial point, so the
+            # gradient comes with the energy in one pass
+            e_new, g_new = _pair_sum(dim, masses, x_new, pairs, params, gradient=True)
+            evaluations += 1
             if decrement >= noise:
                 ok = e_new <= energy - decrement
             else:
-                g_new = interaction_gradient(dim, masses, x_new, params)
                 change = 0.5 * step * float(np.vdot(p, g + g_new))
                 ok = (e_new <= energy + noise and change <= -decrement
                       and not np.array_equal(x_new, x))
             if ok:
                 assert e_new <= energy + noise  # descent property of accepted steps
-                if g_new is None:
-                    g_new = interaction_gradient(dim, masses, x_new, params)
                 # the unwrapped step: x_new - x would jump by 1 across the cell faces
                 s, y = (step * p).ravel(), (g_new - g).ravel()
                 sy = float(s @ y)
@@ -121,7 +129,7 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
             if not memory:
                 break  # line search along -g exhausted below machine resolution
             memory.clear()  # retry from -g before giving up
-    return x, energy, grad_norm, iters, grad_norm <= tol
+    return x, energy, grad_norm, iters, grad_norm <= tol, evaluations
 
 
 def square_lattice_positions(dim, n) -> np.ndarray:
@@ -170,9 +178,12 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     are equal, and ``initial_positions`` if given) and returns the
     lowest-energy converged result, ties broken by lowest restart index.
     Raises NoConvergence (carrying the best effort) if no start reaches the
-    gradient tolerance, and ValueError if ``restarts`` is negative or no
-    start applies.
+    gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
+    is negative, no start applies, or ``initial_positions`` is not an (n, dim)
+    array of finite values.
     """
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
     masses = np.asarray(masses, dtype=float)
     n = masses.size
     if n < 2:
@@ -183,13 +194,22 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     if restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
+    if initial_positions is not None:
+        initial_positions = np.asarray(initial_positions, dtype=float)
+        if initial_positions.shape != (n, dim):
+            raise ValueError(f"initial_positions must have shape ({n}, {dim}) for {n} masses "
+                             f"in {dim}D, got {initial_positions.shape}")
+        if not np.isfinite(initial_positions).all():
+            raise ValueError("initial_positions must be finite, got "
+                             f"{initial_positions[~np.isfinite(initial_positions)][0]}")
+    params = green._resolve(params, n)
 
     starts = []
     for idx in range(restarts):
         rng = np.random.default_rng([seed, idx])
         starts.append(rng.random((n, dim)))
     if initial_positions is not None:
-        starts.append(np.asarray(initial_positions, dtype=float) % 1.0)
+        starts.append(initial_positions % 1.0)
     if float(np.ptp(masses)) == 0.0:
         s = round(n ** (1.0 / dim))
         if s**dim == n:
@@ -197,9 +217,11 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     if not starts:
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
 
-    best = None  # (converged_rank, energy, idx, x, grad_norm, iters, conv)
+    best = None  # (key, x, energy, grad_norm, iters, conv)
+    evaluations = 0
     for idx, x0 in enumerate(starts):
-        x, e, gn, iters, conv = _descend(dim, masses, x0, tol, params, max_iterations)
+        x, e, gn, iters, conv, evals = _descend(dim, masses, x0, tol, params, max_iterations)
+        evaluations += evals
         key = (0 if conv else 1, e, idx)
         if best is None or key < best[0]:
             best = (key, x, e, gn, iters, conv)
@@ -214,6 +236,7 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         restarts_used=len(starts),
         pairwise_distances=tuple(float(v) for v in dists),
         converged=conv,
+        evaluations=evaluations,
     )
     if not conv:
         raise NoConvergence("no restart reached the gradient tolerance", result=result)

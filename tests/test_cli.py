@@ -219,6 +219,7 @@ def test_place_deterministic_modulo_wall_time(tmp_path):
     del p1["manifest"]["wall_time_s"], p2["manifest"]["wall_time_s"]
     assert p1 == p2
     assert p1["converged"] is True
+    assert p1["evaluations"] >= p1["iterations"]
 
 
 def test_place_lattice_compare_skips_incommensurate(tmp_path):

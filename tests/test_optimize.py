@@ -107,6 +107,9 @@ def test_no_convergence_reports_best_effort():
 def test_input_validation():
     with pytest.raises(ValueError):
         optimize.place(2, [1.0], restarts=1, seed=0, tol=1e-8)
+    for dim in (1, 4):  # not an IndexError or a broadcast error from the descent
+        with pytest.raises(ValueError, match="dim must be 2 or 3"):
+            optimize.place(dim, [1.0, 1.0], restarts=1, seed=0)
     with pytest.raises(ValueError):
         optimize.place(2, [1.0, 1.0], restarts=1, seed=0, tol=1e-3)
 
@@ -120,6 +123,16 @@ def test_place_rejects_negative_restarts_and_empty_start_lists():
         optimize.place(2, [1.0, math.nan], restarts=1, seed=0)
     res = optimize.place(2, [1.0] * 4, restarts=0, seed=0)  # the lattice start alone
     assert res.converged and res.restarts_used == 1
+
+
+@pytest.mark.parametrize("initial, problem", [
+    ([[0.2, 0.3]], r"shape \(2, 2\).*got \(1, 2\)"),  # one row for two masses
+    ([[0.2, 0.3, 0.1], [0.7, 0.6, 0.4]], r"shape \(2, 2\).*got \(2, 3\)"),  # 3D rows in 2D
+    ([[0.2, 0.3], [math.inf, 0.6]], "finite, got inf"),
+], ids=["one-row", "3d-rows", "inf-row"])
+def test_place_rejects_initial_positions_before_the_descent(initial, problem):
+    with pytest.raises(ValueError, match=problem):
+        optimize.place(2, [1.0, 1.0], restarts=1, seed=0, initial_positions=initial)
 
 
 def test_six_particles_3d_converge():

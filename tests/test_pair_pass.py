@@ -1,0 +1,132 @@
+"""One value-and-gradient pass per trial point of the placement descent.
+
+``limits._pair_sum`` forms the energy and the gradient from one pair table,
+one per-pair kernel call and one structure factor.  Its results must be the
+bits of the value-only pair sum and of the gradient-only formulas it
+replaced, which are kept here as the reference.  The descent must make one
+such pass per trial point.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import erfc
+
+from oklim import green, limits, optimize
+
+
+def theta_grad(X):
+    """grad G in 2D at rows of the centered cell, from the theta factors alone."""
+    x, y = np.abs(X[:, 0]), np.abs(X[:, 1])
+    a, c, sine = green._theta_factors(x, y)
+    den = 1.0 + a * (a - 2 * c)
+    inv = 0.25 / sine**2
+    da = a * (a - c) / den
+    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=1))
+    gy = (-np.sinh(2 * math.pi * y) * inv
+          + (da[:, :green.THETA_FACTORS] - da[:, green.THETA_FACTORS:]).sum(axis=1) + y)
+    return np.sign(X) * np.stack([gx, gy], axis=1)
+
+
+def real_space_grad(X, alpha, rc):
+    """Gradient of the 3D screened image sum at rows x, from the image distances alone."""
+    def rows(x):
+        a = np.abs(x)
+        r = green._image_distances(a, rc)
+        w = (erfc(alpha * r) / r + (2 * alpha / math.sqrt(math.pi))
+             * np.exp(-(alpha * r) ** 2)) / (r * r)
+        return -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ green._images(rc))
+    return green._by_rows(rows, X, rc**3, np.empty_like(X)) / (4 * math.pi)
+
+
+def set_long_range_grad(masses, positions, params):
+    """Gradient of the 3D particle-set long-range part, from S(k) alone."""
+    if len(masses) < 2:
+        return 0.0
+    fc = params.fourier_cutoff
+    K = 2 * fc + 1
+    w = green._structure_weights(params)
+    k = np.arange(-fc, fc + 1, dtype=float)
+    order = np.lexsort(positions.T[::-1])
+    m = masses[order]
+    e = green._phases(positions[order], fc)
+    e[:, 0] *= m[:, None]
+    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2, fc:]
+    step = max(1, green._CHUNK // (2 * K * K))
+    chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
+    s = sum((e1[c, :, None] * e2[c, None, :]).reshape(-1, K * K).T @ e3[c] for c in chunks)
+    v = (w * np.conj(s)).T
+    out = np.empty_like(positions)
+    for c in chunks:
+        u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
+        y = (u @ e2[c, :, None])[..., 0]
+        z = (e1[c, None, :] @ u[0])[:, 0]
+        p = (y * e1[c]).imag
+        g = np.empty((len(z), 3))
+        g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
+        out[order[c]] = (-4 * math.pi) * g
+    return out
+
+
+def reference_gradient(dim, masses, positions, params):
+    """The pair-sum gradient from the gradient-only formulas, scattered as the driver does."""
+    iu, ju, diffs, _ = limits._pairs(positions)
+    if dim == 2:
+        grad, rest = theta_grad(diffs), 0.0
+    else:
+        grad = real_space_grad(diffs, params.alpha, params.real_cutoff)
+        rest = set_long_range_grad(masses, positions, params)
+    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
+    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
+    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
+    return out + rest
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 27])
+def test_one_pass_gives_the_bits_of_the_value_and_gradient_formulas(dim, n):
+    for seed in range(3):
+        rng = np.random.default_rng([dim, n, seed])
+        m, x = rng.uniform(0.5, 2.0, n), rng.random((n, dim))
+        params = green._resolve(None, n)
+        energy, grad = limits._pair_sum(dim, m, x, limits._pairs(x), params, gradient=True)
+        assert energy == limits.interaction_energy(dim, m, x)
+        assert np.array_equal(grad, reference_gradient(dim, m, x, params))
+        assert np.array_equal(limits.interaction_gradient(dim, m, x), grad)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 9), (3, 4)])
+def test_place_makes_one_pass_per_trial_point(monkeypatch, dim, n):
+    calls = dict(pairs=0, rejected=0, pair_part=0, set_long_range=0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pairs = optimize._pairs
+
+    def counted_pairs(positions):
+        table = pairs(positions)
+        calls["pairs"] += 1
+        # a trial point inside the coalescence guard is rejected before any pass
+        calls["rejected"] += bool(np.min(table[3]) < optimize.COALESCENCE_GUARD)
+        return table
+
+    # the descent's own binding of limits._pairs; PointConfiguration keeps its own
+    monkeypatch.setattr(optimize, "_pairs", counted_pairs)
+    for name in ("_pair_part", "_set_long_range"):
+        monkeypatch.setattr(green, name, counted(name[1:], getattr(green, name)))
+    result = optimize.place(dim, np.ones(n), restarts=2, seed=1)
+    passes = calls["pairs"] - calls["rejected"] - 1  # and one table for the reported distances
+    assert calls["pair_part"] == calls["set_long_range"] == passes == result.evaluations
+
+
+def test_evaluations_cover_every_restart_and_repeat_on_reruns():
+    runs = [optimize.place(3, np.ones(4), restarts=2, seed=0) for _ in range(2)]
+    assert runs[0].evaluations >= runs[0].iterations
+    assert runs[0].evaluations == runs[1].evaluations
+    one = optimize.place(3, np.ones(4), restarts=1, seed=0)
+    assert runs[0].evaluations > one.evaluations  # the second restart's passes count too

@@ -183,7 +183,9 @@ def test_separable_structure_factor_matches_the_per_k_trig_sum(monkeypatch, n, c
     scale = float(np.sum(m)) ** 2
     energy = green._set_long_range(3, m, x, params)
     assert abs(energy - trig_set_long_range(m, x, params)) <= 1e-14 * scale
-    grad = green._set_long_range(3, m, x, params, gradient=True)
+    # the gradient form returns the value with it, from the same S
+    value, grad = green._set_long_range(3, m, x, params, gradient=True)
+    assert value == energy
     assert np.max(np.abs(grad - trig_set_long_range(m, x, params, gradient=True))) <= 1e-14 * scale
 
 
@@ -218,10 +220,10 @@ def test_single_particle_pair_sum_is_exactly_zero():
 def test_place_reaches_the_minima_of_the_per_pair_sum(monkeypatch, n, restarts):
     masses = np.ones(n)
     result = optimize.place(3, masses, restarts=restarts, seed=0)
-    # the per-pair sum at the default parameters: the pair sum place descended before
-    monkeypatch.setattr(optimize, "interaction_energy",
-                        lambda dim, m, x, params=None: pair_energy(m, x, params))
-    monkeypatch.setattr(optimize, "interaction_gradient",
-                        lambda dim, m, x, params=None: pair_gradient(m, x, params))
+    # the per-pair sum at the parameters place resolved, through the one pass the
+    # descent makes per trial point
+    monkeypatch.setattr(optimize, "_pair_sum",
+                        lambda dim, m, x, pairs, params, gradient=False:
+                        (pair_energy(m, x, params), pair_gradient(m, x, params)))
     reference = optimize.place(3, masses, restarts=restarts, seed=0)
     assert abs(result.energy - reference.energy) <= 1e-12 * abs(reference.energy)
