@@ -247,7 +247,7 @@ def cmd_energy(args) -> int:
     eta = args.eta if args.eta is not None else inline_eta
     rows = []
     if eta is not None:
-        ball = sharp.BallConfiguration(cfg.dim, eta, cfg.particles)
+        ball = sharp.BallConfiguration(cfg.dim, eta, zip(cfg.masses, cfg.positions))
         bd = sharp.sharp_energy(ball, params=params)
         rows.append(_breakdown_row("sharp", bd))
     else:
@@ -330,8 +330,8 @@ def cmd_place(args) -> int:
         "pairwise_distances": list(result.pairwise_distances),
         "config": {
             "dim": dim,
-            "particles": [{"mass": m, "position": list(p.coords)}
-                          for m, p in result.config.particles],
+            "particles": [{"mass": m, "position": p} for m, p in
+                          zip(result.config.masses.tolist(), result.config.positions.tolist())],
         },
     }
     if args.lattice_compare:

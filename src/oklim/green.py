@@ -36,7 +36,9 @@ part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 with the singular part analytically.  Values are taken at |x| in the
 centered cell, where G is even in each coordinate, and reduced row by row,
 so each value is independent of its row in the batch.  Non-finite coordinates raise
-ValueError before the reduction to the cell, which would make them NaN.
+ValueError before the reduction to the cell, which would make them NaN; so
+do a ``dim`` other than 2 or 3 and rows without ``dim`` coordinates, at
+every entry point (``_check_dim``).
 """
 
 from __future__ import annotations
@@ -255,6 +257,7 @@ def truncation_bound(dim, params=None) -> float:
     bounds the error of g(0) as well.  A sum of m_i m_j G terms is then off
     by at most this bound times sum |m_i m_j|.
     """
+    _check_dim(dim)
     if dim == 2:
         return _THETA_TAIL
     params = _resolve(params)
@@ -291,16 +294,30 @@ def _coords(x, dim):
     return arr
 
 
-def _cell(X, name, guard=True):
-    """Rows of X in the centered cell.
+def _check_dim(dim, X=None, name="positions"):
+    """X as an (M, dim) array; ValueError unless dim is 2 or 3 and rows hold dim finite floats.
 
-    ValueError at a non-finite coordinate, which min_image would turn into NaN;
-    with ``guard``, SingularPoint within 1e-9 of a lattice point.
+    The one check of ``dim`` and of coordinate rows; a non-finite coordinate
+    would turn NaN in the reduction to a cell.
     """
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    if X is None:
+        return None
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"{name} needs {dim} coordinates per row, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError(f"{name} needs finite coordinates, got {X[~np.isfinite(X)][0]}")
-    X = min_image(X)
+    return X
+
+
+def _cell(dim, X, name, guard=True):
+    """Rows of X, checked by ``_check_dim``, in the centered cell.
+
+    With ``guard``, SingularPoint within 1e-9 of a lattice point.
+    """
+    X = min_image(_check_dim(dim, X, name))
     if guard and (np.linalg.norm(X, axis=1) < SINGULAR_GUARD).any():
         raise SingularPoint(f"{name} at a lattice point (min-image distance < 1e-9)")
     return X
@@ -478,7 +495,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
 
 def green_eval_many(dim, X, params=None):
     """G evaluated at an (M, d) array of coordinate differences."""
-    X = np.abs(_cell(X, "green_eval"))
+    X = np.abs(_cell(dim, X, "green_eval"))
     params = _resolve(params)
     return _pair_part(dim, X, params) + _long_range(dim, X, params)
 
@@ -494,7 +511,7 @@ def green_eval(dim, x, params=None) -> float:
 
 def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
-    X = _cell(X, "green_grad")
+    X = _cell(dim, X, "green_grad")
     params = _resolve(params)
     _, grad = _pair_part(dim, X, params, gradient=True)
     return grad + _long_range(dim, X, params, gradient=True)
@@ -520,6 +537,7 @@ def regular_part_at_zero(dim, params=None) -> float:
     Cached per (dim, params); the cache is write-once and safe under
     concurrent first access.
     """
+    _check_dim(dim)
     return _G0_2D if dim == 2 else regular_part(3, np.zeros(3), params)
 
 
@@ -530,7 +548,7 @@ def regular_part(dim, x, params=None) -> float:
     singular part is divided out inside the 2D log, or combined analytically
     with the n = 0 screened term in 3D, instead of subtracted numerically.
     """
-    x = np.abs(_cell(_coords(x, dim), "regular_part", guard=False))
+    x = np.abs(_cell(dim, _coords(x, dim), "regular_part", guard=False))
     r = float(np.linalg.norm(x))
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])

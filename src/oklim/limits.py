@@ -1,10 +1,14 @@
 """Limit functionals on weighted point configurations of the torus.
 
-The first-order energy sums per-particle local energies and is blind to
+A ``PointConfiguration`` is its validated read-only arrays: the masses, the
+positions reduced to [0, 1), and the min-image pair table that its
+coincidence guard builds once; every energy above G reads that table.  The
+first-order energy sums per-particle local energies and is blind to
 positions.  The second-order energy adds the constant g(0) self terms and
 the Coulomb-like pairwise interaction through the periodic Green's function;
 in 2D it is defined on equal-mass configurations only.  ``_second_order_parts``
-builds its self terms, pair sum and tail bound for F0 and for ``sharp``.
+builds its self terms, pair sum (over the configuration's table) and tail
+bound for F0 and for ``sharp``.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both
@@ -17,14 +21,14 @@ min-image pair table and runs one coincidence guard, the per-pair parts
 (summed in sorted order, and scattered for the gradient), then the
 particle-set long-range part.  Asked for the gradient, it returns the
 energy with it from one pass: one per-pair kernel call and one structure
-factor.  ``interaction_energy`` and ``interaction_gradient`` wrap it with the
-Ewald parameters chosen from n unless given; F0's self terms and tail bound
-then use the same parameters.
+factor.  ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
+with the Ewald parameters chosen from n unless given, and raise ValueError
+when ``dim`` is not 2 or 3 or the positions do not have ``dim`` columns;
+F0's self terms and tail bound use the same parameters as its pair sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,47 +41,41 @@ from .errors import CoincidentPoints, UnequalMasses2D
 MASS_EQUALITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfiguration:
-    """Weighted point masses {(m_i, x_i)} with distinct positions.
+    """Weighted point masses {(m_i, x_i)} with distinct positions, given as (mass, position) pairs.
 
-    ``masses`` (n,) and ``positions`` (n, d), each coordinate reduced to [0, 1)
-    as ``TorusPoint`` reduces it, are read-only arrays built once.
+    A position is a sequence of ``dim`` numbers or a ``TorusPoint``.  The
+    configuration is its read-only arrays, validated once: ``masses`` (n,),
+    ``positions`` (n, d), each coordinate reduced to [0, 1) as ``TorusPoint``
+    reduces it, and ``pairs``, the min-image pair table of ``_pairs``, which
+    the coincidence guard builds and every energy reads.
     """
 
     dim: int
-    particles: tuple  # of (mass, TorusPoint)
+    masses: np.ndarray
+    positions: np.ndarray
+    pairs: tuple = field(repr=False)
 
     def __init__(self, dim, particles):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        parts = []
-        for mass, pos in particles:
-            m = float(mass)
-            if not (m > 0.0 and math.isfinite(m)):
-                raise ValueError(f"masses must be positive and finite, got {m}")
-            if not isinstance(pos, green.TorusPoint):
-                pos = green.TorusPoint(pos)
-            if pos.dim != dim:
-                raise ValueError("particle dimension mismatch")
-            if not all(map(math.isfinite, pos.coords)):  # NaN or inf reduce to NaN
-                raise ValueError(f"positions must be finite, got {pos.coords}")
-            parts.append((m, pos))
-        if not parts:
+        particles = list(particles)
+        if not particles:
             raise ValueError("configuration must contain at least one particle")
-        masses = np.array([m for m, _ in parts])
-        positions = np.array([p.coords for _, p in parts])
+        masses = _check_masses([m for m, _ in particles])
+        positions = green._check_dim(dim, [p.coords if isinstance(p, green.TorusPoint) else p
+                                           for _, p in particles], "PointConfiguration")
+        positions %= 1.0
+        positions[positions == 1.0] = 0.0  # v % 1.0 rounds to 1.0 for tiny negative v
         masses.flags.writeable = positions.flags.writeable = False
         obj_set = object.__setattr__
         obj_set(self, "dim", dim)
-        obj_set(self, "particles", tuple(parts))
         obj_set(self, "masses", masses)
         obj_set(self, "positions", positions)
-        _check_distinct(_pairs(positions))
+        obj_set(self, "pairs", _check_distinct(_pairs(positions)))
 
     @property
     def n(self) -> int:
-        return len(self.particles)
+        return len(self.masses)
 
     def equal_masses(self) -> bool:
         m = self.masses
@@ -107,6 +105,15 @@ def e0(config: PointConfiguration) -> float:
     return float(np.sum(np.sort(vals)))
 
 
+def _check_masses(masses):
+    """``masses`` as a float array; ValueError unless each is positive and finite."""
+    m = np.asarray(masses, dtype=float)
+    bad = ~(np.isfinite(m) & (m > 0.0))
+    if bad.any():
+        raise ValueError(f"masses must be positive and finite, got {m[bad][0]}")
+    return m
+
+
 @lru_cache(maxsize=64)
 def _pair_index(n):
     # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum
@@ -116,10 +123,12 @@ def _pair_index(n):
 
 
 def _pairs(positions):
-    """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length)."""
+    """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length), read-only."""
     iu, ju = _pair_index(len(positions))
     diffs = green.min_image(positions[iu] - positions[ju])
-    return iu, ju, diffs, np.linalg.norm(diffs, axis=1)
+    dist = np.linalg.norm(diffs, axis=1)
+    diffs.flags.writeable = dist.flags.writeable = False
+    return iu, ju, diffs, dist
 
 
 def _check_distinct(pairs):
@@ -156,29 +165,32 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
+    positions = green._check_dim(dim, positions)
     return _pair_sum(dim, masses, positions, _pairs(positions),
                      green._resolve(params, len(masses)))
 
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
+    positions = green._check_dim(dim, positions)
     return _pair_sum(dim, masses, positions, _pairs(positions),
                      green._resolve(params, len(masses)), gradient=True)[1]
 
 
-def _second_order_parts(dim, masses, positions, params=None):
-    """F0's (self, ordered cross, tail bound) over (n,) masses, (n, d) positions.
+def _second_order_parts(config, params=None):
+    """F0's (self, ordered cross, tail bound) of a configuration, the cross from its pair table.
 
     self = sum_i m_i^2 g(0), plus f0(m_i) in 2D, in sorted order; masses may differ.
     All three use the same Ewald parameters: ``params``, or those the pair
     sum chooses for n particles (3D; 2D uses none).
     """
+    dim, masses = config.dim, config.masses
     params = green._resolve(params, len(masses))
     vals = masses**2 * green.regular_part_at_zero(dim, params)
     if dim == 2:
         vals += [local.f0(m) for m in masses]
     return (float(np.sum(np.sort(vals))),
-            interaction_energy(dim, masses, positions, params),
+            _pair_sum(dim, masses, config.positions, config.pairs, params),
             green.truncation_bound(dim, params) * float(np.sum(masses))**2)
 
 
@@ -195,8 +207,7 @@ def f0_energy(config: PointConfiguration, params=None,
         raise ValueError("pair_convention must be 'ordered' or 'halved'")
     if config.dim == 2 and not config.equal_masses():
         raise UnequalMasses2D("2D second-order energy requires equal masses")
-    self_term, cross, tail = _second_order_parts(config.dim, config.masses,
-                                                 config.positions, params)
+    self_term, cross, tail = _second_order_parts(config, params)
     if pair_convention == "halved":
         cross *= 0.5
     return EnergyBreakdown(

@@ -11,9 +11,11 @@ cell) and a coalescence guard.  Each trial point costs one pass: the
 guard's min-image pair table goes to the pair-sum driver
 ``limits._pair_sum``, which returns the energy and the gradient together,
 at Ewald parameters resolved once per ``place`` call; ``evaluations``
-counts the passes.  Near the minimum, where the Armijo decrement falls
-below the rounding noise of the energy, the decrease is measured instead by
-the trapezoid rule on the slopes at both ends of the step.  A direction
+counts the passes.  The reported pairwise distances come from the pair
+table of the result's ``PointConfiguration``.  Near the minimum, where the
+Armijo decrement falls below the rounding noise of the energy, the decrease
+is measured instead by the trapezoid rule on the slopes at both ends of the
+step.  A direction
 that is not a descent direction, or a line search that fails, clears the
 pair memory and retries along -grad; a failure along -grad ends the
 restart.  Outputs are stationary candidates, never certified global
@@ -32,7 +34,7 @@ import numpy as np
 from . import green
 from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here: it stays importable beside interaction_energy
-from .limits import (PointConfiguration, _pair_sum, _pairs, interaction_energy,
+from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, interaction_energy,
                      interaction_gradient)
 
 ARMIJO = 1e-4
@@ -134,6 +136,7 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
 
 def square_lattice_positions(dim, n) -> np.ndarray:
     """Axis-aligned square (cubic) lattice arrangement of n points, if commensurate."""
+    green._check_dim(dim)
     s = round(n ** (1.0 / dim))
     if s**dim != n:
         raise IncommensurateCount(f"{n} points do not form a square lattice on the torus")
@@ -155,7 +158,13 @@ def triangular_sheared_positions(n) -> np.ndarray:
 
 
 def lattice_candidate_energy(dim, n, masses_equal, lattice, params=None) -> float:
-    """Interaction energy of an explicit lattice arrangement, for comparison tables."""
+    """Interaction energy of an explicit lattice arrangement, for comparison tables.
+
+    ValueError for a ``dim`` other than 2 or 3 and for a mass that is not
+    positive and finite.
+    """
+    green._check_dim(dim)
+    masses = _check_masses(np.full(n, float(masses_equal)))
     if lattice == "square":
         pos = square_lattice_positions(dim, n)
     elif lattice == "triangular-sheared":
@@ -164,7 +173,6 @@ def lattice_candidate_energy(dim, n, masses_equal, lattice, params=None) -> floa
         pos = triangular_sheared_positions(n)
     else:
         raise ValueError("lattice must be 'square' or 'triangular-sheared'")
-    masses = np.full(n, float(masses_equal))
     return interaction_energy(dim, masses, pos, params)
 
 
@@ -182,14 +190,11 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     is negative, no start applies, or ``initial_positions`` is not an (n, dim)
     array of finite values.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    masses = np.asarray(masses, dtype=float)
+    green._check_dim(dim)
+    masses = _check_masses(masses)
     n = masses.size
     if n < 2:
         raise ValueError("placement needs at least two particles")
-    if not np.all(np.isfinite(masses) & (masses > 0.0)):
-        raise ValueError("masses must be positive finite numbers")
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     if restarts < 0:
@@ -227,14 +232,14 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
             best = (key, x, e, gn, iters, conv)
 
     _, x, e, gn, iters, conv = best
-    dists = np.sort(_pairs(x)[3])
+    config = PointConfiguration(dim, zip(masses, x))
     result = OptimizationResult(
-        config=PointConfiguration(dim, list(zip(masses.tolist(), x))),
+        config=config,
         energy=e,
         grad_norm=gn,
         iterations=iters,
         restarts_used=len(starts),
-        pairwise_distances=tuple(float(v) for v in dists),
+        pairwise_distances=tuple(np.sort(config.pairs[3]).tolist()),
         converged=conv,
         evaluations=evaluations,
     )

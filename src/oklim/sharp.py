@@ -20,8 +20,10 @@ certified truncation bound:
     E_eta = sum_i local(m_i) + pref (F0 parts + eta^2 (2M/q) sum_i m_i r_i^2),
 
 M = sum m, with the F0 parts (self terms and ordered pair sum) from the
-helper that ``limits.f0_energy`` uses.  A ``BallConfiguration`` is a
-``limits.PointConfiguration`` that also carries eta and the radii.  A
+helper that ``limits.f0_energy`` uses, over the configuration's own pair
+table.  A ``BallConfiguration`` is a ``limits.PointConfiguration`` that also
+carries eta and the radii, a read-only array computed once from the masses;
+its disjointness check reads the inherited pair table.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
 nothing with G (it calls nothing in ``green`` or ``limits``) and is kept as
 the independent check at moderate scales; ``fourier_cutoff`` is its mode
@@ -50,11 +52,17 @@ CLEARANCE = 1e-6
 _CHUNK = 1 << 14  # elements per temporary of the direct mode sum
 
 
-def ball_scale_radius(dim: int, mass: float, eta: float) -> float:
-    """Physical radius of the mass-m particle at scale eta."""
+def ball_scale_radius(dim: int, masses, eta: float) -> np.ndarray:
+    """Physical radii of the particles of the array ``masses`` at scale eta.
+
+    The 3D cube root is Python's pow per mass: numpy's vectorised power can
+    round a radius one ulp differently, and the 3D quotients of ``expand``
+    and their fits amplify that to about 5e-10 relative.
+    """
+    masses = np.asarray(masses, dtype=float)
     if dim == 3:
-        return eta * (3.0 * mass / (4 * math.pi)) ** (1.0 / 3.0)
-    return eta * math.sqrt(mass / math.pi)
+        return eta * np.array([(3.0 * m / (4 * math.pi)) ** (1.0 / 3.0) for m in masses.tolist()])
+    return eta * np.sqrt(masses / math.pi)
 
 
 def gamma_for(dim: int, eta: float) -> float:
@@ -64,35 +72,35 @@ def gamma_for(dim: int, eta: float) -> float:
     return eta**-3 / abs(math.log(eta))  # eta**3 would underflow to 0; this raises OverflowError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallConfiguration(limits.PointConfiguration):
     """Disjoint balls of scale eta on the torus, encoding v in BV(T^d; {0, eta^-d}).
 
-    A PointConfiguration whose particle of mass m_i is the ball of radius a_i.
+    A PointConfiguration whose particle of mass m_i is the ball of radius
+    a_i, the read-only array ``radii``.
     """
 
     eta: float
+    radii: np.ndarray
 
     def __init__(self, dim, eta, particles):
         eta = float(eta)
         if not 0.0 < eta <= 0.25:
             raise ValueError("eta must lie in (0, 0.25]")
         super().__init__(dim, particles)
+        radii = ball_scale_radius(dim, self.masses, eta)
+        radii.flags.writeable = False
         object.__setattr__(self, "eta", eta)
-        radii = self.radii
+        object.__setattr__(self, "radii", radii)
         if np.any(2.0 * radii >= 0.5):
             raise DiameterTooLarge("ball diameters must stay below 1/2")
-        iu, ju, _, dist = limits._pairs(self.positions)
+        iu, ju, _, dist = self.pairs
         gap = dist - (radii[iu] + radii[ju])
         if np.any(gap < CLEARANCE):
             worst = int(np.argmin(gap))
             raise OverlappingBalls(
                 f"balls {iu[worst]} and {ju[worst]} violate the disjointness "
                 f"clearance ({gap[worst]:.3g} < {CLEARANCE:g})")
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([ball_scale_radius(self.dim, m, self.eta) for m, _ in self.particles])
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +240,7 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     if method == "ewald":
         # F0's parts plus the eta^2 term (2/q) sum_{i, j} m_i m_j a_i^2, a_i = eta r_i,
         # split into its i = j and i != j sums
-        self_sum, cross_sum, tail = limits._second_order_parts(
-            config.dim, m, config.positions, params)
+        self_sum, cross_sum, tail = limits._second_order_parts(config, params)
         a2 = config.radii**2
         regular_self = pref * (self_sum + (2.0 / q) * float(np.sum(m**2 * a2)))
         cross = pref * (cross_sum + (2.0 / q) * float(np.sum(m * a2 * (np.sum(m) - m))))
@@ -319,7 +326,7 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
 
     rows = []
     for eta in etas:
-        cfg = BallConfiguration(template.dim, float(eta), template.particles)
+        cfg = BallConfiguration(template.dim, float(eta), zip(template.masses, template.positions))
         bd = sharp_energy(cfg, params=params)
         if template.dim == 3:
             q = (bd.total - reference) / eta

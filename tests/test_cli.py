@@ -178,6 +178,21 @@ def test_expand_sweep_with_richardson(tmp_path):
     assert gap < 1e-3
 
 
+@pytest.mark.parametrize("args, tables", [
+    (["energy"], 1),  # the configuration's table serves F0
+    (["energy", "--eta", "0.02"], 2),  # and the ball configuration's the sharp energy
+    (["expand", "--etas", "0.04,0.02,0.01", "--richardson"], 4),  # one per eta, F0 none
+])
+def test_each_configuration_builds_its_pair_table_once(tmp_path, monkeypatch, args, tables):
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    built = []
+    pairs = limits._pairs
+    monkeypatch.setattr(limits, "_pairs", lambda positions: built.append(1) or pairs(positions))
+    command, *rest = args
+    assert cli.main([command, "--config", cfg, *rest, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == tables
+
+
 def test_expand_eta2_fit_rows_follow_the_existing_rows(tmp_path, params):
     cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
     r = run_cli("expand", "--config", cfg, "--etas", "0.04,0.02,0.01", "--richardson")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from oklim import green
+from oklim import green, limits
 from oklim.errors import SingularPoint
 
 from conftest import direct_fourier_green, random_torus_point
@@ -242,6 +242,31 @@ def test_non_finite_coordinates_are_rejected(dim, bad):
     for call in calls:
         with pytest.raises(ValueError, match=f"finite coordinates, got {bad}"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: green.green_eval(4, (0.1, 0.2, 0.3, 0.4)),
+    lambda: green.green_eval(1, (0.3,)),
+    lambda: green.green_grad(4, (0.1, 0.2, 0.3, 0.4)),
+    lambda: green.regular_part(1, (0.3,)),
+    lambda: green.regular_part_at_zero(4),
+    lambda: green.truncation_bound(4),
+    lambda: green.green_eval_many(2, [[0.1, 0.2, 0.3]]),
+    lambda: green.green_eval_many(3, [[0.1, 0.2]]),
+    lambda: green.green_grad_many(2, [[0.1, 0.2, 0.3]]),
+    lambda: green.green_grad_many(3, [0.1, 0.2]),
+    lambda: limits.interaction_energy(2, np.ones(2), np.array([[0.1, 0.2, 0.3], [0.6, 0.1, 0.8]])),
+    lambda: limits.interaction_gradient(3, np.ones(2), np.array([[0.1, 0.2], [0.6, 0.1]])),
+    lambda: limits.interaction_energy(4, np.ones(2), np.array([[0.1] * 4, [0.6] * 4])),
+    lambda: limits.interaction_energy(2, np.ones(2), np.array([[0.1, math.inf], [0.6, 0.1]])),
+], ids=["eval-4d", "eval-1d", "grad-4d", "regular-1d", "g0-4d", "bound-4d", "many-2d-on-3",
+        "many-3d-on-2", "grad-many-2d-on-3", "grad-many-3d-on-2", "energy-2d-on-3",
+        "gradient-3d-on-2", "energy-4d", "energy-inf"])
+def test_a_dimension_other_than_2_or_3_or_of_the_rows_is_a_value_error(call):
+    # unchecked, the other dimension's kernel or a dropped column gives a number
+    # silently, too few columns an IndexError, and an inf coordinate nan
+    with pytest.raises(ValueError, match="dim must be 2 or 3|coordinates per row|finite"):
+        call()
 
 
 def test_2d_truncation_bound_is_the_theta_product_tail():

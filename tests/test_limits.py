@@ -39,14 +39,21 @@ def test_point_configuration_arrays_are_built_once_and_read_only():
     rng = np.random.default_rng(8)
     raw = rng.uniform(-2.0, 3.0, (40, 3))
     raw[0] = (-1e-20, 1.0, 2.5)  # -1e-20 % 1.0 rounds to 1.0, which is stored as 0.0
-    c = config(3, [(m, p) for m, p in zip(rng.uniform(0.5, 2.0, 40), raw)])
+    masses = rng.uniform(0.5, 2.0, 40)
+    c = config(3, zip(masses, raw))
     assert c.positions.tolist() == [list(green.TorusPoint(p).coords) for p in raw]
     assert c.positions[0].tolist() == [0.0, 0.0, 0.5]
     assert ((c.positions >= 0.0) & (c.positions < 1.0)).all()
-    assert c.masses.tolist() == [m for m, _ in c.particles]
-    assert all(isinstance(p, green.TorusPoint) for _, p in c.particles)
-    assert c.positions is c.positions and c.masses is c.masses
-    for a in (c.masses, c.positions):
+    assert c.masses.tolist() == masses.tolist()
+    assert not hasattr(c, "particles")
+    # a TorusPoint is accepted as a position and reduces the same way
+    same = config(3, [(m, green.TorusPoint(p)) for m, p in zip(masses, raw)])
+    assert np.array_equal(same.positions, c.positions)
+    # the pair table is the one of ``_pairs`` over the stored positions
+    for got, expect in zip(c.pairs, limits._pairs(c.positions)):
+        assert np.array_equal(got, expect)
+    assert c.positions is c.positions and c.masses is c.masses and c.pairs is c.pairs
+    for a in (c.masses, c.positions, *c.pairs):
         with pytest.raises(ValueError):
             a[0] = 0.5
 

@@ -86,6 +86,22 @@ def test_lattice_candidates_2d(params):
         optimize.lattice_candidate_energy(3, 8, 1.0, "triangular-sheared", params)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: optimize.square_lattice_positions(4, 16),
+    lambda: optimize.square_lattice_positions(1, 4),
+    lambda: optimize.lattice_candidate_energy(4, 16, 1.0, "square"),
+    lambda: optimize.lattice_candidate_energy(4, 8, 1.0, "triangular-sheared"),
+    lambda: optimize.lattice_candidate_energy(2, 4, math.nan, "square"),
+    lambda: optimize.lattice_candidate_energy(2, 4, math.inf, "square"),
+    lambda: optimize.lattice_candidate_energy(2, 4, -1.0, "square"),
+    lambda: optimize.lattice_candidate_energy(2, 8, 0.0, "triangular-sheared"),
+])
+def test_lattice_candidates_reject_a_bad_dim_or_mass(call):
+    # an unchecked dim or mass gives an array of the wrong shape or a meaningless energy
+    with pytest.raises(ValueError, match="dim must be 2 or 3|masses must be positive"):
+        call()
+
+
 def test_simple_cubic_regrouping_identity(params):
     # 8 points on the 2x2x2 lattice: every particle sees the same 7 offsets
     e = optimize.lattice_candidate_energy(3, 8, 1.5, "square", params)

@@ -99,6 +99,20 @@ def test_configuration_validation():
         sharp.sharp_energy(FIXTURES_3D[0], fourier_cutoff=8)
 
 
+@pytest.mark.parametrize("cfg", FIXTURES_2D + FIXTURES_3D)
+def test_radii_are_one_read_only_array_of_the_masses(cfg):
+    # bitwise the per-mass formula
+    per_mass = [cfg.eta * (math.sqrt(m / PI) if cfg.dim == 2 else (3.0 * m / (4 * PI)) ** (1 / 3))
+                for m in cfg.masses.tolist()]
+    assert cfg.radii.tolist() == per_mass
+    assert cfg.radii is cfg.radii and not hasattr(cfg, "particles")
+    assert cfg.pairs[3].tolist() == limits._pairs(cfg.positions)[3].tolist()
+    for a in (cfg.radii, *cfg.pairs):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert sharp.ball_scale_radius(cfg.dim, cfg.masses, cfg.eta).tolist() == cfg.radii.tolist()
+
+
 def test_cutoff_too_small_on_direct_mode():
     cfg = sharp.BallConfiguration(3, 0.02, [(1.0, (0.1, 0.2, 0.3))])
     with pytest.raises(CutoffTooSmall):
@@ -281,8 +295,7 @@ def test_invariant_under_permutation_and_translation(cfg, data):
     order = data.draw(st.permutations(range(cfg.n)))
     shift = np.array(data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
     moved = sharp.BallConfiguration(
-        2, cfg.eta, [(m, tuple((p.array + shift) % 1.0))
-                     for m, p in (cfg.particles[i] for i in order)])
+        2, cfg.eta, zip(cfg.masses[order], (cfg.positions[order] + shift) % 1.0))
     assert abs(sharp.sharp_energy(moved).total - base) <= 1e-12 * abs(base)
 
 
@@ -321,11 +334,10 @@ def test_near_touching_pair_accuracy(params):
 # ---------------------------------------------------------------------------
 
 def test_translation_invariance():
-    base = sharp.sharp_energy(FIXTURES_3D[1]).total
+    cfg = FIXTURES_3D[1]
+    base = sharp.sharp_energy(cfg).total
     shift = np.array([0.2, 0.7, 0.4])
-    moved = sharp.BallConfiguration(
-        3, FIXTURES_3D[1].eta,
-        [(m, tuple((p.array + shift) % 1.0)) for m, p in FIXTURES_3D[1].particles])
+    moved = sharp.BallConfiguration(3, cfg.eta, zip(cfg.masses, (cfg.positions + shift) % 1.0))
     assert abs(sharp.sharp_energy(moved).total - base) < 1e-10
 
 
