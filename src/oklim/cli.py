@@ -201,7 +201,7 @@ def cmd_green(args) -> int:
 
 
 # the flags of `local` that the other dimension's energies have no output for
-_FOREIGN_LOCAL_FLAGS = {2: ("concavity", "splitting", "threshold"), 3: ("partition",)}
+_FOREIGN_LOCAL_FLAGS = {2: ("concavity", "splitting"), 3: ()}
 
 
 def cmd_local(args) -> int:
@@ -214,10 +214,6 @@ def cmd_local(args) -> int:
     payload = {}
     if args.dim == 2:
         payload["e2d"] = local.e2d(m)
-        if args.partition:
-            part = local.envelope_2d(m)
-            payload["partition"] = {"n": part.n, "per_mass": part.per_mass,
-                                    "envelope_value": part.envelope_value}
     else:
         b = local.e3d_ball(m)
         payload["e3d_ball"] = {
@@ -225,8 +221,12 @@ def cmd_local(args) -> int:
             "total": b.total, "reference": "ball ansatz (upper bound)"}
         if args.concavity:
             payload["concavity_coefficient"] = local.concavity_coefficient(m)
-        if args.splitting or args.threshold:
+        if args.splitting:
             payload["splitting_threshold"] = local.splitting_threshold_3d()
+    if args.partition:
+        part = local.envelope(args.dim, m)
+        payload["partition"] = {"n": part.n, "per_mass": part.per_mass,
+                                "envelope_value": part.envelope_value}
     sys.stdout.write(dumps17(payload) + "\n")
     return 0
 
@@ -383,7 +383,6 @@ def build_parser() -> _Parser:
     l.add_argument("--partition", action="store_true")
     l.add_argument("--concavity", action="store_true")
     l.add_argument("--splitting", action="store_true")
-    l.add_argument("--threshold", action="store_true")
     l.set_defaults(func=cmd_local)
 
     e = sub.add_parser("energy", help="limit or finite-scale energies of a configuration")
@@ -419,7 +418,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # an overflow is inf, which fmt17 reports
+            return args.func(args)
     except SingularPoint as exc:
         sys.stderr.write(f"singular point: {exc}\n")
         return EXIT_SINGULAR

@@ -65,32 +65,6 @@ def min_image(diff):
     return d - np.rint(d)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the unit flat torus; coordinates stored reduced to [0, 1)."""
-
-    coords: tuple
-
-    def __init__(self, coords):
-        # v % 1.0 rounds to 1.0 for tiny negative v; NaN stays NaN
-        c = tuple(0.0 if r == 1.0 else r for r in (float(v) % 1.0 for v in coords))
-        if len(c) not in (2, 3):
-            raise ValueError(f"torus points are 2D or 3D, got {len(c)} coordinates")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
-    def distance(self, other: "TorusPoint") -> float:
-        """Min-image metric d(x, y) = min_k |x - y - k|, at most sqrt(d)/2."""
-        return float(np.linalg.norm(min_image(self.array - other.array)))
-
-
 def _theta_tail(factors):
     # for |y| <= 1/2 both a = q^2n e^(-+2 pi y) are <= e^(-pi (2n - 1)), and
     # |log|1 - a e^(it)|| <= -log(1 - a); the terms past n = factors + 40 are < 1e-100
@@ -288,7 +262,7 @@ def _resolve(params, n=2):
 
 
 def _coords(x, dim):
-    arr = x.array if isinstance(x, TorusPoint) else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.shape != (dim,):
         raise ValueError(f"expected {dim} coordinates, got shape {arr.shape}")
     return arr

@@ -3,12 +3,15 @@
 A ``PointConfiguration`` is its validated read-only arrays: the masses, the
 positions reduced to [0, 1), and the min-image pair table that its
 coincidence guard builds once; every energy above G reads that table.  The
-first-order energy sums per-particle local energies and is blind to
-positions.  The second-order energy adds the constant g(0) self terms and
-the Coulomb-like pairwise interaction through the periodic Green's function;
-in 2D it is defined on equal-mass configurations only.  ``_second_order_parts``
-builds its self terms, pair sum (over the configuration's table) and tail
-bound for F0 and for ``sharp``.
+first-order energy sums the per-mass values of ``local.envelope_many`` in
+both dimensions and is blind to positions; admissibility compares the
+per-particle energies with the envelope of the total mass, and compactness
+asks that the envelope keep every mass whole (ball ansatz in 3D).  The
+second-order energy adds the constant g(0) self terms and the Coulomb-like
+pairwise interaction through the periodic Green's function; in 2D it is
+defined on equal-mass configurations only.  ``_second_order_parts`` builds
+its self terms, pair sum (over the configuration's table) and tail bound
+for F0 and for ``sharp``.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both
@@ -23,7 +26,8 @@ particle-set long-range part.  Asked for the gradient, it returns the
 energy with it from one pass: one per-pair kernel call and one structure
 factor.  ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
 with the Ewald parameters chosen from n unless given, and raise ValueError
-when ``dim`` is not 2 or 3 or the positions do not have ``dim`` columns;
+when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
+``masses`` does not hold one positive finite entry per position row;
 F0's self terms and tail bound use the same parameters as its pair sum.
 """
 
@@ -45,11 +49,11 @@ MASS_EQUALITY_RTOL = 1e-12
 class PointConfiguration:
     """Weighted point masses {(m_i, x_i)} with distinct positions, given as (mass, position) pairs.
 
-    A position is a sequence of ``dim`` numbers or a ``TorusPoint``.  The
-    configuration is its read-only arrays, validated once: ``masses`` (n,),
-    ``positions`` (n, d), each coordinate reduced to [0, 1) as ``TorusPoint``
-    reduces it, and ``pairs``, the min-image pair table of ``_pairs``, which
-    the coincidence guard builds and every energy reads.
+    A position is a sequence of ``dim`` numbers.  The configuration is its
+    read-only arrays, validated once: ``masses`` (n,), ``positions`` (n, d),
+    each coordinate v stored as v % 1.0 in [0, 1) (1.0, which tiny negative
+    v round to, is stored as 0.0), and ``pairs``, the min-image pair table
+    of ``_pairs``, which the coincidence guard builds and every energy reads.
     """
 
     dim: int
@@ -62,8 +66,7 @@ class PointConfiguration:
         if not particles:
             raise ValueError("configuration must contain at least one particle")
         masses = _check_masses([m for m, _ in particles])
-        positions = green._check_dim(dim, [p.coords if isinstance(p, green.TorusPoint) else p
-                                           for _, p in particles], "PointConfiguration")
+        positions = green._check_dim(dim, [p for _, p in particles], "PointConfiguration")
         positions %= 1.0
         positions[positions == 1.0] = 0.0  # v % 1.0 rounds to 1.0 for tiny negative v
         masses.flags.writeable = positions.flags.writeable = False
@@ -92,17 +95,13 @@ class AdmissibilityReport:
 
 
 def e0(config: PointConfiguration) -> float:
-    """First-order limit energy: sum of per-particle local energies.
+    """First-order limit energy: the sum of the per-mass envelope values.
 
-    Position-blind by construction.  In 3D the per-particle value is the
-    ball ansatz, an upper bound for the true infimum.
+    Position-blind by construction.  In 3D the envelope is the best equal
+    split of balls, an upper bound for the true one.
     """
-    if config.dim == 2:
-        vals = local.envelope_2d_many(config.masses)
-    else:
-        vals = [local.e3d_ball(m).total for m in config.masses]
     # canonical summation order keeps the value exactly permutation invariant
-    return float(np.sum(np.sort(vals)))
+    return float(np.sum(np.sort(local.envelope_many(config.dim, config.masses))))
 
 
 def _check_masses(masses):
@@ -163,18 +162,25 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
     return energy, out + long_grad
 
 
+def _raw_pair_sum(dim, masses, positions, params, gradient=False):
+    # raw arrays: one positive finite mass per position row
+    positions = green._check_dim(dim, positions)
+    masses = _check_masses(masses)
+    if masses.shape != (len(positions),):
+        raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
+                         f"got shape {masses.shape}")
+    return _pair_sum(dim, masses, positions, _pairs(positions),
+                     green._resolve(params, len(masses)), gradient)
+
+
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
-    positions = green._check_dim(dim, positions)
-    return _pair_sum(dim, masses, positions, _pairs(positions),
-                     green._resolve(params, len(masses)))
+    return _raw_pair_sum(dim, masses, positions, params)
 
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
-    positions = green._check_dim(dim, positions)
-    return _pair_sum(dim, masses, positions, _pairs(positions),
-                     green._resolve(params, len(masses)), gradient=True)[1]
+    return _raw_pair_sum(dim, masses, positions, params, gradient=True)[1]
 
 
 def _second_order_parts(config, params=None):
@@ -221,70 +227,34 @@ def f0_energy(config: PointConfiguration, params=None,
     )
 
 
-def _optimal_partition_2d(config: PointConfiguration) -> tuple[bool, list[str]]:
-    detail = []
-    if not config.equal_masses():
+def _optimal_partition(config: PointConfiguration) -> tuple[bool, list[str]]:
+    # optimal iff sum_i e(m_i) reaches the envelope of the total mass
+    if config.dim == 2 and not config.equal_masses():
         return False, ["masses are not all equal"]
-    m = float(config.masses[0])
-    n = config.n
-    best = local.envelope_2d(n * m)
-    value = n * local.e2d(m)
-    ok = value <= best.envelope_value * (1.0 + 1e-12)
-    if not ok:
-        detail.append(
-            f"n={n} equal parts of {m:.6g} cost {value:.12g} > envelope {best.envelope_value:.12g}"
-            f" attained at n={best.n}")
-    return ok, detail
-
-
-def _optimal_partition_3d(config: PointConfiguration) -> tuple[bool, list[str]]:
-    # Ball-ansatz desk-scale search: equal re-partitions of the total mass
-    # into k <= n + 2 parts, and all single-pair merges of the given masses.
-    m = config.masses
-    total = float(np.sum(m))
-    value = float(sum(local.e3d_ball(mi).total for mi in m))
-    best = value
-    witness = None
-    for k in range(1, config.n + 3):
-        cand = k * local.e3d_ball(total / k).total
-        if cand < best - 1e-12 * abs(best):
-            best, witness = cand, f"{k} equal parts of {total / k:.6g}"
-    if config.n >= 2:
-        singles = np.array([local.e3d_ball(mi).total for mi in m])
-        for i in range(config.n):
-            for j in range(i + 1, config.n):
-                cand = (value - singles[i] - singles[j]
-                        + local.e3d_ball(m[i] + m[j]).total)
-                if cand < best - 1e-12 * abs(best):
-                    best, witness = cand, f"merge of particles {i} and {j}"
-    if witness is None:
+    value = float(np.sum(np.sort(local._energies(config.dim, config.masses))))
+    total = float(np.sum(config.masses))
+    best = local.envelope(config.dim, total)
+    if value <= best.envelope_value * (1.0 + 1e-12):
         return True, []
-    return False, [f"ball-ansatz regrouping beats the configuration: {witness}"]
+    parts = "equal parts of" if config.equal_masses() else "parts of mean mass"
+    return False, [f"n={config.n} {parts} {total / config.n:.6g} cost "
+                   f"{value:.12g} > envelope {best.envelope_value:.12g} attained at n={best.n}"]
 
 
 def check_admissible(config: PointConfiguration) -> AdmissibilityReport:
     """Report mass-partition optimality and compactness of a configuration.
 
-    2D: optimal iff all masses are equal and the count matches the envelope
-    optimum of the total mass; compact iff a single particle of mass m does
-    not split (envelope count 1).  3D: both checks are ball-ansatz
-    heuristics and are flagged as such in the detail.
+    Optimal iff the per-particle energies sum to the envelope of the total
+    mass (2D also requires equal masses); compact iff the envelope keeps
+    every mass whole (count 1).  3D: both checks rest on the ball ansatz and
+    are flagged as such in the detail.
     """
-    detail: list[str] = []
-    if config.dim == 2:
-        opt, d = _optimal_partition_2d(config)
-        detail += d
-        compact = all(local.envelope_2d(mi).n == 1 for mi in config.masses)
-        if not compact:
-            detail.append("some mass exceeds the single-particle range (envelope splits it)")
-    else:
-        opt, d = _optimal_partition_3d(config)
-        detail += d
-        thresh = local.splitting_threshold_3d()
-        compact = bool(np.all(config.masses <= thresh))
-        detail.append(
-            f"ball-ansatz heuristic: compact iff every mass <= splitting threshold {thresh:.8g}")
-        if not opt:
-            detail.append("ball-ansatz heuristic: partition optimality is approximate in 3D")
+    opt, detail = _optimal_partition(config)
+    compact = bool(np.all(local._best_count(config.dim, config.masses)[0] == 1))
+    if not compact:
+        detail.append("some mass exceeds the single-particle range (envelope splits it)")
+    if config.dim == 3:
+        detail.append("ball-ansatz heuristic: e(m) is the ball energy, an upper bound for "
+                      "the per-particle infimum, and the envelope its best equal split")
     return AdmissibilityReport(is_optimal_partition=opt, is_compact=compact,
                                detail=tuple(detail))

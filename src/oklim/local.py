@@ -1,15 +1,23 @@
-"""Per-particle local energies and optimal mass partitions.
+"""Per-particle local energies and their subadditive envelope.
 
-2D: the per-particle energy has the closed form m^2/(2 pi) + 2 sqrt(pi m)
-(perimeter of the area-m disc plus the mass-squared long-range coefficient),
-and its subadditive envelope is attained by finitely many equal parts; no
-optimal part of a multi-particle split lies below 2^(-2/3) pi.
+A particle of mass M may break into nearby pieces, so the first-order limit
+charges each mass with the envelope min_k k e(M/k) of its per-particle
+energy e over splittings into k equal parts.  In both dimensions
+k e(M/k) = A k^-p + B k^q has one stationary point k* = M / m_opt, so
+``envelope`` compares only floor(k*) and the next count, in O(1) and
+vectorised in ``envelope_many``.
 
-3D: there is no closed form for the per-particle infimum; this module
-evaluates the ball ansatz (an upper bound: sphere perimeter 4 pi r^2 plus
-whole-space H^-1 self-energy 8 pi r^5 / 15), the curvature coefficient
-whose sign changes at mass 2 pi, and the mass beyond which two half-mass
-balls beat a single ball.
+2D: e(m) = m^2/(2 pi) + 2 sqrt(pi m) (perimeter of the area-m disc plus the
+mass-squared long-range coefficient), m_opt = 2^(2/3) pi; the envelope over
+arbitrary partitions is attained by equal parts, none below 2^(-2/3) pi.
+
+3D: there is no closed form for the per-particle infimum; e is the ball
+ansatz (an upper bound: sphere perimeter 4 pi r^2 plus whole-space H^-1
+self-energy 8 pi r^5 / 15), c2 m^(2/3) + c5 m^(5/3) with c2 / c5 = 10 pi,
+so m_opt = 5 pi and the envelope, the best equal split of balls, is an
+upper bound for the true one.  The module also gives the curvature
+coefficient whose sign changes at mass 2 pi, and the mass beyond which two
+half-mass balls beat a single ball.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .breakdown import EnergyBreakdown
 
 #: Below this mass a 2D particle does not split (single-particle threshold).
@@ -33,7 +42,7 @@ CONCAVITY_BOUND = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Optimal equal-mass partition of a total 2D mass M into n particles."""
+    """Best equal-mass partition of a total mass M into n particles (ball ansatz in 3D)."""
 
     n: int
     per_mass: float
@@ -57,30 +66,49 @@ def _e2d_arr(m):
     return m * m / (2 * math.pi) + 2.0 * np.sqrt(math.pi * m)
 
 
-def _best_count(M):
-    # n e2d(M/n) = A/n + B sqrt(n) has one critical point, n* = M / OPTIMAL_PER_MASS,
-    # so the integer optimum is floor(n*) or the next count (at least 1 each)
-    lo = np.maximum(np.floor(M / OPTIMAL_PER_MASS), 1.0)
+def _e3d_arr(m):
+    r = (3.0 * m / (4 * math.pi)) ** (1.0 / 3.0)
+    return 4 * math.pi * r * r + 8 * math.pi * r**5 / 15.0
+
+
+# per dimension: the vectorised per-particle energy and the optimal part mass
+# (the ball energy c2 m^(2/3) + c5 m^(5/3) has c2 / c5 = 10 pi, so 3D's is 5 pi)
+_PARTS = {2: (_e2d_arr, OPTIMAL_PER_MASS), 3: (_e3d_arr, 5.0 * math.pi)}
+
+
+def _best_count(dim, M):
+    # k e(M/k) has one critical point, k* = M / m_opt, so the integer optimum
+    # is floor(k*) or the next count (at least 1 each)
+    green._check_dim(dim)
+    energy, m_opt = _PARTS[dim]
+    lo = np.maximum(np.floor(M / m_opt), 1.0)
     hi = lo + 1.0
-    v_lo, v_hi = lo * _e2d_arr(M / lo), hi * _e2d_arr(M / hi)
+    v_lo, v_hi = lo * energy(M / lo), hi * energy(M / hi)
     return np.where(v_hi < v_lo, hi, lo), np.minimum(v_lo, v_hi)  # ties to smaller n
 
 
-def envelope_2d(M) -> PartitionResult:
-    """Minimize n * e2d(M/n) over integer particle counts n >= 1.
+def envelope(dim, M) -> PartitionResult:
+    """Minimize n * e(M/n) over integer particle counts n >= 1.
 
-    The optimum over arbitrary partitions has equal parts.  O(1) in M: the
-    objective is unimodal in n, so only the two counts around its continuous
-    minimizer are compared.  Exact ties break toward smaller n.
+    In 2D the optimum over arbitrary partitions has equal parts; in 3D the
+    value is the best equal split of balls, an upper bound for the
+    envelope.  O(1) in M: the objective is unimodal in n, so only the two
+    counts around its continuous minimizer are compared.  Exact ties break
+    toward smaller n.
     """
     M = _check_mass(M)
-    n, value = _best_count(M)
+    n, value = _best_count(dim, M)
     return PartitionResult(n=int(n), per_mass=M / int(n), envelope_value=float(value))
 
 
-def envelope_2d_many(Ms) -> np.ndarray:
+def envelope_many(dim, Ms) -> np.ndarray:
     """Envelope values for an array of total masses (vectorized)."""
-    return _best_count(np.asarray(Ms, dtype=float))[1]
+    return _best_count(dim, np.asarray(Ms, dtype=float))[1]
+
+
+def _energies(dim, ms) -> np.ndarray:
+    """Per-particle energies e(m) of an array of masses (vectorized)."""
+    return _PARTS[dim][0](np.asarray(ms, dtype=float))
 
 
 def f0(m) -> float:
@@ -137,18 +165,3 @@ def splitting_threshold_3d() -> float:
     under the ball ansatz.
     """
     return 10 * math.pi * (2 ** (1.0 / 3.0) - 1) / (1 - 2 ** (-2.0 / 3.0))
-
-
-def lipschitz_probe_envelope(delta: float, n_pairs: int = 10_000) -> float:
-    """Max difference quotient of the 2D envelope over a grid on [delta, 1/delta].
-
-    Deterministic adjacent-pair quotients on a uniform grid; finite because
-    the envelope is Lipschitz on compact subsets of (0, inf).
-    """
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    grid = np.linspace(delta, 1.0 / delta, n_pairs + 1)
-    vals = envelope_2d_many(grid)
-    quot = np.abs(np.diff(vals)) / np.diff(grid)
-    return float(np.max(quot))

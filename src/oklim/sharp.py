@@ -267,14 +267,6 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     return breakdown
 
 
-def rescale_to_original(breakdown: EnergyBreakdown) -> tuple[float, float]:
-    """Undo the scale normalization: E(u) = eta^2 E^3d or eta E^2d, plus gamma."""
-    if breakdown.eta is None or breakdown.dim is None:
-        raise ValueError("breakdown carries no scale metadata")
-    power = 2 if breakdown.dim == 3 else 1
-    return breakdown.eta**power * breakdown.total, breakdown.gamma
-
-
 @dataclass(frozen=True)
 class ExpansionRow:
     eta: float
@@ -345,17 +337,3 @@ def richardson_extrapolate(etas, quotients) -> tuple[float, float]:
     A = np.stack([np.ones_like(etas), etas], axis=1)
     coef, *_ = np.linalg.lstsq(A, q, rcond=None)
     return float(coef[0]), float(coef[1])
-
-
-def diameter_estimate(config: BallConfiguration) -> tuple[float, float]:
-    """2D concentration bound: (sum of support diameters, eta^2 * total variation).
-
-    For discs the left side is sum 2 a_i and the right side sum 2 pi a_i, so
-    the inequality lhs <= rhs holds for every valid configuration.
-    """
-    if config.dim != 2:
-        raise ValueError("the diameter estimate is a 2D statement")
-    a = config.radii
-    lhs = float(np.sum(2.0 * a))
-    rhs = float(config.eta**2 * np.sum(2 * math.pi * a / config.eta**2))
-    return lhs, rhs

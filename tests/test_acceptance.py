@@ -65,11 +65,11 @@ def test_criterion_05_equal_mass_partitions():
     with criterion(5, "envelope beats the k <= 4 simplex-grid search", 120.0):
         for M in (5.0, 10.0, 20.0, 40.0):
             best, parts = brute_force_partition(M)
-            res = local.envelope_2d(M)
+            res = local.envelope(2, M)
             assert res.envelope_value <= best + 1e-12 * best
             nz = [p for p in parts if p > 0]
             assert max(nz) - min(nz) <= 1  # equal within one grid step
-        assert local.envelope_2d(1.0).n == 1
+        assert local.envelope(2, 1.0).n == 1
 
 
 def test_criterion_06_green_function_correctness(params):
@@ -138,12 +138,3 @@ def test_criterion_09_optimizer_soundness(params):
         lattice = optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)
         assert res4.converged
         assert res4.energy <= lattice + 1e-12
-
-
-def test_criterion_10_diameter_estimate():
-    with criterion(10, "2D diameter bound on every shipped configuration", 1.0):
-        from test_sharp import FIXTURES_2D
-        assert FIXTURES_2D
-        for cfg in FIXTURES_2D:
-            lhs, rhs = sharp.diameter_estimate(cfg)
-            assert lhs <= rhs

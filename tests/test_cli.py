@@ -72,6 +72,17 @@ def test_local_partition_fields():
     assert payload["partition"]["per_mass"] == pytest.approx(5.0)
 
 
+def test_local_partition_fields_3d():
+    r = run_cli("local", "--dim", "3", "--mass", "40", "--partition", "--splitting")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload["e3d_ball"]["total"] == pytest.approx(128.5788, abs=1e-4)
+    assert payload["partition"]["n"] == 3
+    assert payload["partition"]["per_mass"] == pytest.approx(40.0 / 3, rel=1e-15)
+    assert payload["partition"]["envelope_value"] == pytest.approx(116.1985, abs=1e-4)
+    assert list(payload) == ["e3d_ball", "splitting_threshold", "partition"]
+
+
 def test_local_concavity_near_zero_at_2pi():
     r = run_cli("local", "--dim", "3", "--mass", "6.2831853", "--concavity")
     payload = json.loads(r.stdout)
@@ -502,7 +513,7 @@ def test_green_exits_cleanly_on_generated_inputs(x, flags, alpha):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["2", "3"]),
        st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
-       st.sets(st.sampled_from(["--partition", "--concavity", "--splitting", "--threshold"])))
+       st.sets(st.sampled_from(["--partition", "--concavity", "--splitting"])))
 def test_local_exits_cleanly_on_generated_inputs(dim, mass, flags):
     argv = ["local", "--dim", dim, "--mass=" + repr(mass), *sorted(flags)]
     _assert_clean_json_exit(*_run_main(argv))
@@ -518,8 +529,9 @@ def test_unmapped_library_errors_exit_1():
     assert err.splitlines() == ["error: a new failure"]
 
 
+# --threshold, once an alias of --splitting, is no flag at all now: argparse rejects it
 @pytest.mark.parametrize("dim, flag", [("2", "--concavity"), ("2", "--splitting"),
-                                       ("2", "--threshold"), ("3", "--partition")])
+                                       ("2", "--threshold"), ("3", "--threshold")])
 def test_local_rejects_flags_of_the_other_dimension(dim, flag):
     code, out, err = _run_main(["local", "--dim", dim, "--mass", "1", flag])
     assert code == 1 and out == ""

@@ -193,13 +193,14 @@ def test_zero_mean_on_grid(dim):
 
 
 def test_torus_point_reduction_and_distance():
-    p = green.TorusPoint((1.25, -0.25))
-    assert p.coords == (0.25, 0.75)
-    q = green.TorusPoint((0.95, 0.05))
-    assert abs(p.distance(q) - math.hypot(0.30, 0.30)) < 1e-15
-    assert p.distance(q) <= math.sqrt(2) / 2 + 1e-15
+    # a torus point is stored as v % 1.0 per coordinate; distances are min-image
+    c = limits.PointConfiguration(2, [(1.0, (1.25, -0.25)), (1.0, (0.95, 0.05))])
+    assert c.positions.tolist() == [[0.25, 0.75], [0.95, 0.05]]
+    dist = c.pairs[3][0]
+    assert abs(dist - math.hypot(0.30, 0.30)) < 1e-15
+    assert dist <= math.sqrt(2) / 2 + 1e-15
     with pytest.raises(ValueError):
-        green.TorusPoint((0.1,))
+        limits.PointConfiguration(2, [(1.0, (0.1,))])
 
 
 # 4 pi g(0) for the simple cubic lattice (Nijboer & de Wette, Physica 23, 1957)

@@ -31,8 +31,8 @@ def test_point_configuration_rejects_non_finite_values(bad):
         config(2, [(1.0, (0.1, bad)), (1.0, (0.6, 0.6))])
     with pytest.raises(ValueError):
         config(3, [(bad, (0.1, 0.2, 0.3))])
-    with pytest.raises(ValueError):  # an inf coordinate reduces to NaN in TorusPoint
-        config(2, [(1.0, green.TorusPoint((bad, 0.2)))])
+    with pytest.raises(ValueError):  # an inf coordinate would reduce to NaN
+        config(2, [(1.0, (bad, 0.2))])
 
 
 def test_point_configuration_arrays_are_built_once_and_read_only():
@@ -41,13 +41,15 @@ def test_point_configuration_arrays_are_built_once_and_read_only():
     raw[0] = (-1e-20, 1.0, 2.5)  # -1e-20 % 1.0 rounds to 1.0, which is stored as 0.0
     masses = rng.uniform(0.5, 2.0, 40)
     c = config(3, zip(masses, raw))
-    assert c.positions.tolist() == [list(green.TorusPoint(p).coords) for p in raw]
+    # each coordinate is v % 1.0, with 1.0 (from tiny negative v) stored as 0.0
+    assert c.positions.tolist() == [[0.0 if r == 1.0 else r for r in (v % 1.0 for v in p)]
+                                    for p in raw.tolist()]
     assert c.positions[0].tolist() == [0.0, 0.0, 0.5]
     assert ((c.positions >= 0.0) & (c.positions < 1.0)).all()
     assert c.masses.tolist() == masses.tolist()
     assert not hasattr(c, "particles")
-    # a TorusPoint is accepted as a position and reduces the same way
-    same = config(3, [(m, green.TorusPoint(p)) for m, p in zip(masses, raw)])
+    # tuples of Python floats reduce to the same stored rows
+    same = config(3, [(m, tuple(p)) for m, p in zip(masses.tolist(), raw.tolist())])
     assert np.array_equal(same.positions, c.positions)
     # the pair table is the one of ``_pairs`` over the stored positions
     for got, expect in zip(c.pairs, limits._pairs(c.positions)):
@@ -63,20 +65,31 @@ def test_e0_2d_is_bitwise_the_per_mass_loop():
     masses = np.concatenate([rng.uniform(0.01, 80.0, 300),
                              local.OPTIMAL_PER_MASS * np.arange(1, 21)])  # integer optimal counts
     c = config(2, list(zip(masses, rng.random((len(masses), 2)))))
-    loop = [local.envelope_2d(m).envelope_value for m in c.masses]
-    assert local.envelope_2d_many(c.masses).tolist() == loop
+    loop = [local.envelope(2, m).envelope_value for m in c.masses]
+    assert local.envelope_many(2, c.masses).tolist() == loop
     assert limits.e0(c) == float(np.sum(np.sort(loop)))
 
 
 def test_e0_values_and_position_blindness():
     c1 = config(2, [(5.0, (0.1, 0.1))])
-    assert limits.e0(c1) == local.envelope_2d(5.0).envelope_value
+    assert limits.e0(c1) == local.envelope(2, 5.0).envelope_value
     shuffled = config(2, [(2.0, (0.9, 0.3)), (2.0, (0.4, 0.8))])
     base = config(2, [(2.0, (0.1, 0.1)), (2.0, (0.6, 0.6))])
     assert limits.e0(shuffled) == limits.e0(base)  # identical to the last bit
 
     c3 = config(3, [(1.0, (0, 0, 0)), (2.0, (0.5, 0.5, 0.5))])
-    assert limits.e0(c3) == local.e3d_ball(1.0).total + local.e3d_ball(2.0).total
+    # below the splitting mass each 3D mass is one ball (vectorised cube root: a few ulps)
+    ball_sum = local.e3d_ball(1.0).total + local.e3d_ball(2.0).total
+    assert limits.e0(c3) == pytest.approx(ball_sum, rel=1e-15, abs=0.0)
+
+
+def test_e0_3d_charges_each_mass_its_envelope():
+    # above the splitting mass a 3D particle is charged its best split into balls
+    heavy = config(3, [(40.0, (0.1, 0.2, 0.3)), (1.0, (0.6, 0.6, 0.6))])
+    assert local.envelope(3, 40.0).n == 3
+    expect = local.envelope(3, 1.0).envelope_value + local.envelope(3, 40.0).envelope_value
+    assert limits.e0(heavy) == expect
+    assert limits.e0(heavy) < local.e3d_ball(40.0).total + local.e3d_ball(1.0).total
 
 
 def test_e0_split_comparison_consistent_with_envelope():
@@ -85,12 +98,12 @@ def test_e0_split_comparison_consistent_with_envelope():
     M = 20.0
     one = config(2, [(M, (0.2, 0.2))])
     two = config(2, [(M / 2, (0.1, 0.1)), (M / 2, (0.6, 0.6))])
-    assert local.envelope_2d(M).n == 4  # refines through the even split
+    assert local.envelope(2, M).n == 4  # refines through the even split
     assert limits.e0(two) == pytest.approx(limits.e0(one), rel=1e-14)
 
     one_small = config(2, [(1.0, (0.2, 0.2))])
     two_small = config(2, [(0.5, (0.1, 0.1)), (0.5, (0.6, 0.6))])
-    assert local.envelope_2d(1.0).n == 1
+    assert local.envelope(2, 1.0).n == 1
     assert limits.e0(two_small) > limits.e0(one_small)
 
 
@@ -187,6 +200,15 @@ def test_interaction_gradient_rejects_coincident_points(dim):
         limits.interaction_gradient(dim, np.ones(3), x)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_sum_needs_one_mass_per_position_row(dim):
+    x = np.random.default_rng(6).random((2, dim))
+    for masses in (np.ones(3), np.ones(1), np.ones((2, 1)), [1.0, -1.0], [1.0, math.nan]):
+        for fn in (limits.interaction_energy, limits.interaction_gradient):
+            with pytest.raises(ValueError, match="mass"):
+                fn(dim, masses, x)
+
+
 def test_check_admissible_2d_cases():
     m = local.OPTIMAL_PER_MASS
     for n in (1, 2, 3):
@@ -226,3 +248,11 @@ def test_check_admissible_3d_heuristics():
 
     heavy = limits.check_admissible(config(3, [(1.5 * thresh, (0.1, 0.1, 0.1))]))
     assert not heavy.is_compact
+
+    # the envelope of the total mass: three balls of 40/3 beat one of 40 and any other count
+    three = limits.check_admissible(config(
+        3, [(40.0 / 3, (0.1, 0.1, 0.1)), (40.0 / 3, (0.5, 0.5, 0.5)), (40.0 / 3, (0.1, 0.6, 0.3))]))
+    assert three.is_optimal_partition and three.is_compact
+    one = limits.check_admissible(config(3, [(40.0, (0.1, 0.1, 0.1))]))
+    assert not one.is_optimal_partition and not one.is_compact
+    assert any("n=3" in d for d in one.detail)

@@ -132,7 +132,7 @@ def test_e2d_substitution_identity():
 
 
 def test_envelope_single_particle_below_threshold():
-    res = local.envelope_2d(1.0)
+    res = local.envelope(2, 1.0)
     assert res.n == 1
     assert res.per_mass == 1.0
     assert 1.0 < local.SINGLE_PARTICLE_THRESHOLD < 2.0
@@ -140,7 +140,7 @@ def test_envelope_single_particle_below_threshold():
 
 def test_envelope_matches_brute_force():
     best, parts = brute_force_partition(20.0)
-    res = local.envelope_2d(20.0)
+    res = local.envelope(2, 20.0)
     assert res.envelope_value <= best + 1e-12
     nz = [p for p in parts if p > 0]
     assert max(nz) - min(nz) <= 1  # equal parts win on the grid
@@ -150,14 +150,14 @@ def test_envelope_continuous_relaxation_bracket():
     rng = np.random.default_rng(2)
     for M in rng.uniform(local.OPTIMAL_PER_MASS, 80.0, size=25):
         t_star = M / local.OPTIMAL_PER_MASS
-        res = local.envelope_2d(M)
+        res = local.envelope(2, M)
         assert res.n in (math.floor(t_star), math.ceil(t_star))
 
 
 def test_envelope_invariants():
     rng = np.random.default_rng(3)
     for M in rng.uniform(0.05, 60.0, size=50):
-        res = local.envelope_2d(M)
+        res = local.envelope(2, M)
         assert abs(res.n * res.per_mass - M) <= 1e-12 * M
         assert res.envelope_value <= local.e2d(M) * (1 + 1e-15)
         if res.n == 1:
@@ -171,8 +171,8 @@ def test_envelope_subadditive():
     rng = np.random.default_rng(4)
     for _ in range(100):
         m1, m2 = rng.uniform(0.1, 40.0, size=2)
-        lhs = local.envelope_2d(m1 + m2).envelope_value
-        rhs = local.envelope_2d(m1).envelope_value + local.envelope_2d(m2).envelope_value
+        lhs = local.envelope(2, m1 + m2).envelope_value
+        rhs = local.envelope(2, m1).envelope_value + local.envelope(2, m2).envelope_value
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -197,10 +197,10 @@ def test_envelope_matches_the_full_search():
     Ms = np.concatenate([np.exp(rng.uniform(math.log(0.05), math.log(1e4), 400)),
                          local.OPTIMAL_PER_MASS * np.arange(1, 30), _EXACT_TIES])
     for M in Ms:
-        res = local.envelope_2d(M)
+        res = local.envelope(2, M)
         n, value = _envelope_by_search(M)
         assert (res.n, res.envelope_value) == (n, value)  # same arithmetic: bitwise equal
-    assert np.array_equal(local.envelope_2d_many(Ms), [_envelope_by_search(M)[1] for M in Ms])
+    assert np.array_equal(local.envelope_many(2, Ms), [_envelope_by_search(M)[1] for M in Ms])
 
 
 def test_envelope_tie_breaks_to_smaller_n():
@@ -209,12 +209,12 @@ def test_envelope_tie_breaks_to_smaller_n():
     lo, hi = 2 * local.SINGLE_PARTICLE_THRESHOLD, 2 * local.OPTIMAL_PER_MASS
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if local.envelope_2d(mid).n == 1:
+        if local.envelope(2, mid).n == 1:
             lo = mid
         else:
             hi = mid
-    assert local.envelope_2d(lo).n == 1
-    assert local.envelope_2d(hi).n == 2
+    assert local.envelope(2, lo).n == 1
+    assert local.envelope(2, hi).n == 2
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +325,74 @@ def test_single_ball_wins_below_threshold():
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz probe
+# 3D envelope (ball ansatz)
 # ---------------------------------------------------------------------------
 
+def _ball(m):
+    r = (3.0 * np.asarray(m, dtype=float) / (4 * PI)) ** (1.0 / 3.0)
+    return 4 * PI * r * r + 8 * PI * r**5 / 15.0
+
+
+@pytest.mark.parametrize("M, n, value", [(22.1, 2, 64.8604), (40.0, 3, 116.1985),
+                                         (100.0, 6, 289.7605)])
+def test_envelope_3d_values(M, n, value):
+    res = local.envelope(3, M)
+    assert res.n == n and res.per_mass == M / n
+    assert res.envelope_value == pytest.approx(value, abs=5e-5)
+    assert res.envelope_value == pytest.approx(n * local.e3d_ball(M / n).total, rel=1e-15)
+
+
+def test_envelope_3d_count_changes_at_the_splitting_mass():
+    mstar = local.splitting_threshold_3d()
+    assert local.envelope(3, mstar * (1 - 1e-12)).n == 1
+    assert local.envelope(3, mstar * (1 + 1e-12)).n == 2
+    below = np.exp(np.linspace(math.log(1e-6), math.log(0.999 * mstar), 500))
+    ref = np.array([local.e3d_ball(m).total for m in below])
+    assert np.all(np.abs(local.envelope_many(3, below) - ref) <= 1e-15 * ref)
+
+
+def test_envelope_3d_matches_brute_force_splits():
+    # every equal split into k <= 60 balls, and k1 balls of mass a plus k2 of mass b
+    ks = np.arange(1.0, 61.0)
+    for M in (0.5, 5.0, 22.1, 40.0, 100.0, 300.0):
+        res = local.envelope(3, M)
+        equal = ks * _ball(M / ks)
+        assert res.n == int(ks[np.argmin(equal)])
+        assert res.envelope_value == pytest.approx(float(np.min(equal)), rel=1e-15)
+        for k1 in range(1, 9):
+            a = M / k1 * np.linspace(0.01, 0.99, 197)
+            for k2 in range(1, 9):
+                two = k1 * _ball(a) + k2 * _ball((M - k1 * a) / k2)
+                assert res.envelope_value <= float(np.min(two)) * (1 + 1e-12)
+
+
+def test_envelope_rejects_a_dim_other_than_2_or_3():
+    with pytest.raises(ValueError, match="dim"):
+        local.envelope(4, 1.0)
+    with pytest.raises(ValueError, match="dim"):
+        local.envelope_many(1, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz probe of the 2D envelope
+# ---------------------------------------------------------------------------
+
+def lipschitz_probe_envelope(delta, n_pairs=10_000):
+    """Max adjacent difference quotient of the 2D envelope over a grid on [delta, 1/delta]."""
+    grid = np.linspace(delta, 1.0 / delta, n_pairs + 1)
+    vals = local.envelope_many(2, grid)
+    return float(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
+
+
 def test_lipschitz_probe_stability_under_refinement():
-    v1 = local.lipschitz_probe_envelope(0.1)
-    v2 = local.lipschitz_probe_envelope(0.1, n_pairs=20_000)
+    v1 = lipschitz_probe_envelope(0.1)
+    v2 = lipschitz_probe_envelope(0.1, n_pairs=20_000)
     assert math.isfinite(v1)
     assert abs(v2 - v1) <= 0.05 * v1
 
 
 def test_lipschitz_probe_monotone_in_interval():
-    assert local.lipschitz_probe_envelope(0.5) <= local.lipschitz_probe_envelope(0.1)
+    assert lipschitz_probe_envelope(0.5) <= lipschitz_probe_envelope(0.1)
 
 
 def test_lipschitz_probe_bounded_at_transitions():
@@ -345,7 +401,7 @@ def test_lipschitz_probe_bounded_at_transitions():
     for n in (1, 2, 3):
         center = n * local.OPTIMAL_PER_MASS
         grid = np.linspace(center - 0.05, center + 0.05, 201)
-        vals = local.envelope_2d_many(grid)
+        vals = local.envelope_many(2, grid)
         probes.append(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
-    bound = local.lipschitz_probe_envelope(0.05)
+    bound = lipschitz_probe_envelope(0.05)
     assert all(p <= bound * 1.01 for p in probes)

@@ -152,6 +152,10 @@ def test_single_ball_decomposition_cross_check(eta, dim, params):
         expect = local.e2d(m) + regular_self
     assert abs(bd.regular_self_term - regular_self) <= 1e-14 * abs(regular_self)
     assert abs(bd.total - expect) <= 1e-6 * expect
+    # the long-range coefficient matched to the scale: eta^-3, or (|log eta| eta^3)^-1
+    gamma = eta**-3 if dim == 3 else 1.0 / (abs(math.log(eta)) * eta**3)
+    assert bd.gamma == pytest.approx(gamma, rel=1e-15)
+    assert sharp.gamma_for(3, 0.1) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_direct_mode_agrees_2d():
@@ -393,17 +397,6 @@ def test_2d_log_extraction_limit(params):
     assert abs(seq[-1] - limit) < 1e-3
 
 
-def test_rescale_to_original():
-    bd3 = sharp.sharp_energy(FIXTURES_3D[0])
-    e_orig, gamma = sharp.rescale_to_original(bd3)
-    assert e_orig / bd3.total == pytest.approx(bd3.eta**2, rel=1e-15)
-    bd2 = sharp.sharp_energy(FIXTURES_2D[0])
-    e_orig2, gamma2 = sharp.rescale_to_original(bd2)
-    assert e_orig2 / bd2.total == pytest.approx(bd2.eta, rel=1e-15)
-    assert gamma2 == pytest.approx(1.0 / (abs(math.log(bd2.eta)) * bd2.eta**3), rel=1e-15)
-    assert sharp.gamma_for(3, 0.1) == pytest.approx(1000.0, rel=1e-12)
-
-
 def test_second_order_quotient_single_ball(params):
     table = sharp.second_order_quotient(
         limits.PointConfiguration(3, [(1.0, (0.2, 0.4, 0.6))]), [0.02, 0.01])
@@ -434,11 +427,3 @@ def test_richardson_needs_two_distinct_scales():
     # a repeated eta leaves the slope undetermined: lstsq would return a minimum-norm guess
     with pytest.raises(ValueError, match="two distinct scales"):
         sharp.richardson_extrapolate([0.02, 0.02], [1.0, 1.1])
-
-
-def test_diameter_estimate_on_fixtures():
-    for cfg in FIXTURES_2D:
-        lhs, rhs = sharp.diameter_estimate(cfg)
-        assert lhs <= rhs
-    with pytest.raises(ValueError):
-        sharp.diameter_estimate(FIXTURES_3D[0])
