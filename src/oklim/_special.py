@@ -1,13 +1,15 @@
 """Special-function kernels: ball form factors for the direct mode sum.
 
 ``sharp``'s direct sum evaluates them once per shell |k|^2 of its orthant
-walk.  Nothing here is shared with the Green's function G.
+walk.  Nothing here is shared with the Green's function G.  scipy.special's
+j1 is imported in the 2D branch, once per call, and not at module level:
+``sharp`` imports this module, so a module-level import would load scipy on
+``import oklim``, while only the 2D direct oracle needs it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j1
 
 
 def ball_form_factor(dim, t):
@@ -22,6 +24,8 @@ def ball_form_factor(dim, t):
         tb = t[~small]
         out[~small] = 3.0 * (np.sin(tb) - tb * np.cos(tb)) / tb**3
     elif dim == 2:
+        from scipy.special import j1  # here, not at module level: see the module docstring
+
         out = np.empty_like(t)
         small = t < 1e-4
         out[small] = 1.0 - t[small] ** 2 / 8.0

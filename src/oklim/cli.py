@@ -309,10 +309,9 @@ def cmd_place(args) -> int:
     else:
         if args.n is None or args.mass is None:
             raise ValueError("--n and --mass are required without --config")
-        masses = np.full(args.n, args.mass)
+        masses = [args.mass] * args.n  # empty for n < 1, which place rejects
         dim = args.dim
     params = default_params(len(masses))
-    equal = float(np.ptp(masses)) == 0.0  # place injects a lattice start only then
     converged = True
     try:
         result = optimize.place(dim, masses, restarts=args.restarts, seed=args.seed,
@@ -320,6 +319,7 @@ def cmd_place(args) -> int:
     except NoConvergence as exc:
         result = exc.result
         converged = False
+    equal = float(np.ptp(masses)) == 0.0  # place injects a lattice start only then
     payload = {
         "converged": converged,
         "energy": result.energy,
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with np.errstate(over="ignore"):  # an overflow is inf, which fmt17 reports
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan reach fmt17's report
             return args.func(args)
     except SingularPoint as exc:
         sys.stderr.write(f"singular point: {exc}\n")

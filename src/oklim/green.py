@@ -39,6 +39,11 @@ so each value is independent of its row in the batch.  Non-finite coordinates ra
 ValueError before the reduction to the cell, which would make them NaN; so
 do a ``dim`` other than 2 or 3 and rows without ``dim`` coordinates, at
 every entry point (``_check_dim``).
+
+scipy.special's erfc is imported inside ``_real_space``, once per call, and
+not at module level: the 3D image sum is its only user, and a module-level
+import would load scipy on ``import oklim`` and on every 2D command, where it
+is most of a cold start.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import SingularPoint
 
@@ -330,6 +334,8 @@ def _real_space(X, alpha, rc, origin=True, gradient=False):
     terms: the value, then its gradient sign(x) * -sum_n w(r) (|x| + n),
     r = ||x| + n|.
     """
+    from scipy.special import erfc  # here, not at module level: see the module docstring
+
     def rows(x):
         a = np.abs(x) if gradient else x
         r = _image_distances(a, rc)

@@ -346,6 +346,27 @@ def test_place_without_starts_is_a_usage_error():
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_place_with_fewer_than_two_particles_is_one_line(n):
+    r = run_cli("place", "--n", n, "--mass", "1")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: placement needs at least two particles\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "3", "--mass", "inf"], "error: masses must be positive and finite, got inf\n"),
+    # the pair energies overflow to inf and the gradients to nan: no RuntimeWarning lines
+    (["--dim", "3", "--n", "8", "--mass", "1e200"],
+     "error: result nan is outside the float range\n"),
+], ids=["inf-mass", "nan-gradient"])
+def test_place_on_non_finite_values_is_one_line(args, message):
+    r = run_cli("place", *args, "--restarts", "1")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == message
+
+
 @pytest.mark.parametrize("particle", [
     {"mass": 1.0, "position": [float("nan"), 0.5]},
     {"mass": 1.0, "position": [0.5, float("-inf")]},
