@@ -134,7 +134,8 @@ def validate_config(data) -> list:
         pos = p.get("position")
         if not isinstance(pos, list) or (dim in (2, 3) and len(pos) != dim) or \
                 not all(_is_finite_number(v) for v in pos):
-            errs.append((ptr + "/position", f"must be an array of {dim} finite numbers"))
+            count = f"{dim} " if dim in (2, 3) else ""  # an invalid dim is reported at /dim
+            errs.append((ptr + "/position", f"must be an array of {count}finite numbers"))
     eta = data.get("eta")
     if eta is not None and (not _is_finite_number(eta) or not 0 < eta <= 0.25):
         errs.append(("/eta", "must be a number in (0, 0.25]"))

@@ -35,10 +35,13 @@ part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
 with the singular part analytically.  Values are taken at |x| in the
 centered cell, where G is even in each coordinate, and reduced row by row,
-so each value is independent of its row in the batch.  Non-finite coordinates raise
-ValueError before the reduction to the cell, which would make them NaN; so
-do a ``dim`` other than 2 or 3 and rows without ``dim`` coordinates, at
-every entry point (``_check_dim``).
+so each value is independent of its row in the batch.  The pair sum's
+rows arrive as the (M, d) transpose of a coordinate-major (d, M) array
+(``limits._pairs``), so each X[:, k] is contiguous; the 2D theta factors
+are tabled factor-major, (2 THETA_FACTORS, M), and reduced over axis 0.
+Non-finite coordinates raise ValueError before the reduction to the cell,
+which would make them NaN; so do a ``dim`` other than 2 or 3 and rows
+without ``dim`` coordinates, at every entry point (``_check_dim``).
 
 scipy.special's erfc is imported inside ``_real_space``, once per call, and
 not at module level: the 3D image sum is its only user, and a module-level
@@ -86,11 +89,14 @@ _G0_2D = -(2 * math.lgamma(0.25) - math.log(2 * _SQRT_PI)) / (2 * math.pi)
 
 
 def _theta_factors(x, y):
-    """(a, cos 2 pi x, |sin pi z|) per row: a holds q^2n e^(-2 pi y), then q^2n e^(2 pi y)."""
-    a = np.multiply.outer(y, _HALF_SIGN)
-    a += _LOG_Q2N
+    """(a, cos 2 pi x, |sin pi z|) per point: a holds q^2n e^(-2 pi y), then q^2n e^(2 pi y).
+
+    a is factor-major, (2 THETA_FACTORS, P), so its reductions run over axis 0.
+    """
+    a = np.multiply.outer(_HALF_SIGN, y)
+    a += _LOG_Q2N[:, None]
     sine = np.hypot(np.sin(math.pi * x), np.sinh(math.pi * y))
-    return np.exp(a, out=a), np.cos(2 * math.pi * x)[:, None], sine
+    return np.exp(a, out=a), np.cos(2 * math.pi * x), sine
 
 
 def _theta_green(X, scale, gradient=False):
@@ -105,16 +111,16 @@ def _theta_green(X, scale, gradient=False):
     a, c, sine = _theta_factors(x, y)
     t = a * (a - 2 * c)
     bracket = (math.log(2.0) - math.pi / 6 + np.log(sine / scale)
-               + 0.5 * np.log1p(t).sum(axis=1))
+               + 0.5 * np.log1p(t).sum(axis=0))
     value = -bracket / (2 * math.pi) + 0.5 * y * y
     if not gradient:
         return value
     den = 1.0 + t
     inv = 0.25 / sine**2
     da = a * (a - c) / den
-    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=1))
+    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=0))
     gy = (-np.sinh(2 * math.pi * y) * inv
-          + (da[:, :THETA_FACTORS] - da[:, THETA_FACTORS:]).sum(axis=1) + y)
+          + (da[:THETA_FACTORS] - da[THETA_FACTORS:]).sum(axis=0) + y)
     return value, np.sign(X) * np.stack([gx, gy], axis=1)
 
 

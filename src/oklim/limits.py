@@ -3,6 +3,9 @@
 A ``PointConfiguration`` is its validated read-only arrays: the masses, the
 positions reduced to [0, 1), and the min-image pair table that its
 coincidence guard builds once; every energy above G reads that table.  The
+table's differences are gathered coordinate-major into a read-only (d, P)
+array and handed out as its (P, d) transpose, so each coordinate column,
+which the kernels read one at a time, is contiguous.  The
 first-order energy sums the per-mass values of ``local.envelope_many`` in
 both dimensions and is blind to positions; admissibility compares the
 per-particle energies with the envelope of the total mass, and compactness
@@ -122,12 +125,18 @@ def _pair_index(n):
 
 
 def _pairs(positions):
-    """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length), read-only."""
+    """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length), read-only.
+
+    The differences are gathered coordinate-major, a (d, P) array, and
+    returned as its (P, d) transpose, so each column ``diffs[:, k]`` is
+    contiguous; the lengths sum the squares axis by axis, as a row norm does.
+    """
     iu, ju = _pair_index(len(positions))
-    diffs = green.min_image(positions[iu] - positions[ju])
-    dist = np.linalg.norm(diffs, axis=1)
+    cols = positions.T
+    diffs = green.min_image(np.take(cols, iu, axis=1) - np.take(cols, ju, axis=1))
+    dist = np.sqrt(np.add.reduce(diffs * diffs, axis=0))
     diffs.flags.writeable = dist.flags.writeable = False
-    return iu, ju, diffs, dist
+    return iu, ju, diffs.T, dist
 
 
 def _check_distinct(pairs):

@@ -43,6 +43,7 @@ COALESCENCE_GUARD = 1e-4
 MAX_ITERATIONS = 100_000
 MEMORY = 10  # (s, y) pairs kept by the L-BFGS model
 MAX_MOVE = 0.1  # largest particle displacement of a first trial step, in cell lengths
+RESTART_TIE = 1e-13  # relative energy gap within which restarts count as tied
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,9 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     Runs ``restarts`` seeded uniform starts (plus the square-lattice
     arrangement as an extra start when the count is commensurate and masses
     are equal, and ``initial_positions`` if given) and returns the
-    lowest-energy converged result, ties broken by lowest restart index.
+    lowest-energy converged result.  Energies within RESTART_TIE (relative) of
+    the lowest count as tied, and ties go to the earliest start: restarts that
+    reach one minimum differ in the last bits, which must not pick the output.
     Raises NoConvergence (carrying the best effort) if no start reaches the
     gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
     is negative, no start applies, or ``initial_positions`` is not an (n, dim)
@@ -222,16 +225,18 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     if not starts:
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
 
-    best = None  # (key, x, energy, grad_norm, iters, conv)
+    runs = []  # (x, energy, grad_norm, iters, conv) per start
     evaluations = 0
-    for idx, x0 in enumerate(starts):
+    for x0 in starts:
         x, e, gn, iters, conv, evals = _descend(dim, masses, x0, tol, params, max_iterations)
         evaluations += evals
-        key = (0 if conv else 1, e, idx)
-        if best is None or key < best[0]:
-            best = (key, x, e, gn, iters, conv)
+        runs.append((x, e, gn, iters, conv))
 
-    _, x, e, gn, iters, conv = best
+    pool = [r for r in runs if r[4]] or runs
+    low = min(pool, key=lambda r: r[1])
+    gap = RESTART_TIE * max(1.0, abs(low[1]))
+    # low itself when the gaps are not finite: energies that overflowed to inf
+    x, e, gn, iters, conv = next((r for r in pool if r[1] - low[1] <= gap), low)
     config = PointConfiguration(dim, zip(masses, x))
     result = OptimizationResult(
         config=config,

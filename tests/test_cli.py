@@ -647,3 +647,47 @@ def test_place_exits_cleanly_on_generated_inputs(payload, restarts, seed, flags)
     argv = ["place", "--restarts", str(restarts), "--seed", str(seed), "--tol", "1e-6",
             *sorted(flags)]
     _assert_clean_json_exit(*_run_on_config(payload, argv))
+
+
+def test_position_without_a_valid_dim_names_no_coordinate_count():
+    code, out, err = _run_on_config(
+        {"particles": [{"mass": 1, "position": [0.1, "a"]}]}, ["energy"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "schema violation at /dim: must be 2 or 3",
+        "schema violation at /particles/0/position: must be an array of finite numbers"]
+    code, _, err = _run_on_config(
+        {"dim": 2, "particles": [{"mass": 1, "position": [0.1, "a"]}]}, ["energy"])
+    assert code == 1
+    assert err.splitlines() == [
+        "schema violation at /particles/0/position: must be an array of 2 finite numbers"]
+
+
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [^,}\s]+', "", text)
+
+
+EQUAL_2D = {"dim": 2, "particles": [{"mass": 1.0, "position": [0.1, 0.2]},
+                                    {"mass": 1.0, "position": [0.6, 0.5]},
+                                    {"mass": 1.0, "position": [0.3, 0.8]}]}
+
+
+@pytest.mark.parametrize("sequence, codes", [
+    ([["energy", "{2d}", "--eta", "0.01"], ["energy", "{2d}"]], [0, 0]),
+    ([["green", "--dim", "4", "--x", "0.1"], ["green", "--dim", "2", "--x", "0.3,0.4", "--grad"]],
+     [1, 0]),
+    ([["place", "--n", "4", "--mass", "1", "--restarts", "1", "--lattice-compare"],
+      ["energy", "{3d}"]], [0, 0]),
+])
+def test_calls_in_one_process_match_fresh_processes(tmp_path, sequence, codes):
+    # nothing one call leaves in the process reaches the next
+    paths = {"{2d}": write_config(tmp_path, "two_d.json", EQUAL_2D),
+             "{3d}": write_config(tmp_path, "three_d.json", TWO_BALLS_3D)}
+    for argv, expect in zip(sequence, codes):
+        argv = [paths.get(a, a) for a in argv]
+        if argv[0] == "energy":
+            argv[1:1] = ["--config"]
+        fresh = run_cli(*argv)
+        code, out, _ = _run_main(argv)
+        assert code == fresh.returncode == expect
+        assert _without_wall_time(out) == _without_wall_time(fresh.stdout)

@@ -60,6 +60,26 @@ def test_point_configuration_arrays_are_built_once_and_read_only():
             a[0] = 0.5
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 9, 250])
+def test_pair_table_is_bitwise_the_row_major_gather(dim, n):
+    rng = np.random.default_rng([dim, n])
+    x = rng.random((n, dim))
+    for k in range(dim):  # near 0 and near 1 on each axis: differences that wrap
+        x[k % n, k], x[(k + 1) % n, k] = 1e-12, 1.0 - 1e-12
+    iu, ju, diffs, dist = limits._pairs(x)
+    ref_iu, ref_ju = np.triu_indices(n, k=1)
+    ref = green.min_image(x[ref_iu] - x[ref_ju])
+    assert np.array_equal(iu, ref_iu) and np.array_equal(ju, ref_ju)
+    assert diffs.shape == (n * (n - 1) // 2, dim)
+    assert np.array_equal(diffs, ref)
+    assert np.array_equal(dist, np.linalg.norm(ref, axis=1))
+    assert diffs[:, 0].flags.c_contiguous  # each coordinate column is contiguous
+    for a in (iu, ju, diffs, dist):
+        assert not a.flags.writeable
+        assert a.base is None or not a.base.flags.writeable
+
+
 def test_e0_2d_is_bitwise_the_per_mass_loop():
     rng = np.random.default_rng(4)
     masses = np.concatenate([rng.uniform(0.01, 80.0, 300),

@@ -65,6 +65,31 @@ def test_seed_determinism_bitwise():
     assert r1.iterations == r2.iterations
 
 
+@pytest.mark.parametrize("energies, converged, picked", [
+    ((-1.0, -1.0 - 2e-16, -0.9), (True, True, True), 0),  # one minimum, last bits apart
+    ((-1.0, -1.0 - 1e-10, -0.9), (True, True, True), 1),  # a real gap
+    ((-1.0, -2.0, -1.0 - 1e-16), (True, False, True), 0),  # converged starts come first
+    ((-1.0, -2.0), (False, False), 1),  # best effort among unconverged starts
+])
+def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
+        monkeypatch, energies, converged, picked):
+    runs = iter(zip(energies, converged))
+
+    def descend(dim, masses, x0, *rest):
+        e, conv = next(runs)
+        return x0, e, 0.0, 1, conv, 1
+
+    monkeypatch.setattr(optimize, "_descend", descend)
+    restarts = len(energies)
+    try:
+        res = optimize.place(2, [1.0, 2.0, 3.0], restarts=restarts, seed=5)
+    except NoConvergence as exc:
+        res = exc.result
+    start = np.random.default_rng([5, picked]).random((3, 2))
+    assert res.energy == energies[picked] and res.converged == converged[picked]
+    assert np.array_equal(res.config.positions, start)
+
+
 def test_square_count_never_beats_injected_candidate(params):
     res = optimize.place(2, [1.0] * 4, restarts=4, seed=2, tol=1e-8, params=params)
     lattice = optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)

@@ -17,15 +17,15 @@ from oklim import green, limits, optimize
 
 
 def theta_grad(X):
-    """grad G in 2D at rows of the centered cell, from the theta factors alone."""
+    """grad G in 2D at rows of the centered cell, from the factor-major theta factors alone."""
     x, y = np.abs(X[:, 0]), np.abs(X[:, 1])
     a, c, sine = green._theta_factors(x, y)
     den = 1.0 + a * (a - 2 * c)
     inv = 0.25 / sine**2
     da = a * (a - c) / den
-    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=1))
+    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=0))
     gy = (-np.sinh(2 * math.pi * y) * inv
-          + (da[:, :green.THETA_FACTORS] - da[:, green.THETA_FACTORS:]).sum(axis=1) + y)
+          + (da[:green.THETA_FACTORS] - da[green.THETA_FACTORS:]).sum(axis=0) + y)
     return np.sign(X) * np.stack([gx, gy], axis=1)
 
 
