@@ -117,8 +117,9 @@ def validate_config(data) -> list:
     if not isinstance(data, dict):
         return [("", "configuration must be a JSON object")]
     dim = data.get("dim")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):  # 2.0 == 2, yet a float is no dim; nor is true
         errs.append(("/dim", "must be 2 or 3"))
+        dim = None
     parts = data.get("particles")
     if not isinstance(parts, list) or not parts:
         errs.append(("/particles", "must be a non-empty array"))

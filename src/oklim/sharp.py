@@ -27,9 +27,11 @@ its disjointness check reads the inherited pair table.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
 nothing with G (it calls nothing in ``green`` or ``limits``) and is kept as
 the independent check at moderate scales; ``fourier_cutoff`` is its mode
-cutoff.  It runs over the orthant k >= 0 with per-axis cosine tables,
-evaluates the form factors once per shell |k|^2, a bounded window of shells
-at a time, and bounds its omitted modes by the closed-form integral of a
+cutoff.  It runs over the orthant k >= 0 with per-axis cosine tables.  A
+window of shells |k|^2 at a time, it maps each block of modes to its shell
+through one int32 shell index that every pair row shares, evaluates the
+form factors once per occupied shell, and takes each row's weights from
+there; it bounds its omitted modes by the closed-form integral of a
 piecewise power-law envelope.
 """
 
@@ -49,7 +51,8 @@ from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration
 MIN_CUTOFF = 16
 TAIL_CONTRACT = 1e-8  # certified tail must stay below this fraction of the total
 CLEARANCE = 1e-6
-_CHUNK = 1 << 14  # elements per temporary of the direct mode sum
+_CHUNK = 1 << 13  # modes per block of the direct mode sum (a one-row block may hold more)
+_WINDOW = 1 << 15  # shells |k|^2 per window (per shell index) of the direct mode sum
 
 
 def ball_scale_radius(dim: int, masses, eta: float) -> np.ndarray:
@@ -149,18 +152,24 @@ def _pair_sums_direct(config, cutoff):
 
     and the bound on its omitted modes.  The sign flips of k add cos(2 pi k.d)
     up to 2^(nonzero coordinates) prod_a cos(2 pi k_a d_a), so k runs over the
-    orthant k >= 0 and each axis contributes one row of a cosine table.  The
-    form factors phi depend only on the shell s = |k|^2: each pair's phases
-    are summed per shell first (row 0, at d = 0, counts the shell's modes),
-    and phi is evaluated once per shell.  The shells are walked in windows of
-    at most _CHUNK // rows points (k_1, u), u a shell of the remaining axes,
-    so a window's temporaries stay within about _CHUNK elements; only a
-    one-shell window may hold more.
+    orthant k >= 0 and each axis contributes one row of a cosine table ``tab``
+    (row 0, at d = 0, counts the modes); the axes after the first are folded
+    into their sorted shells u first, with each row's phase sum ``rest``.
+    The form factors phi depend only on the shell s = k_1^2 + u = |k|^2.
+    The shells are walked in windows of _WINDOW, and the modes of a window in
+    blocks of k_1 rows against a run of u, of at most _CHUNK modes (a
+    one-row block may hold more).  A first pass marks the window's occupied
+    shells in an int32 shell index; phi is evaluated once per occupied shell
+    as the per-particle weight p_i = m_i phi_i / (2 pi |k|).  A second pass
+    maps each block's s to its shell once, takes the weights there, and adds
+    tab[r, 0, block] @ (w_r[shell] @ rest[r, run]) to each row r, with
+    w_r = p_i p_j for the pair (i, j) and sum_i p_i^2 for row 0.  The origin
+    and the s off the window map to a zero weight.  The working memory is
+    about (n + 1) (_WINDOW + _CHUNK) doubles, whatever the cutoff.
     """
     dim, n, m, a = config.dim, config.n, config.masses, config.radii
     iu, ju = np.triu_indices(n, 1)
     d = np.concatenate([np.zeros((1, dim)), config.positions[iu] - config.positions[ju]])
-    rows = d.shape[0]
     kk = np.arange(cutoff + 1)
     sq = kk * kk
     c2 = cutoff * cutoff
@@ -174,30 +183,42 @@ def _pair_sums_direct(config, cutoff):
         rest = np.stack([np.bincount(inv, t[1, k2] * t[2, k3], u.size) for t in tab])
     else:
         u, rest = sq, tab[:, 1]
-    budget = max(1, _CHUNK // rows)
-    diag = off = 0.0
-    s0, width = 1, budget
-    while s0 <= c2:
-        # the window of shells [s0, s1): per k_1, the run of u with s0 <= k_1^2 + u < s1
-        s1 = min(s0 + width, c2 + 1)
-        lo = np.searchsorted(u, s0 - sq)
-        cnt = np.searchsorted(u, s1 - sq) - lo
-        total = int(cnt.sum())
-        if total > budget and width > 1:
-            width //= 2
-            continue
-        k1 = np.repeat(kk, cnt)
-        j = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        pos = (sq[k1] + u[j] - s0) + (s1 - s0) * np.arange(rows)[:, None]
-        acc = np.bincount(pos.ravel(), (tab[:, 0, k1] * rest[:, j]).ravel(),
-                          rows * (s1 - s0)).reshape(rows, s1 - s0)
-        shell = np.flatnonzero(acc[0])
-        s = (s0 + shell).astype(float)
-        phi = m[:, None] * ball_form_factor(dim, 2 * math.pi * np.sqrt(s) * a[:, None])
-        w = acc[:, shell] / (4 * math.pi**2 * s)
-        diag += float(np.sum(w[0] * phi**2))
-        off += 2.0 * float(np.sum(w[1:] * phi[iu] * phi[ju]))
-        s0, width = s1, min(2 * width, budget)
+    acc = np.zeros(d.shape[0])
+    for s0 in range(1, c2 + 1, _WINDOW):
+        s1 = min(s0 + _WINDOW, c2 + 1)
+        # blocks k_1 in [b0, b1) against u[j0:j1], covering the window's s = k_1^2 + u
+        top = math.isqrt(s1 - 1) + 1
+        lo = np.searchsorted(u, s0 - sq[:top]).tolist()
+        hi = np.searchsorted(u, s1 - sq[:top]).tolist()
+        blocks, b0 = [], 0
+        while b0 < top:
+            b1 = min(top, b0 + max(1, _CHUNK // max(1, hi[b0] - lo[b0])))
+            while b1 - b0 > 1 and (b1 - b0) * (hi[b0] - lo[b1 - 1]) > _CHUNK:
+                b1 = b0 + (b1 - b0) // 2
+            blocks.append((b0, b1, lo[b1 - 1], hi[b0]))
+            b0 = b1
+        # s sits at s - s0 + 1 of the shell index; its two ends catch every s off the window
+        shell = np.full(s1 - s0 + 2, -1, np.int32)
+        for b0, b1, j0, j1 in blocks:
+            pos = (sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1]
+            shell[np.minimum(np.maximum(pos, 0, out=pos), s1 - s0 + 1, out=pos)] = 0
+        shell[0] = shell[-1] = -1
+        occupied = np.flatnonzero(shell == 0)
+        shell[occupied] = np.arange(occupied.size, dtype=np.int32)
+        # per occupied shell: sum_i p_i^2, then p_i; the last column, at shell -1, stays 0
+        w = np.zeros((n + 1, occupied.size + 1))
+        step = max(1, _CHUNK // n)
+        for c0 in range(0, occupied.size, step):
+            k = np.sqrt(occupied[c0:c0 + step] + (s0 - 1.0))
+            p = m[:, None] * ball_form_factor(dim, 2 * math.pi * k * a[:, None]) / (2 * math.pi * k)
+            w[0, c0:c0 + k.size] = np.sum(p * p, axis=0)
+            w[1:, c0:c0 + k.size] = p
+        for b0, b1, j0, j1 in blocks:
+            g = w.take(shell.take((sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1], mode="clip"), axis=1)
+            acc[0] += tab[0, 0, b0:b1] @ (g[0] @ rest[0, j0:j1])
+            for r, (i, j) in enumerate(zip(iu, ju), 1):
+                acc[r] += tab[r, 0, b0:b1] @ ((g[i + 1] * g[j + 1]) @ rest[r, j0:j1])
+    diag, off = float(acc[0]), 2.0 * float(np.sum(acc[1:]))
     return diag, off, _direct_mode_tail(dim, cutoff, m, a)
 
 

@@ -663,6 +663,18 @@ def test_position_without_a_valid_dim_names_no_coordinate_count():
         "schema violation at /particles/0/position: must be an array of 2 finite numbers"]
 
 
+@pytest.mark.parametrize("argv", [["place", "--restarts", "1"], ["energy"]])
+@pytest.mark.parametrize("dim", [2.0, 3.0, True])
+def test_dim_must_be_an_integer(dim, argv):
+    # 2.0 == 2 and true == 1 in Python, but neither is a dimension
+    width = 3 if dim == 3 else 2
+    payload = {"dim": dim, "particles": [{"mass": 1.0, "position": [0.1 * (i + 1)] * width}
+                                         for i in range(2)]}
+    code, out, err = _run_on_config(payload, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["schema violation at /dim: must be 2 or 3"]
+
+
 def _without_wall_time(text):
     return re.sub(r'"wall_time_s": [^,}\s]+', "", text)
 

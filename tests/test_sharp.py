@@ -204,14 +204,47 @@ def _per_mode_pair_sums(config, cutoff):
     (3, 0.15, 12, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3))]),
     (3, 0.15, 12, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3)), (1.4, (0.55, 0.4, 0.8))]),
 ])
-def test_direct_pair_sums_match_per_mode_reference(dim, eta, cutoff, particles):
+def test_direct_pair_sums_match_per_mode_reference(monkeypatch, dim, eta, cutoff, particles):
     # the orthant/shell rearrangement against the sum it rearranges; the shared
-    # coordinate puts a zero difference on an axis
+    # coordinate puts a zero difference on an axis.  Small windows and blocks
+    # put many window and block edges inside the cutoff.
     cfg = sharp.BallConfiguration(dim, eta, particles)
-    diag, off, _ = sharp._pair_sums_direct(cfg, cutoff)
     ref_diag, ref_off = _per_mode_pair_sums(cfg, cutoff)
-    assert abs(diag - ref_diag) <= 1e-13 * abs(ref_diag)
-    assert abs(off - ref_off) <= 1e-13 * abs(ref_off)
+    for window, chunk in [(sharp._WINDOW, sharp._CHUNK), (29, 11)]:
+        monkeypatch.setattr(sharp, "_WINDOW", window)
+        monkeypatch.setattr(sharp, "_CHUNK", chunk)
+        diag, off, _ = sharp._pair_sums_direct(cfg, cutoff)
+        assert abs(diag - ref_diag) <= 1e-13 * abs(ref_diag)
+        assert abs(off - ref_off) <= 1e-13 * abs(ref_off)
+
+
+def test_direct_mode_calls_nothing_of_green_or_limits(monkeypatch):
+    # the oracle is independent of G: it still runs with every G kernel broken
+    def broken(*args, **kwargs):
+        raise AssertionError("the direct mode sum called into green or limits")
+
+    for module, name in [(green, "_pair_part"), (green, "_set_long_range"),
+                         (green, "regular_part_at_zero"), (green, "truncation_bound"),
+                         (limits, "_second_order_parts")]:
+        monkeypatch.setattr(module, name, broken)
+    for cfg in (sharp.BallConfiguration(2, 0.25, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7))]),
+                sharp.BallConfiguration(3, 0.25, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.7, 0.9))])):
+        bd = sharp.sharp_energy(cfg, fourier_cutoff=300, method="direct")
+        assert math.isfinite(bd.total) and 0.0 < bd.tail_bound
+
+
+@pytest.mark.parametrize("dim, eta, cutoff, particles", [
+    (2, 0.2, 60, [(1.0, (0.1, 0.2)), (0.6, (0.1, 0.65)), (1.4, (0.55, 0.4))]),
+    (3, 0.15, 20, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3)), (1.4, (0.55, 0.4, 0.8))]),
+])
+def test_direct_pair_sums_are_invariant_under_permutation(dim, eta, cutoff, particles):
+    # particles 0 and 1 share coordinates; every order of the three gives the same sums
+    diag, off, _ = sharp._pair_sums_direct(sharp.BallConfiguration(dim, eta, particles), cutoff)
+    for order in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
+        cfg = sharp.BallConfiguration(dim, eta, [particles[i] for i in order])
+        d, o, _ = sharp._pair_sums_direct(cfg, cutoff)
+        assert abs(d - diag) <= 1e-14 * abs(diag)
+        assert abs(o - off) <= 1e-14 * abs(off)
 
 
 def _mpmath_tail(dim, cutoff, masses, radii):
