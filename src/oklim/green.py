@@ -1,16 +1,17 @@
 """Periodic Green's function of -Laplace on the unit flat torus, d = 2, 3.
 
 G solves -lap G = delta - 1 with zero mean.  In 2D it is the Jacobi theta
-form (Lin & Wang, Ann. Math. 172, 2010), with z = x + iy and q = e^-pi:
+form (Lin & Wang, Ann. Math. 172, 2010), with z = x + iy, w = pi z and
+q = e^-pi:
 
-    G = -(1/2pi) log|theta1(pi z, q) / eta(i)| + y^2/2
-      = -(1/2pi) [log 2 - pi/6 + log|sin pi z|
-                  + sum_n log|1 - q^2n e^(2 pi i z)| |1 - q^2n e^(-2 pi i z)|] + y^2/2,
+    G = -(1/2pi) log|theta1(w, q) / eta(i)| + y^2/2
+      = -(1/2pi) [log 2 - pi/4 - log eta(i) + log|sin w| + log|B|] + y^2/2,
 
-the constant set by the zero mean (Jensen's formula) and the product cut
-after THETA_FACTORS pairs.  In 3D it is the Ewald sum: a short-range erfc
-image sum, a Gaussian-damped reciprocal sum and the background constant
--1/(4 alpha^2).
+where B = theta1(w) / (2 q^(1/4) sin w) = sum_n (-1)^n q^(n(n+1)) U_2n(cos w)
+is the Fourier series of theta1 (DLMF 20.2.1) over the Chebyshev
+polynomials U_2n, a polynomial in cos^2 w cut after THETA_TERMS terms.  In
+3D it is the Ewald sum: a short-range erfc image sum, a Gaussian-damped
+reciprocal sum and the background constant -1/(4 alpha^2).
 
 Every evaluation is one split (Ewald, Ann. Phys. 369, 1921; Essmann et al.,
 J. Chem. Phys. 103, 1995): G = per-pair part + long-range part.
@@ -37,8 +38,8 @@ with the singular part analytically.  Values are taken at |x| in the
 centered cell, where G is even in each coordinate, and reduced row by row,
 so each value is independent of its row in the batch.  The pair sum's
 rows arrive as the (M, d) transpose of a coordinate-major (d, M) array
-(``limits._pairs``), so each X[:, k] is contiguous; the 2D theta factors
-are tabled factor-major, (2 THETA_FACTORS, M), and reduced over axis 0.
+(``limits._pairs``), so each X[:, k] is contiguous; the 2D kernel's
+temporaries are (M,) rows, real but for cos^2 w and the cubics in it.
 Non-finite coordinates raise ValueError before the reduction to the cell,
 which would make them NaN; so do a ``dim`` other than 2 or 3 and rows
 without ``dim`` coordinates, at every entry point (``_check_dim``).
@@ -72,56 +73,56 @@ def min_image(diff):
     return d - np.rint(d)
 
 
-def _theta_tail(factors):
-    # for |y| <= 1/2 both a = q^2n e^(-+2 pi y) are <= e^(-pi (2n - 1)), and
-    # |log|1 - a e^(it)|| <= -log(1 - a); the terms past n = factors + 40 are < 1e-100
-    return sum(-math.log1p(-math.exp(-math.pi * (2 * n - 1)))
-               for n in range(factors + 1, factors + 41)) / math.pi
+def _theta_tail(terms):
+    # for |y| <= 1/2, |U_2n(cos w)| <= (2n + 1) e^(n pi), so with r_n = (2n + 1) e^(-pi n^2)
+    # the terms of B from n = terms on sum to at most sum_{n >= terms} r_n, and B and its
+    # partial sums stay >= 1 - sum_{n >= 1} r_n > 0.87 in modulus; r_n past terms + 40 is 0
+    r = [(2 * n + 1) * math.exp(-math.pi * n * n) for n in range(terms + 41)]
+    return -math.log1p(-sum(r[terms:]) / (1.0 - sum(r[1:]))) / (2 * math.pi)
 
 
-#: Factor pairs kept in the 2D theta product: the fewest whose omitted tail is <= 1e-17.
-THETA_FACTORS = next(n for n in range(1, 40) if _theta_tail(n) <= 1e-17)
-_THETA_TAIL = _theta_tail(THETA_FACTORS)
-# log a = -2 pi n -+ 2 pi y: the exponents of the two factor halves, n = 1..N
-_LOG_Q2N = np.tile(-2 * math.pi * np.arange(1, THETA_FACTORS + 1), 2)
-_HALF_SIGN = np.repeat([-2 * math.pi, 2 * math.pi], THETA_FACTORS)
+#: Terms kept in the 2D theta series: the fewest whose omitted tail is <= 1e-17 (four).
+THETA_TERMS = next(n for n in range(1, 40) if _theta_tail(n) <= 1e-17)
+_THETA_TAIL = _theta_tail(THETA_TERMS)
+# U_0, U_2, U_4, U_6 of cos w in powers of C = cos^2 w, from U_2n+2 = (4C - 2) U_2n - U_2n-2
+_U = np.array([[1, 0, 0, 0], [-1, 4, 0, 0], [1, -12, 16, 0], [-1, 24, -80, 64]])
+# the cubics in C of B = theta1(w) / (2 q^(1/4) sin w) = sum_n (-1)^n q^(n(n+1)) U_2n and of
+# -D / 2, D = theta1'(w) / (2 q^(1/4) cos w) = B - 2 (1 - C) dB/dC, lowest power first
+_B = ([(-1) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(THETA_TERMS)]
+      @ _U[:THETA_TERMS]).tolist()
+_D = [(k + 1) * bn - (k + 0.5) * bk for k, (bk, bn) in enumerate(zip(_B, _B[1:] + [0.0]))]
+# log 2 - pi/4 - log eta(i), eta(i) = Gamma(1/4) / (2 pi^(3/4))
+_LOG_CONST = 2 * math.log(2.0) - math.pi / 4 - math.lgamma(0.25) + 0.75 * math.log(math.pi)
 _G0_2D = -(2 * math.lgamma(0.25) - math.log(2 * _SQRT_PI)) / (2 * math.pi)
 
 
-def _theta_factors(x, y):
-    """(a, cos 2 pi x, |sin pi z|) per point: a holds q^2n e^(-2 pi y), then q^2n e^(2 pi y).
-
-    a is factor-major, (2 THETA_FACTORS, P), so its reductions run over axis 0.
-    """
-    a = np.multiply.outer(_HALF_SIGN, y)
-    a += _LOG_Q2N[:, None]
-    sine = np.hypot(np.sin(math.pi * x), np.sinh(math.pi * y))
-    return np.exp(a, out=a), np.cos(2 * math.pi * x), sine
-
-
 def _theta_green(X, scale, gradient=False):
-    """G at rows (x, y) >= 0 of the centered cell, with |sin pi z| divided by ``scale``.
+    """G at rows (x, y) of the centered cell, with |sin w| divided by ``scale``.
 
-    With ``gradient``, (G, grad G) at signed rows from one set of theta factors,
-    the gradient the derivative of the real logs at |x|.
+    With w = pi z, C = cos^2 w and the cubics B, D of the theta series:
+    G = -(1/2pi) [log 2 - pi/4 - log eta(i) + log|sin w| + log|B(C)|] + y^2/2,
+    from the real sin, cos and sinh of pi x and pi y (cosh = sqrt(1 + sinh^2)),
+    complex only for C, B and D.  With ``gradient``, (G, grad G) at signed
+    rows, the gradient at |x| times sign(x): F = d/dz log theta1(w) =
+    pi cot w D(C) / B(C), d/dx G = -Re F / 2pi and d/dy G = Im F / 2pi + y.
+    The kernel takes conj(C), so B, D and cot w come conjugated, and
+    -conj(F) / 2pi = (d/dx G, d/dy G - y) as a complex number.
     """
-    x, y = X[:, 0], X[:, 1]
-    if gradient:
-        x, y = np.abs(x), np.abs(y)
-    a, c, sine = _theta_factors(x, y)
-    t = a * (a - 2 * c)
-    bracket = (math.log(2.0) - math.pi / 6 + np.log(sine / scale)
-               + 0.5 * np.log1p(t).sum(axis=0))
-    value = -bracket / (2 * math.pi) + 0.5 * y * y
+    px, py = math.pi * np.abs(X).T
+    s, c, sh = np.sin(px), np.cos(px), np.sinh(py)
+    sh2 = sh * sh
+    ch = np.sqrt(1.0 + sh2)
+    sine2 = s * s + sh2  # |sin w|^2
+    cos2 = (c * ch + 1j * (s * sh)) ** 2  # conj(cos w)^2
+    b = ((_B[3] * cos2 + _B[2]) * cos2 + _B[1]) * cos2 + _B[0]
+    log = np.log(np.sqrt(sine2) * np.abs(b) / scale)
+    value = (py * py / math.pi - log) / (2 * math.pi) - _LOG_CONST / (2 * math.pi)
     if not gradient:
         return value
-    den = 1.0 + t
-    inv = 0.25 / sine**2
-    da = a * (a - c) / den
-    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=0))
-    gy = (-np.sinh(2 * math.pi * y) * inv
-          + (da[:THETA_FACTORS] - da[THETA_FACTORS:]).sum(axis=0) + y)
-    return value, np.sign(X) * np.stack([gx, gy], axis=1)
+    d = ((_D[3] * cos2 + _D[2]) * cos2 + _D[1]) * cos2 + _D[0]  # -conj(D) / 2
+    grad = (s * c + 1j * (sh * ch)) * d / (b * sine2)  # -conj(F) / 2pi
+    grad.imag += py / math.pi
+    return value, np.sign(X) * grad.view(float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def _fourier_tail_bound(alpha, fc):
 def truncation_bound(dim, params=None) -> float:
     """Certified bound on the truncation error of one G evaluation.
 
-    The omitted factors of the 2D theta product, or the 3D shells that the
+    The omitted terms of the 2D theta series, or the 3D shells that the
     cutoffs of ``params`` omit, bounded uniformly over the centered cell; it
     bounds the error of g(0) as well.  A sum of m_i m_j G terms is then off
     by at most this bound times sum |m_i m_j|.

@@ -190,8 +190,8 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     reach one minimum differ in the last bits, which must not pick the output.
     Raises NoConvergence (carrying the best effort) if no start reaches the
     gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
-    is negative, no start applies, or ``initial_positions`` is not an (n, dim)
-    array of finite values.
+    or ``seed`` is negative, no start applies, or ``initial_positions`` is not
+    an (n, dim) array of finite values.
     """
     green._check_dim(dim)
     masses = _check_masses(masses)
@@ -200,8 +200,9 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         raise ValueError("placement needs at least two particles")
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    if restarts < 0:
-        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     if initial_positions is not None:
         initial_positions = np.asarray(initial_positions, dtype=float)
         if initial_positions.shape != (n, dim):

@@ -154,7 +154,8 @@ def _pair_sums_direct(config, cutoff):
     up to 2^(nonzero coordinates) prod_a cos(2 pi k_a d_a), so k runs over the
     orthant k >= 0 and each axis contributes one row of a cosine table ``tab``
     (row 0, at d = 0, counts the modes); the axes after the first are folded
-    into their sorted shells u first, with each row's phase sum ``rest``.
+    into their sorted shells u first, with each row's phase sum ``rest`` (in
+    3D one k_2 row at a time, so the (k_2, k_3) plane is never held whole).
     The form factors phi depend only on the shell s = k_1^2 + u = |k|^2.
     The shells are walked in windows of _WINDOW, and the modes of a window in
     blocks of k_1 rows against a run of u, of at most _CHUNK modes (a
@@ -165,7 +166,8 @@ def _pair_sums_direct(config, cutoff):
     tab[r, 0, block] @ (w_r[shell] @ rest[r, run]) to each row r, with
     w_r = p_i p_j for the pair (i, j) and sum_i p_i^2 for row 0.  The origin
     and the s off the window map to a zero weight.  The working memory is
-    about (n + 1) (_WINDOW + _CHUNK) doubles, whatever the cutoff.
+    about (n + 1) (_WINDOW + _CHUNK) doubles, plus in 3D the rows times the
+    shells of ``rest``, whose count grows as c^2 / sqrt(log c).
     """
     dim, n, m, a = config.dim, config.n, config.masses, config.radii
     iu, ju = np.triu_indices(n, 1)
@@ -176,11 +178,15 @@ def _pair_sums_direct(config, cutoff):
     tab = np.where(kk > 0, 2.0, 1.0) * np.cos(2 * math.pi * d[:, :, None] * kk)
     # the shells u of the axes after the first, with each row's phase sum over them
     if dim == 3:
-        k2, k3 = (g.ravel() for g in np.meshgrid(kk, kk, indexing="ij"))
-        keep = sq[k2] + sq[k3] <= c2
-        k2, k3 = k2[keep], k3[keep]
-        u, inv = np.unique(sq[k2] + sq[k3], return_inverse=True)
-        rest = np.stack([np.bincount(inv, t[1, k2] * t[2, k3], u.size) for t in tab])
+        # the shells k_2^2 + k_3^2 of one k_2 row are distinct, so one += adds each once
+        tops = [math.isqrt(c2 - k * k) + 1 for k in range(cutoff + 1)]
+        occupied = np.zeros(c2 + 1, bool)
+        for k2, top in enumerate(tops):
+            occupied[sq[k2] + sq[:top]] = True
+        u = np.flatnonzero(occupied)
+        rest = np.zeros((d.shape[0], u.size))
+        for k2, top in enumerate(tops):
+            rest[:, np.searchsorted(u, sq[k2] + sq[:top])] += tab[:, 1, k2, None] * tab[:, 2, :top]
     else:
         u, rest = sq, tab[:, 1]
     acc = np.zeros(d.shape[0])

@@ -346,6 +346,13 @@ def test_place_without_starts_is_a_usage_error():
         assert "Traceback" not in r.stderr
 
 
+def test_place_with_a_negative_seed_is_one_line():
+    r = run_cli("place", "--dim", "2", "--n", "3", "--mass", "1", "--seed", "-1")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_place_with_fewer_than_two_particles_is_one_line(n):
     r = run_cli("place", "--n", n, "--mass", "1")

@@ -270,40 +270,58 @@ def test_a_dimension_other_than_2_or_3_or_of_the_rows_is_a_value_error(call):
         call()
 
 
-def test_2d_truncation_bound_is_the_theta_product_tail():
-    # positive, independent of the Ewald parameters, and met by the fewest factors
+def test_2d_truncation_bound_is_the_theta_series_tail():
+    # positive, independent of the Ewald parameters, and met by the fewest terms
     bound = green.truncation_bound(2)
     assert 0.0 < bound <= 1e-17
     for alpha in (0.05, 1.0, 3.0):
         assert green.truncation_bound(2, green.EwaldParameters.for_alpha(alpha)) == bound
-    assert green._theta_tail(green.THETA_FACTORS - 1) > 1e-17
+    assert bound == green._theta_tail(green.THETA_TERMS)
+    assert green._theta_tail(green.THETA_TERMS - 1) > 1e-17
 
 
 def test_2d_theta_form_matches_the_theta_series():
-    # mpmath's jtheta sums the theta series, which shares no code with the product:
+    # mpmath's jtheta sums the whole theta series at 30 digits; the kernel cuts the
+    # series after THETA_TERMS terms and evaluates it in double precision:
     # G = -(1/2pi) log|theta1(pi z, e^-pi) / eta(i)| + y^2/2, eta(i) = Gamma(1/4) / (2 pi^(3/4))
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(23)
     dirs = rng.normal(size=(20, 2))
     faces = np.column_stack([np.full(10, 0.5), rng.random(10) - 0.5])
+    axes = np.column_stack([np.zeros(6), np.linspace(-0.45, 0.45, 6)])
     X = np.concatenate([
         rng.random((60, 2)) - 0.5,
         1e-6 * dirs / np.linalg.norm(dirs, axis=1)[:, None],  # 1e-6 from the origin
         faces, faces[:, ::-1], -faces,
         [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [1e-6, 0.0], [0.0, 1e-6]],
+        # the faces |y| = 1/2, where |cos^2 w| and so the series terms peak
+        [[0.0, 0.5], [0.25, 0.5], [-0.25, -0.5], [0.0, -0.5], [0.5, 0.5]],
+        axes, axes[:, ::-1], -axes,  # x = 0 or y = 0: a gradient component of zero
     ])
     G = green.green_eval_many(2, X)
     grad = green.green_grad_many(2, X)
+    r = np.geomspace(1e-8, 1e-3, 11)
+    near = r[:, None] * dirs[:11] / np.linalg.norm(dirs[:11], axis=1)[:, None]
     with mp.workdps(30):
         q = mp.exp(-mp.pi)
         eta_i = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** (mp.mpf(3) / 4))
+
+        def g_ref(x):
+            u = mp.pi * mp.mpc(x[0], x[1])
+            return -mp.log(abs(mp.jtheta(1, u, q)) / eta_i) / (2 * mp.pi) + mp.mpf(x[1]) ** 2 / 2
+
         for x, g, dg in zip(X, G, grad):
             u = mp.pi * mp.mpc(x[0], x[1])
             w = mp.pi * mp.jtheta(1, u, q, 1) / mp.jtheta(1, u, q)  # d/dz log theta1(pi z)
-            g_ref = -mp.log(abs(mp.jtheta(1, u, q)) / eta_i) / (2 * mp.pi) + mp.mpf(x[1]) ** 2 / 2
             dg_ref = np.array([float(-w.real / (2 * mp.pi)), float(w.imag / (2 * mp.pi) + x[1])])
-            assert abs(g - float(g_ref)) <= 1e-15
+            assert abs(g - float(g_ref(x))) <= 1e-15
             assert np.max(np.abs(dg - dg_ref)) <= 1e-13 * max(np.linalg.norm(dg_ref), 1.0)
+        # g(x) = G(x) + log|x| / 2pi near the origin, where G itself is large
+        for x in near:
+            ref = g_ref(x) + mp.log(mp.sqrt(mp.mpf(x[0]) ** 2 + mp.mpf(x[1]) ** 2)) / (2 * mp.pi)
+            assert abs(green.regular_part(2, x) - float(ref)) <= 1e-15
         # g(0) = -(1/2pi) log(pi theta1'(0) / eta(i)), the limit of G + log|x| / 2pi
         g0_ref = -mp.log(mp.pi * mp.jtheta(1, 0, q, 1) / eta_i) / (2 * mp.pi)
     assert abs(green.regular_part_at_zero(2) - float(g0_ref)) <= 1e-16
+    # G is even in each coordinate, so its derivative across a zero coordinate is 0
+    assert np.all(grad[X == 0.0] == 0.0)

@@ -158,6 +158,10 @@ def test_input_validation():
 def test_place_rejects_negative_restarts_and_empty_start_lists():
     with pytest.raises(ValueError):
         optimize.place(2, [1.0] * 3, restarts=-1, seed=0)
+    # before any start: even without a seeded start, a negative seed is no seed
+    for restarts in (0, 1):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            optimize.place(2, [1.0] * 4, restarts=restarts, seed=-1)
     with pytest.raises(ValueError):
         optimize.place(2, [1.0] * 3, restarts=0, seed=0)  # 3 points: no square lattice
     with pytest.raises(ValueError):

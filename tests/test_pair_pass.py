@@ -17,16 +17,15 @@ from oklim import green, limits, optimize
 
 
 def theta_grad(X):
-    """grad G in 2D at rows of the centered cell, from the factor-major theta factors alone."""
-    x, y = np.abs(X[:, 0]), np.abs(X[:, 1])
-    a, c, sine = green._theta_factors(x, y)
-    den = 1.0 + a * (a - 2 * c)
-    inv = 0.25 / sine**2
-    da = a * (a - c) / den
-    gx = -np.sin(2 * math.pi * x) * (inv + (a / den).sum(axis=0))
-    gy = (-np.sinh(2 * math.pi * y) * inv
-          + (da[:green.THETA_FACTORS] - da[green.THETA_FACTORS:]).sum(axis=0) + y)
-    return np.sign(X) * np.stack([gx, gy], axis=1)
+    """grad G in 2D at rows of the centered cell, from the theta series' own sin, cos and sinh."""
+    px, py = math.pi * np.abs(X).T
+    s, c, sh = np.sin(px), np.cos(px), np.sinh(py)
+    ch = np.sqrt(1.0 + sh * sh)
+    cos_w = c * ch + 1j * (s * sh)  # conj(cos w)
+    cos2 = cos_w * cos_w
+    b, d = (((p[3] * cos2 + p[2]) * cos2 + p[1]) * cos2 + p[0] for p in (green._B, green._D))
+    f = (s * c + 1j * (sh * ch)) * d / (b * (s * s + sh * sh))  # -conj(F) / 2pi
+    return np.sign(X) * np.stack([f.real, f.imag + py / math.pi], axis=1)
 
 
 def real_space_grad(X, alpha, rc):

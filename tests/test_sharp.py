@@ -277,14 +277,17 @@ def test_direct_tail_is_the_exact_envelope_integral(dim, radii, cutoff):
 
 
 def test_direct_mode_memory_stays_bounded():
-    cfg = sharp.BallConfiguration(2, 0.25, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7))])
-    tracemalloc.start()
-    try:
-        sharp.sharp_energy(cfg, fourier_cutoff=500, method="direct")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3e6
+    # in 3D the whole (k_2, k_3) plane would be (cutoff + 1)^2 int64 per array
+    for dim, cutoff in [(2, 500), (3, 400)]:
+        cfg = sharp.BallConfiguration(dim, 0.25, [(1.0, (0.1, 0.2, 0.3)[:dim]),
+                                                  (0.7, (0.6, 0.7, 0.9)[:dim])])
+        tracemalloc.start()
+        try:
+            sharp.sharp_energy(cfg, fourier_cutoff=cutoff, method="direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, (dim, peak)
 
 
 @pytest.mark.parametrize("cutoff", [16, 100, 300])
