@@ -354,7 +354,10 @@ def _real_space(X, alpha, rc, origin=True, gradient=False):
         w = (f + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
         out = np.empty((len(x), 4))
         out[:, 0] = f.sum(axis=1)
-        out[:, 1:] = -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ _images(rc))
+        # one (1, images) @ (images, 3) product per row: a matrix product over all
+        # rows would round each row by its place in the batch
+        out[:, 1:] = -np.sign(x) * (a * w.sum(axis=1)[:, None]
+                                    + (w[:, None, :] @ _images(rc))[:, 0])
         return out
     out = np.empty((len(X), 4) if gradient else len(X))
     return _by_rows(rows, X, rc**3, out) / (4 * math.pi)

@@ -27,7 +27,11 @@ min-image pair table and runs one coincidence guard, the per-pair parts
 (summed in sorted order, and scattered for the gradient), then the
 particle-set long-range part.  Asked for the gradient, it returns the
 energy with it from one pass: one per-pair kernel call and one structure
-factor.  ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
+factor.  Over a leading axis of R configurations of the same masses (the
+trial points of the placement restarts, their tables joined by ``_stack``)
+it makes one kernel call over all R * P pair rows, sorts and sums per row,
+and scatters the gradients through a per-n gather order; each row is bitwise
+its own one-configuration call.  ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
 with the Ewald parameters chosen from n unless given, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
 ``masses`` does not hold one positive finite entry per position row;
@@ -124,6 +128,20 @@ def _pair_index(n):
     return iu, ju
 
 
+@lru_cache(maxsize=64)
+def _scatter_order(n):
+    """The rows of the 2P pair terms ``[w; -w]`` that each particle gathers, (n, n - 1), read-only.
+
+    Particle k collects its n - 1 rows of concatenate([iu, ju]) in their order
+    there, so adding them left to right gives the bits of
+    ``np.bincount(concatenate([iu, ju]), ...)``, which adds in that order.
+    """
+    iu, ju = _pair_index(n)
+    order = np.argsort(np.concatenate([iu, ju]), kind="stable").reshape(n, n - 1)
+    order.flags.writeable = False
+    return order
+
+
 def _pairs(positions):
     """Pairs i < j in np.triu_indices order: (i, j, min-image x_i - x_j, its length), read-only.
 
@@ -147,28 +165,55 @@ def _check_distinct(pairs):
     return pairs
 
 
+def _stack(tables):
+    """The ``_pairs`` tables of R configurations of one size as one table of R * P rows.
+
+    The differences stay the (R * P, d) transpose of a coordinate-major array.
+    """
+    if len(tables) == 1:
+        return tables[0]
+    iu, ju = tables[0][:2]
+    diffs = np.concatenate([t[2].T for t in tables], axis=1).T
+    return iu, ju, diffs, np.concatenate([t[3] for t in tables])
+
+
 def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
     """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
 
     One pass: the per-pair parts (summed in sorted order, and scattered for
     the gradient), then the particle-set long-range part; with ``gradient``,
-    (energy, gradient) from one call of each.
+    (energy, gradient) from one call of each.  ``positions`` may carry a
+    leading axis of R configurations of the same masses, with ``pairs`` their
+    tables joined by ``_stack``: then a list of R energies and the (R, n, d)
+    gradients come from one per-pair kernel call over all R * P rows, and each
+    row is bitwise its own one-configuration call (the per-pair kernels and
+    the sums are row-independent; the long-range part runs per configuration).
     """
     iu, ju, diffs, _ = _check_distinct(pairs)
+    stack = positions.reshape(-1, *positions.shape[-2:])
+    R, n = stack.shape[:2]
     if gradient:
         part, grad = green._pair_part(dim, diffs, params, gradient=True)
-        long, long_grad = green._set_long_range(dim, masses, positions, params, gradient=True)
     else:
         part = green._pair_part(dim, np.abs(diffs), params)
-        long = green._set_long_range(dim, masses, positions, params)
+    long = [green._set_long_range(dim, masses, x, params, gradient) for x in stack]
+    if gradient:
+        long, long_grad = zip(*long)
     # row-independent pair terms in a canonical order: exactly permutation invariant
-    energy = 2.0 * float(np.sum(np.sort(masses[iu] * masses[ju] * part))) + long
+    mm = masses[iu] * masses[ju]
+    sums = np.sum(np.sort(mm * part.reshape(R, -1), axis=1), axis=1).tolist()
+    energy = [2.0 * s + e for s, e in zip(sums, long)]
+    if positions.ndim == 2:
+        energy = energy[0]
     if not gradient:
         return energy
-    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
-    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
-    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
-    return energy, out + long_grad
+    w = (2.0 * mm)[:, None] * grad.reshape(R, -1, dim)
+    # each particle's pair terms, added in the order np.bincount would add them
+    w = np.take(np.concatenate([w, -w], axis=1), _scatter_order(n), axis=1)
+    out = np.add.reduce(w, axis=2)
+    for row, g in zip(out, long_grad):
+        row += g  # a zero in 2D and for one particle
+    return energy, out.reshape(positions.shape)
 
 
 def _raw_pair_sum(dim, masses, positions, params, gradient=False):

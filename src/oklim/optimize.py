@@ -7,11 +7,15 @@ restart results.  Each restart follows the L-BFGS direction (two-loop
 recursion over the last 10 step/gradient-change pairs; Liu & Nocedal,
 Math. Prog. 45, 1989) with backtracking line search (Armijo 1e-4, shrink
 0.5, first trial step 1 capped so no particle moves more than 0.1 of the
-cell) and a coalescence guard.  Each trial point costs one pass: the
-guard's min-image pair table goes to the pair-sum driver
-``limits._pair_sum``, which returns the energy and the gradient together,
-at Ewald parameters resolved once per ``place`` call; ``evaluations``
-counts the passes.  The reported pairwise distances come from the pair
+cell) and a coalescence guard.  The restarts run in lockstep: each is a
+generator, ``_descend``, that yields its guarded trial points with their
+min-image pair tables and receives their energies and gradients, and each
+round evaluates the pending trial point of every running restart in one
+stacked pass of the pair-sum driver ``limits._pair_sum``, which returns the
+energies and gradients together, at Ewald parameters resolved once per
+``place`` call.  The driver's rows are row-independent, so each restart
+takes the bits of its solo run; ``evaluations`` counts the trial points
+over all restarts.  The reported pairwise distances come from the pair
 table of the result's ``PointConfiguration``.  Near the minimum, where the
 Armijo decrement falls below the rounding noise of the energy, the decrease
 is measured instead by the trapezoid rule on the slopes at both ends of the
@@ -34,8 +38,8 @@ import numpy as np
 from . import green
 from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here: it stays importable beside interaction_energy
-from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, interaction_energy,
-                     interaction_gradient)
+from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, _stack,
+                     interaction_energy, interaction_gradient)
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -76,11 +80,17 @@ def _lbfgs_direction(g, memory):
     return q.reshape(g.shape)
 
 
-def _descend(dim, masses, x0, tol, params, max_iterations):
+def _descend(x0, tol, max_iterations):
+    """One restart's descent from x0, as a generator of its trial points.
+
+    Yields each guarded trial point as (positions, its ``_pairs`` table) and
+    receives its (energy, gradient); returns (x, energy, grad_norm, iters,
+    converged, evaluations), ``evaluations`` counting the trial points.
+    """
     x = x0 % 1.0
-    energy, g = _pair_sum(dim, masses, x, _pairs(x), params, gradient=True)
+    energy, g = yield x, _pairs(x)
     evaluations = 1
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
     memory = deque(maxlen=MEMORY)
     iters = 0
     for iters in range(1, max_iterations + 1):
@@ -91,7 +101,7 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
         if slope >= 0.0:  # not a descent direction: drop the model, take -g
             memory.clear()
             p, slope = -g, -grad_norm**2
-        step = min(1.0, MAX_MOVE / float(np.max(np.linalg.norm(p, axis=1))))
+        step = min(1.0, MAX_MOVE / math.sqrt((p * p).sum(axis=1).max()))
         # near the minimum the Armijo decrement c s |p.g| drops below the
         # float resolution of the energy; there the Armijo test is applied to
         # the trapezoid rule on the slopes at both ends of the step, which
@@ -102,13 +112,13 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
         while step > 1e-18:
             x_new = (x + step * p) % 1.0
             pairs = _pairs(x_new)
-            if np.min(pairs[3]) < COALESCENCE_GUARD:
+            if pairs[3].min() < COALESCENCE_GUARD:
                 step *= SHRINK  # energy diverges at coalescence; never step there
                 continue
             decrement = -ARMIJO * step * slope
             # the slope at x_new is needed at almost every trial point, so the
             # gradient comes with the energy in one pass
-            e_new, g_new = _pair_sum(dim, masses, x_new, pairs, params, gradient=True)
+            e_new, g_new = yield x_new, pairs
             evaluations += 1
             if decrement >= noise:
                 ok = e_new <= energy - decrement
@@ -124,7 +134,7 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
                 if sy > 0.0:  # keeps the inverse-Hessian model positive definite
                     memory.append((s, y, 1.0 / sy))
                 x, energy, g = x_new, min(energy, e_new), g_new
-                grad_norm = float(np.linalg.norm(g))
+                grad_norm = math.sqrt(g.ravel() @ g.ravel())
                 accepted = True
                 break
             step *= SHRINK
@@ -133,6 +143,28 @@ def _descend(dim, masses, x0, tol, params, max_iterations):
                 break  # line search along -g exhausted below machine resolution
             memory.clear()  # retry from -g before giving up
     return x, energy, grad_norm, iters, grad_norm <= tol, evaluations
+
+
+def _lockstep(dim, masses, descents, params):
+    """Run the ``_descend`` generators together: one stacked pair pass per round.
+
+    Each round evaluates the pending trial points of every restart still
+    running in one ``_pair_sum`` call; returns each generator's result.
+    """
+    runs = [None] * len(descents)
+    trials = [next(d) for d in descents]
+    live = list(range(len(descents)))
+    while live:
+        x = np.stack([trials[i][0] for i in live])
+        energies, grads = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]),
+                                    params, gradient=True)
+        for i, e, g in zip(live, energies, grads):
+            try:
+                trials[i] = descents[i].send((e, g))
+            except StopIteration as done:
+                runs[i] = done.value
+        live = [i for i in live if runs[i] is None]
+    return runs
 
 
 def square_lattice_positions(dim, n) -> np.ndarray:
@@ -226,18 +258,14 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     if not starts:
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
 
-    runs = []  # (x, energy, grad_norm, iters, conv) per start
-    evaluations = 0
-    for x0 in starts:
-        x, e, gn, iters, conv, evals = _descend(dim, masses, x0, tol, params, max_iterations)
-        evaluations += evals
-        runs.append((x, e, gn, iters, conv))
-
+    # (x, energy, grad_norm, iters, conv, evaluations) per start
+    runs = _lockstep(dim, masses, [_descend(x0, tol, max_iterations) for x0 in starts], params)
+    evaluations = sum(r[5] for r in runs)
     pool = [r for r in runs if r[4]] or runs
     low = min(pool, key=lambda r: r[1])
     gap = RESTART_TIE * max(1.0, abs(low[1]))
     # low itself when the gaps are not finite: energies that overflowed to inf
-    x, e, gn, iters, conv = next((r for r in pool if r[1] - low[1] <= gap), low)
+    x, e, gn, iters, conv, _ = next((r for r in pool if r[1] - low[1] <= gap), low)
     config = PointConfiguration(dim, zip(masses, x))
     result = OptimizationResult(
         config=config,

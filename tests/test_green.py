@@ -80,6 +80,19 @@ def test_values_do_not_depend_on_batch_row_or_sign(params):
         assert np.array_equal(green.green_eval_many(dim, X[5:8], params), vals[5:8])
 
 
+@pytest.mark.parametrize("alpha", [None, math.sqrt(math.pi), 10.7])
+def test_gradient_rows_are_bitwise_their_one_row_calls(alpha):
+    # the 3D image-sum gradient contracts each row alone: a matrix product over the
+    # batch would round a row by its place in it
+    params = None if alpha is None else green.EwaldParameters.for_alpha(alpha)
+    rng = np.random.default_rng(29)
+    for dim in (2, 3):
+        X = np.array([random_torus_point(rng, dim, min_dist=1e-3) for _ in range(50)])
+        grads = green.green_grad_many(dim, X, params)
+        for x, g in zip(X, grads):
+            assert np.array_equal(green.green_grad_many(dim, x[None], params)[0], g)
+
+
 def test_ewald_parameters_reject_non_finite_alpha():
     # alpha = inf used to select fourier_cutoff 200: a k-table of ~64M vectors on first use
     with pytest.raises(ValueError):

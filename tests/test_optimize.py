@@ -75,9 +75,14 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
         monkeypatch, energies, converged, picked):
     runs = iter(zip(energies, converged))
 
-    def descend(dim, masses, x0, *rest):
+    def descend(x0, *rest):
+        # the descent's protocol: yield the start as the one trial point, end on its pass
         e, conv = next(runs)
-        return x0, e, 0.0, 1, conv, 1
+
+        def trial_points():
+            yield x0, optimize._pairs(x0)
+            return x0, e, 0.0, 1, conv, 1
+        return trial_points()
 
     monkeypatch.setattr(optimize, "_descend", descend)
     restarts = len(energies)

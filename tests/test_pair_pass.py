@@ -1,10 +1,12 @@
-"""One value-and-gradient pass per trial point of the placement descent.
+"""One value-and-gradient pass per round of the placement descent.
 
 ``limits._pair_sum`` forms the energy and the gradient from one pair table,
 one per-pair kernel call and one structure factor.  Its results must be the
 bits of the value-only pair sum and of the gradient-only formulas it
-replaced, which are kept here as the reference.  The descent must make one
-such pass per trial point.
+replaced, which are kept here as the reference.  Over a leading axis of
+configurations, each row must be the bits of its own call.  ``place`` runs
+its restarts in lockstep, one stacked pass per round over the trial point of
+every live restart, and each restart must end where its solo run ends.
 """
 
 import math
@@ -35,7 +37,8 @@ def real_space_grad(X, alpha, rc):
         r = green._image_distances(a, rc)
         w = (erfc(alpha * r) / r + (2 * alpha / math.sqrt(math.pi))
              * np.exp(-(alpha * r) ** 2)) / (r * r)
-        return -np.sign(x) * (a * w.sum(axis=1)[:, None] + w @ green._images(rc))
+        images = (w[:, None, :] @ green._images(rc))[:, 0]  # row by row, as the kernel does
+        return -np.sign(x) * (a * w.sum(axis=1)[:, None] + images)
     return green._by_rows(rows, X, rc**3, np.empty_like(X)) / (4 * math.pi)
 
 
@@ -95,9 +98,50 @@ def test_one_pass_gives_the_bits_of_the_value_and_gradient_formulas(dim, n):
         assert np.array_equal(limits.interaction_gradient(dim, m, x), grad)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8, 27])
+def test_each_row_of_a_stacked_pass_is_bitwise_its_own_call(dim, n):
+    rng = np.random.default_rng([dim, n, 7])
+    m = rng.uniform(0.5, 2.0, n)  # unequal masses
+    params = green._resolve(None, n)
+    for R in range(1, 5):
+        x = rng.random((R, n, dim))
+        tables = [limits._pairs(xr) for xr in x]
+        stacked = limits._stack(tables)
+        energies, grads = limits._pair_sum(dim, m, x, stacked, params, gradient=True)
+        values = limits._pair_sum(dim, m, x, stacked, params)
+        assert len(energies) == len(values) == R and grads.shape == (R, n, dim)
+        for xr, table, e, v, g in zip(x, tables, energies, values, grads):
+            one_e, one_g = limits._pair_sum(dim, m, xr, table, params, gradient=True)
+            assert e == one_e and np.array_equal(g, one_g)
+            assert v == limits._pair_sum(dim, m, xr, table, params)
+
+
+@pytest.mark.parametrize("dim, n, restarts, seed", [(2, 8, 4, 1), (3, 4, 4, 0)])
+def test_each_restart_ends_bitwise_where_its_solo_run_ends(dim, n, restarts, seed):
+    masses = np.ones(n)  # no square lattice start at these n
+    starts = [np.random.default_rng([seed, i]).random((n, dim)) for i in range(restarts)]
+    solo = [optimize.place(dim, masses, restarts=0, initial_positions=x0) for x0 in starts]
+    params = green._resolve(None, n)
+    runs = optimize._lockstep(dim, masses, [optimize._descend(x0, 1e-8, optimize.MAX_ITERATIONS)
+                                            for x0 in starts], params)
+    for (x, e, gn, iters, conv, evals), one in zip(runs, solo):
+        assert np.array_equal(x, one.config.positions) and e == one.energy
+        assert (gn, iters, conv, evals) == (one.grad_norm, one.iterations, one.converged,
+                                            one.evaluations)
+    # place reports the earliest of the solo runs tied with the lowest
+    result = optimize.place(dim, masses, restarts=restarts, seed=seed)
+    low = min(one.energy for one in solo)
+    best = next(one for one in solo if one.energy - low <= optimize.RESTART_TIE * abs(low))
+    assert np.array_equal(result.config.positions, best.config.positions)
+    assert (result.energy, result.grad_norm, result.iterations) == (best.energy, best.grad_norm,
+                                                                    best.iterations)
+    assert result.evaluations == sum(one.evaluations for one in solo)
+
+
 @pytest.mark.parametrize("dim, n", [(2, 9), (3, 4)])
 def test_place_makes_one_pass_per_trial_point(monkeypatch, dim, n):
-    calls = dict(pairs=0, rejected=0, pair_part=0, set_long_range=0)
+    calls = dict(pairs=0, rejected=0, pair_part=0, rows=0, set_long_range=0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -114,14 +158,34 @@ def test_place_makes_one_pass_per_trial_point(monkeypatch, dim, n):
         calls["rejected"] += bool(np.min(table[3]) < optimize.COALESCENCE_GUARD)
         return table
 
+    pair_part = green._pair_part
+
+    def counted_pair_part(dim, X, *args, **kwargs):
+        calls["pair_part"] += 1
+        calls["rows"] += len(X)
+        return pair_part(dim, X, *args, **kwargs)
+
+    descend, evaluations = optimize._descend, []
+
+    def counted_descend(*args):
+        run = yield from descend(*args)
+        evaluations.append(run[5])  # this restart's trial points
+        return run
+
     # the descent's own binding of limits._pairs; PointConfiguration keeps its own
     monkeypatch.setattr(optimize, "_pairs", counted_pairs)
-    for name in ("_pair_part", "_set_long_range"):
-        monkeypatch.setattr(green, name, counted(name[1:], getattr(green, name)))
+    monkeypatch.setattr(optimize, "_descend", counted_descend)
+    monkeypatch.setattr(green, "_pair_part", counted_pair_part)
+    monkeypatch.setattr(green, "_set_long_range",
+                        counted("set_long_range", green._set_long_range))
     result = optimize.place(dim, np.ones(n), restarts=2, seed=1)
     # the reported distances come from the result configuration's own table
     passes = calls["pairs"] - calls["rejected"]
-    assert calls["pair_part"] == calls["set_long_range"] == passes == result.evaluations
+    assert len(evaluations) == result.restarts_used == 2 + (dim == 2)  # 3 x 3 lattice start
+    assert sum(evaluations) == passes == calls["set_long_range"] == result.evaluations
+    # one stacked kernel call per round, over the pending trial point of every live restart
+    assert calls["pair_part"] == max(evaluations)
+    assert calls["rows"] == result.evaluations * n * (n - 1) // 2
 
 
 def test_evaluations_cover_every_restart_and_repeat_on_reruns():

@@ -221,9 +221,10 @@ def test_place_reaches_the_minima_of_the_per_pair_sum(monkeypatch, n, restarts):
     masses = np.ones(n)
     result = optimize.place(3, masses, restarts=restarts, seed=0)
     # the per-pair sum at the parameters place resolved, through the one pass the
-    # descent makes per trial point
+    # descent makes per round over the trial points x[r] of the live restarts
     monkeypatch.setattr(optimize, "_pair_sum",
                         lambda dim, m, x, pairs, params, gradient=False:
-                        (pair_energy(m, x, params), pair_gradient(m, x, params)))
+                        (np.array([pair_energy(m, xr, params) for xr in x]),
+                         np.stack([pair_gradient(m, xr, params) for xr in x])))
     reference = optimize.place(3, masses, restarts=restarts, seed=0)
     assert abs(result.energy - reference.energy) <= 1e-12 * abs(reference.energy)
