@@ -5,7 +5,8 @@ Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``
 positions with seeded uniform restarts and a deterministic reduction of the
 restart results.  Each restart follows the L-BFGS direction (two-loop
 recursion over the last 10 step/gradient-change pairs; Liu & Nocedal,
-Math. Prog. 45, 1989) with backtracking line search (Armijo 1e-4, shrink
+Math. Prog. 45, 1989), its dot products taken from one Gram product of the
+stored rows, with backtracking line search (Armijo 1e-4, shrink
 0.5, first trial step 1 capped so no particle moves more than 0.1 of the
 cell) and a coalescence guard.  The restarts run in lockstep: each is a
 generator, ``_descend``, that yields its guarded trial points with their
@@ -30,7 +31,6 @@ are injected as extra starts when commensurate.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +64,36 @@ class OptimizationResult:
     evaluations: int  # value-and-gradient passes over all restarts
 
 
-def _lbfgs_direction(g, memory):
-    """Two-loop recursion: -H g for the inverse-Hessian model of the (s, y, 1/s.y) pairs."""
-    q = -g.ravel()
-    alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if memory:
-        s, y, _ = memory[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        q += (a - rho * (y @ q)) * s
-    return q.reshape(g.shape)
+def _lbfgs_direction(g, S, Y):
+    """-H g for the inverse-Hessian model of the step rows S and gradient-change rows Y.
+
+    The two-loop recursion run on scalars: every dot product it takes is an
+    entry of one Gram product W @ [Y; g]^T, W = [S; Y], and the direction is
+    -gamma g plus one combination of the rows of W.
+    """
+    k = len(S)
+    if not k:
+        return -g
+    W = np.concatenate([S, Y])
+    D = W @ np.concatenate([Y, g.reshape(1, -1)]).T  # [s_i.y_j, s_i.g; y_i.y_j, y_i.g]
+    sy = D[:k].tolist()
+    # newest pair first: a_i = s_i.q / s_i.y_i, q = -g - sum_{j > i} a_j y_j
+    a = [0.0] * k
+    for i in reversed(range(k)):
+        t = -sy[i][k]
+        for j in range(i + 1, k):
+            t -= a[j] * sy[i][j]
+        a[i] = t / sy[i][i]
+    gamma = sy[-1][-2] / float(D[-1, -2])  # s.y / y.y of the newest pair
+    # oldest pair first, on r = gamma q + sum_{j < i} c_j s_j: c_i = a_i - y_i.r / s_i.y_i
+    yr = (-gamma * (D[k:, k] + D[k:, :k] @ a)).tolist()
+    c = []
+    for i in range(k):
+        t = yr[i]
+        for j in range(i):
+            t += c[j] * sy[j][i]
+        c.append(a[i] - t / sy[i][i])
+    return (np.array(c + [-gamma * v for v in a]) @ W - gamma * g.ravel()).reshape(g.shape)
 
 
 def _descend(x0, tol, max_iterations):
@@ -91,15 +107,15 @@ def _descend(x0, tol, max_iterations):
     energy, g = yield x, _pairs(x)
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
-    memory = deque(maxlen=MEMORY)
+    S = Y = np.empty((0, x.size))  # the last MEMORY steps and gradient changes, as rows
     iters = 0
     for iters in range(1, max_iterations + 1):
         if grad_norm <= tol:
             return x, energy, grad_norm, iters, True, evaluations
-        p = _lbfgs_direction(g, memory)
+        p = _lbfgs_direction(g, S, Y)
         slope = float(np.vdot(p, g))
         if slope >= 0.0:  # not a descent direction: drop the model, take -g
-            memory.clear()
+            S = Y = S[:0]
             p, slope = -g, -grad_norm**2
         step = min(1.0, MAX_MOVE / math.sqrt((p * p).sum(axis=1).max()))
         # near the minimum the Armijo decrement c s |p.g| drops below the
@@ -132,16 +148,16 @@ def _descend(x0, tol, max_iterations):
                 s, y = (step * p).ravel(), (g_new - g).ravel()
                 sy = float(s @ y)
                 if sy > 0.0:  # keeps the inverse-Hessian model positive definite
-                    memory.append((s, y, 1.0 / sy))
+                    S, Y = (np.concatenate([m, v[None]])[-MEMORY:] for m, v in ((S, s), (Y, y)))
                 x, energy, g = x_new, min(energy, e_new), g_new
                 grad_norm = math.sqrt(g.ravel() @ g.ravel())
                 accepted = True
                 break
             step *= SHRINK
         if not accepted:
-            if not memory:
+            if not len(S):
                 break  # line search along -g exhausted below machine resolution
-            memory.clear()  # retry from -g before giving up
+            S = Y = S[:0]  # retry from -g before giving up
     return x, energy, grad_norm, iters, grad_norm <= tol, evaluations
 
 
