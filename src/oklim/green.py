@@ -91,9 +91,13 @@ _U = np.array([[1, 0, 0, 0], [-1, 4, 0, 0], [1, -12, 16, 0], [-1, 24, -80, 64]])
 _B = ([(-1) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(THETA_TERMS)]
       @ _U[:THETA_TERMS]).tolist()
 _D = [(k + 1) * bn - (k + 0.5) * bk for k, (bk, bn) in enumerate(zip(_B, _B[1:] + [0.0]))]
-# log 2 - pi/4 - log eta(i), eta(i) = Gamma(1/4) / (2 pi^(3/4))
-_LOG_CONST = 2 * math.log(2.0) - math.pi / 4 - math.lgamma(0.25) + 0.75 * math.log(math.pi)
-_G0_2D = -(2 * math.lgamma(0.25) - math.log(2 * _SQRT_PI)) / (2 * math.pi)
+# log 2 - pi/4 - log eta(i), eta(i) = Gamma(1/4) / (2 pi^(3/4)), correctly rounded from
+# mpmath at 40 digits: 2*log(2) - pi/4 - log(gamma(1/4)) + 3/4*log(pi).  Its terms cancel
+# to 0.17, so summing them in floating point lands 10 ulps off, an offset that a pair
+# sum adds once per pair.
+_LOG_CONST = 0.17142108741141499
+# g(0) = -(2*log(gamma(1/4)) - log(2*sqrt(pi))) / (2*pi), correctly rounded from mpmath
+_G0_2D = -0.2085777932435014
 
 
 def _theta_green(X, scale, gradient=False):

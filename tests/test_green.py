@@ -293,6 +293,30 @@ def test_2d_truncation_bound_is_the_theta_series_tail():
     assert green._theta_tail(green.THETA_TERMS - 1) > 1e-17
 
 
+def test_2d_green_has_no_bias_against_the_theta_series():
+    # each value is checked at 1e-15 below; an offset common to all values hides there,
+    # but a pair sum adds it once per pair.  The mean error over 2000 points has a
+    # rounding spread near 5e-19, and a one-ulp error in _LOG_CONST moves it by 4.4e-18.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    X = rng.random((2000, 2)) - 0.5
+    X = X[np.linalg.norm(X, axis=1) >= 0.01]
+    G = green.green_eval_many(2, X)
+    with mp.workdps(30):
+        q = mp.exp(-mp.pi)
+        eta_i = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** (mp.mpf(3) / 4))
+        errors = [mp.mpf(g) - mp.mpf(y) ** 2 / 2
+                  + mp.log(abs(mp.jtheta(1, mp.pi * mp.mpc(x, y), q)) / eta_i) / (2 * mp.pi)
+                  for (x, y), g in zip(X.tolist(), G.tolist())]
+        mean = float(mp.fsum(errors) / len(errors))
+        g0 = -mp.log(mp.pi * mp.jtheta(1, 0, q, 1) / eta_i) / (2 * mp.pi)
+        log_const = mp.log(2) - mp.pi / 4 - mp.log(eta_i)
+    assert abs(mean) <= 3e-18
+    # the constants are correctly rounded: g(0) is off by at most half an ulp
+    assert green.regular_part_at_zero(2) == float(g0)
+    assert green._LOG_CONST == float(log_const)
+
+
 def test_2d_theta_form_matches_the_theta_series():
     # mpmath's jtheta sums the whole theta series at 30 digits; the kernel cuts the
     # series after THETA_TERMS terms and evaluates it in double precision:
