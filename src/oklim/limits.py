@@ -31,8 +31,9 @@ factor.  Over a leading axis of R configurations of the same masses (the
 trial points of the placement restarts, their tables joined by ``_stack``)
 it makes one kernel call over all R * P pair rows, sorts and sums per row,
 and scatters the gradients through a per-n gather order; each row is bitwise
-its own one-configuration call.  ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
-with the Ewald parameters chosen from n unless given, and raise ValueError
+its own one-configuration call.  ``interaction_energy`` and
+``interaction_gradient`` wrap it over raw arrays with the Ewald parameters
+chosen from n unless given, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
 ``masses`` does not hold one positive finite entry per position row;
 F0's self terms and tail bound use the same parameters as its pair sum.
@@ -132,9 +133,9 @@ def _pair_index(n):
 def _scatter_order(n):
     """The rows of the 2P pair terms ``[w; -w]`` that each particle gathers, (n, n - 1), read-only.
 
-    Particle k collects its n - 1 rows of concatenate([iu, ju]) in their order
-    there, so adding them left to right gives the bits of
-    ``np.bincount(concatenate([iu, ju]), ...)``, which adds in that order.
+    Row k lists the n - 1 entries of concatenate([iu, ju]) equal to k, in
+    their order there: summed left to right, each particle's terms add up in
+    pair-row order, as ``np.bincount`` over concatenate([iu, ju]) adds them.
     """
     iu, ju = _pair_index(n)
     order = np.argsort(np.concatenate([iu, ju]), kind="stable").reshape(n, n - 1)
@@ -208,7 +209,7 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
     if not gradient:
         return energy
     w = (2.0 * mm)[:, None] * grad.reshape(R, -1, dim)
-    # each particle's pair terms, added in the order np.bincount would add them
+    # each particle's pair terms, summed in pair-row order
     w = np.take(np.concatenate([w, -w], axis=1), _scatter_order(n), axis=1)
     out = np.add.reduce(w, axis=2)
     for row, g in zip(out, long_grad):
