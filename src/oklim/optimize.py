@@ -61,7 +61,7 @@ class OptimizationResult:
     restarts_used: int
     pairwise_distances: tuple
     converged: bool
-    evaluations: int  # value-and-gradient passes over all restarts
+    evaluations: int  # trial points evaluated, over all restarts
 
 
 def _lbfgs_direction(g, S, Y):
@@ -148,7 +148,8 @@ def _descend(x0, tol, max_iterations):
                 s, y = (step * p).ravel(), (g_new - g).ravel()
                 sy = float(s @ y)
                 if sy > 0.0:  # keeps the inverse-Hessian model positive definite
-                    S, Y = (np.concatenate([m, v[None]])[-MEMORY:] for m, v in ((S, s), (Y, y)))
+                    S = np.concatenate([S, s[None]])[-MEMORY:]
+                    Y = np.concatenate([Y, y[None]])[-MEMORY:]
                 x, energy, g = x_new, min(energy, e_new), g_new
                 grad_norm = math.sqrt(g.ravel() @ g.ravel())
                 accepted = True
