@@ -132,7 +132,8 @@ def test_each_restart_ends_bitwise_where_its_solo_run_ends(dim, n, restarts, see
     # place reports the earliest of the solo runs tied with the lowest
     result = optimize.place(dim, masses, restarts=restarts, seed=seed)
     low = min(one.energy for one in solo)
-    best = next(one for one in solo if one.energy - low <= optimize.RESTART_TIE * abs(low))
+    best = next(one for one in solo
+                if one.energy - low <= optimize.RESTART_TIE * max(1.0, abs(low)))
     assert np.array_equal(result.config.positions, best.config.positions)
     assert (result.energy, result.grad_norm, result.iterations) == (best.energy, best.grad_norm,
                                                                     best.iterations)

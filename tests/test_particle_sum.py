@@ -224,7 +224,7 @@ def test_place_reaches_the_minima_of_the_per_pair_sum(monkeypatch, n, restarts):
     # descent makes per round over the trial points x[r] of the live restarts
     monkeypatch.setattr(optimize, "_pair_sum",
                         lambda dim, m, x, pairs, params, gradient=False:
-                        (np.array([pair_energy(m, xr, params) for xr in x]),
+                        ([pair_energy(m, xr, params) for xr in x],
                          np.stack([pair_gradient(m, xr, params) for xr in x])))
     reference = optimize.place(3, masses, restarts=restarts, seed=0)
     assert abs(result.energy - reference.energy) <= 1e-12 * abs(reference.energy)
