@@ -12,10 +12,10 @@ cell) and a coalescence guard.  The restarts run in lockstep: each is a
 generator, ``_descend``, that yields its guarded trial points with their
 min-image pair tables and receives their energies and gradients, and each
 round evaluates the pending trial point of every running restart in one
-stacked pass of the pair-sum driver ``limits._pair_sum``, which returns the
+stacked pass of the pair sum ``limits._pair_sum``, which returns the
 energies and gradients together, at Ewald parameters resolved once per
-``place`` call.  The driver's rows are row-independent, so each restart
-takes the bits of its solo run; ``evaluations`` counts the trial points
+``place`` call.  Its rows are row-independent, so each restart takes the
+bits of its solo run; ``evaluations`` counts the trial points
 over all restarts.  The reported pairwise distances come from the pair
 table of the result's ``PointConfiguration``.  Near the minimum, where the
 Armijo decrement falls below the rounding noise of the energy, the decrease
