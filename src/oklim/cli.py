@@ -276,14 +276,11 @@ def cmd_expand(args) -> int:
     table = sharp.second_order_quotient(cfg, etas, params)
     rows = [["sweep", r.eta, r.energy, r.quotient, None] for r in table.rows]
     if args.richardson:
-        if cfg.dim != 3:
-            raise ValueError("--richardson applies to 3D sweeps")
         f0_hat, slope = sharp.richardson_extrapolate(table.etas, table.quotients)
-        f0_pred = limits.f0_energy(cfg, params, "ordered").total
-        gap = abs(f0_hat - f0_pred) / abs(f0_pred)
+        gap = abs(f0_hat - table.f0) / abs(table.f0)
         rows.append(["richardson_f0", None, None, None, f0_hat])
         rows.append(["richardson_slope", None, None, None, slope])
-        rows.append(["limit_f0_ordered", None, None, None, f0_pred])
+        rows.append(["limit_f0_ordered", None, None, None, table.f0])
         rows.append(["relative_gap", None, None, None, gap])
         # for balls F_eta - F0 is exactly c eta^2, so a fit in eta^2 has no model error
         f0_hat2, slope2 = sharp.richardson_extrapolate(table.etas**2, table.quotients)
@@ -302,6 +299,8 @@ def cmd_expand(args) -> int:
 def cmd_place(args) -> int:
     t0 = time.perf_counter()
     initial = None
+    if args.from_config and not args.config:
+        raise ValueError("--from-config needs --config")
     if args.config:
         cfg, _ = load_point_configuration(args.config)
         masses = cfg.masses
@@ -337,18 +336,14 @@ def cmd_place(args) -> int:
         },
     }
     if args.lattice_compare:
-        candidates = []
-        for lattice in ("square", "triangular-sheared"):
-            if not equal:
-                candidates.append({"lattice": lattice, "skipped": "the masses are not all equal"})
-                continue
+        square = {"lattice": "square", "skipped": "the masses are not all equal"}
+        if equal:
             try:
-                e = optimize.lattice_candidate_energy(dim, len(masses), float(masses[0]),
-                                                      lattice, params)
-                candidates.append({"lattice": lattice, "energy": e})
+                square = {"lattice": "square", "energy": optimize.lattice_candidate_energy(
+                    dim, len(masses), float(masses[0]), "square", params)}
             except OklimError as exc:
-                candidates.append({"lattice": lattice, "skipped": str(exc)})
-        payload["lattice_candidates"] = candidates
+                square["skipped"] = str(exc)
+        payload["lattice_candidates"] = [square]
     payload["manifest"] = make_manifest("place", {
         "dim": dim, "n": len(masses),
         "mass": float(masses[0]) if equal else None,

@@ -24,12 +24,13 @@ step.  A direction
 that is not a descent direction, or a line search that fails, clears the
 pair memory and retries along -grad; a failure along -grad ends the
 restart.  Outputs are stationary candidates, never certified global
-minimizers; explicit lattice arrangements are available for comparison and
-are injected as extra starts when commensurate.
+minimizers; the square (cubic) lattice arrangement is available for
+comparison and is injected as an extra start when commensurate.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -195,35 +196,18 @@ def square_lattice_positions(dim, n) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def triangular_sheared_positions(n) -> np.ndarray:
-    """Row-offset triangular packing of n = 2 k^2 points, sheared to the unit cell."""
-    k = round(math.sqrt(n / 2.0))
-    if 2 * k * k != n:
-        raise IncommensurateCount(f"{n} points do not form a 2 k^2 triangular packing")
-    pts = []
-    for j in range(2 * k):
-        for i in range(k):
-            pts.append(((i + 0.5 * (j % 2)) / k, j / (2 * k)))
-    return np.array(pts)
-
-
 def lattice_candidate_energy(dim, n, masses_equal, lattice, params=None) -> float:
-    """Interaction energy of an explicit lattice arrangement, for comparison tables.
+    """Interaction energy of the square (cubic) lattice arrangement of n equal masses.
 
-    ValueError for a ``dim`` other than 2 or 3 and for a mass that is not
-    positive and finite.
+    For comparison tables.  ValueError for a ``dim`` other than 2 or 3, for a
+    mass that is not positive and finite, and for a ``lattice`` other than
+    'square'; IncommensurateCount when n is not a square (cube) count.
     """
     green._check_dim(dim)
     masses = _check_masses(np.full(n, float(masses_equal)))
-    if lattice == "square":
-        pos = square_lattice_positions(dim, n)
-    elif lattice == "triangular-sheared":
-        if dim != 2:
-            raise IncommensurateCount("the triangular-sheared embedding is 2D only")
-        pos = triangular_sheared_positions(n)
-    else:
-        raise ValueError("lattice must be 'square' or 'triangular-sheared'")
-    return interaction_energy(dim, masses, pos, params)
+    if lattice != "square":
+        raise ValueError(f"lattice must be 'square', got {lattice!r}")
+    return interaction_energy(dim, masses, square_lattice_positions(dim, n), params)
 
 
 def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
@@ -269,8 +253,7 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     if initial_positions is not None:
         starts.append(initial_positions % 1.0)
     if float(np.ptp(masses)) == 0.0:
-        s = round(n ** (1.0 / dim))
-        if s**dim == n:
+        with contextlib.suppress(IncommensurateCount):
             starts.append(square_lattice_positions(dim, n))
     if not starts:
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")

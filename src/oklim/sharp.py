@@ -21,7 +21,16 @@ certified truncation bound:
 
 M = sum m, with the F0 parts (self terms and ordered pair sum) from the
 helper that ``limits.f0_energy`` uses, over the configuration's own pair
-table.  A ``BallConfiguration`` is a ``limits.PointConfiguration`` that also
+table.  So the second-order quotient F_eta, which equals
+eta^-1 [E_eta - sum_i ball(m_i)] in 3D and |log eta| [E_eta - n e2d(m)] in
+2D in exact arithmetic, is F0 plus the closed-form term eta^2 (2/q)
+sum_{i, j} m_i m_j r_i^2: ``second_order_quotient`` computes it that way,
+from one call of the helper for the whole eta sweep, and subtracts no
+total.  The sweep and its fits therefore restate the mean-value identity
+through the same G; the independent evidence is the direct mode sum below
+and the benchmark's references (``perfbench/refs.py``).
+
+A ``BallConfiguration`` is a ``limits.PointConfiguration`` that also
 carries eta and the radii, a read-only array computed once from the masses;
 its disjointness check reads the inherited pair table.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
@@ -232,49 +241,40 @@ def _pair_sums_direct(config, cutoff):
 # energies
 # ---------------------------------------------------------------------------
 
-def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
-                 method: str = "ewald", params=None) -> EnergyBreakdown:
-    """Rescaled sharp-interface energy of a ball configuration.
+def _pref(dim, eta):
+    """The prefactor of the H^-1 term: eta in 3D, 1/|log eta| in 2D."""
+    return eta if dim == 3 else 1.0 / abs(math.log(eta))
 
-    total = eta * total-variation + pref * |v|^2_{H^-1(T^d)} with pref = eta
-    in 3D and 1/|log eta| in 2D.  The breakdown separates the exact
-    perimeter term, the scale-free self part (whole-space H^-1 norms in 3D,
-    the mass-squared log coefficient in 2D), the remaining regular self
-    interaction, and the cross interaction.  ``method='ewald'`` evaluates the
-    Gamma-expansion of the module docstring through G (``params``: the 3D
-    Ewald parameters); its tail bound is pref * truncation_bound * (sum m)^2.
-    ``method='direct'`` sums the bare mode sum up to ``fourier_cutoff``
-    instead; it is only usable at moderate scales before its certified tail
-    violates the accuracy contract.
+
+def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
+    """The energy breakdown of ``config`` from its pair parts (self, ordered cross, tail).
+
+    ``method='ewald'``: F0's parts of ``limits._second_order_parts``, plus the
+    eta^2 term (2/q) sum_{i, j} m_i m_j a_i^2, a_i = eta r_i, split into its
+    i = j and i != j sums.  ``method='direct'``: the mode sums of
+    ``_pair_sums_direct``, whose diagonal holds the whole-space self energy.
+    CutoffTooSmall when the scaled tail breaks the accuracy contract.
     """
-    if fourier_cutoff < MIN_CUTOFF:
-        raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
-    if method not in ("ewald", "direct"):
-        raise ValueError("method must be 'ewald' or 'direct'")
-
     eta = config.eta
     m = config.masses
+    pref = _pref(config.dim, eta)
     if config.dim == 3:
-        pref, q = eta, 10.0
+        q = 10.0
         r = config.radii / eta
         perim = float(np.sum(4 * math.pi * r**2))
         self_h1 = float(np.sum(8 * math.pi * r**5 / 15.0))
     else:
-        pref, q = 1.0 / abs(math.log(eta)), 8.0
+        q = 8.0
         perim = float(np.sum(2.0 * np.sqrt(math.pi * m)))
         self_h1 = float(np.sum(m**2) / (2 * math.pi))
-
+    self_sum, cross_sum, tail = parts
     if method == "ewald":
-        # F0's parts plus the eta^2 term (2/q) sum_{i, j} m_i m_j a_i^2, a_i = eta r_i,
-        # split into its i = j and i != j sums
-        self_sum, cross_sum, tail = limits._second_order_parts(config, params)
         a2 = config.radii**2
         regular_self = pref * (self_sum + (2.0 / q) * float(np.sum(m**2 * a2)))
         cross = pref * (cross_sum + (2.0 / q) * float(np.sum(m * a2 * (np.sum(m) - m))))
     else:
-        diag, off, tail = _pair_sums_direct(config, fourier_cutoff)
-        regular_self = pref * diag - self_h1
-        cross = pref * off
+        regular_self = pref * self_sum - self_h1
+        cross = pref * cross_sum
     total = perim + self_h1 + regular_self + cross
     tail_scaled = pref * tail
     breakdown = EnergyBreakdown(
@@ -294,6 +294,30 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     return breakdown
 
 
+def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
+                 method: str = "ewald", params=None) -> EnergyBreakdown:
+    """Rescaled sharp-interface energy of a ball configuration.
+
+    total = eta * total-variation + pref * |v|^2_{H^-1(T^d)} with pref = eta
+    in 3D and 1/|log eta| in 2D.  The breakdown separates the exact
+    perimeter term, the scale-free self part (whole-space H^-1 norms in 3D,
+    the mass-squared log coefficient in 2D), the remaining regular self
+    interaction, and the cross interaction.  ``method='ewald'`` evaluates the
+    Gamma-expansion of the module docstring through G (``params``: the 3D
+    Ewald parameters); its tail bound is pref * truncation_bound * (sum m)^2.
+    ``method='direct'`` sums the bare mode sum up to ``fourier_cutoff``
+    instead; it is only usable at moderate scales before its certified tail
+    violates the accuracy contract.
+    """
+    if fourier_cutoff < MIN_CUTOFF:
+        raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
+    if method == "ewald":
+        return _breakdown(config, limits._second_order_parts(config, params))
+    if method == "direct":
+        return _breakdown(config, _pair_sums_direct(config, fourier_cutoff), method)
+    raise ValueError("method must be 'ewald' or 'direct'")
+
+
 @dataclass(frozen=True)
 class ExpansionRow:
     eta: float
@@ -306,6 +330,7 @@ class ExpansionTable:
     rows: tuple
     reference: float
     reference_kind: str
+    f0: float  # the ordered F0 (self + cross) from the parts the sweep is built on
 
     @property
     def etas(self) -> np.ndarray:
@@ -319,11 +344,20 @@ class ExpansionTable:
 def second_order_quotient(template, etas, params=None) -> ExpansionTable:
     """Second-order quotients of a ball-configuration family over a list of etas.
 
-    3D: eta^-1 [E_eta - sum_i ball(m_i)], the reference being the ball
-    ansatz for each particle (flagged in ``reference_kind``).  2D:
-    |log eta| [E_eta - n e2d(m)], valid because the template is required to
-    be an optimal equal partition, so the envelope of the total mass equals
-    n e2d(m).  Each E_eta is ``sharp_energy`` at the Ewald parameters ``params``.
+    3D: F_eta = eta^-1 [E_eta - sum_i ball(m_i)], the reference being the
+    ball ansatz for each particle (flagged in ``reference_kind``).  2D:
+    F_eta = |log eta| [E_eta - n e2d(m)], valid because the template is
+    required to be an optimal equal partition, so the envelope of the total
+    mass equals n e2d(m).  Those equalities hold in exact arithmetic; F_eta
+    is computed from F0's parts plus the closed-form eta^2 term, as
+    (regular self + cross) / pref of E_eta's breakdown, so no total is
+    subtracted.  F0's parts come from one ``limits._second_order_parts``
+    call at the Ewald parameters ``params``, and each E_eta is the
+    ``sharp_energy`` total; each eta still builds its ``BallConfiguration``,
+    whose checks reject balls that overlap or are too large.  The table
+    carries F0 (self + ordered cross) from the same parts.  The sweep and
+    its fits thus restate the mean-value identity through the same G: the
+    independent evidence is the direct mode sum (``method='direct'``).
     """
     if not isinstance(template, limits.PointConfiguration):  # a BallConfiguration is one
         raise TypeError("template must be a BallConfiguration or PointConfiguration")
@@ -343,16 +377,15 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
         reference = float(sum(local.e3d_ball(mi).total for mi in template.masses))
         kind = "sum of ball-ansatz energies (upper bound for the true per-particle infimum)"
 
+    parts = limits._second_order_parts(template, params)
     rows = []
-    for eta in etas:
-        cfg = BallConfiguration(template.dim, float(eta), zip(template.masses, template.positions))
-        bd = sharp_energy(cfg, params=params)
-        if template.dim == 3:
-            q = (bd.total - reference) / eta
-        else:
-            q = abs(math.log(eta)) * (bd.total - reference)
-        rows.append(ExpansionRow(eta=float(eta), energy=bd.total, quotient=q))
-    return ExpansionTable(rows=tuple(rows), reference=reference, reference_kind=kind)
+    for eta in map(float, etas):
+        bd = _breakdown(BallConfiguration(template.dim, eta,
+                                          zip(template.masses, template.positions)), parts)
+        q = (bd.regular_self_term + bd.cross_term) / _pref(template.dim, eta)
+        rows.append(ExpansionRow(eta=eta, energy=bd.total, quotient=q))
+    return ExpansionTable(rows=tuple(rows), reference=reference, reference_kind=kind,
+                          f0=parts[0] + parts[1])
 
 
 def richardson_extrapolate(etas, quotients) -> tuple[float, float]:

@@ -204,6 +204,29 @@ def test_each_configuration_builds_its_pair_table_once(tmp_path, monkeypatch, ar
     assert len(built) == tables
 
 
+@pytest.mark.parametrize("richardson", [[], ["--richardson"]])
+def test_expand_makes_one_pair_sum(tmp_path, monkeypatch, richardson):
+    # F0's parts serve every eta and the limit_f0_ordered row
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    calls = []
+    pair_sum = limits._pair_sum
+    monkeypatch.setattr(limits, "_pair_sum", lambda *a, **k: calls.append(1) or pair_sum(*a, **k))
+    assert cli.main(["expand", "--config", cfg, "--etas", "0.04,0.02,0.01", *richardson,
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_expand_richardson_in_2d(tmp_path):
+    m = 2 ** (2.0 / 3.0) * PI  # an admissible equal pair
+    cfg = write_config(tmp_path, "two2d.json", {"dim": 2, "particles": [
+        {"mass": m, "position": [0.0, 0.0]}, {"mass": m, "position": [0.5, 0.5]}]})
+    r = run_cli("expand", "--config", cfg, "--etas", "1e-2,1e-3,1e-4", "--richardson")
+    assert r.returncode == 0
+    value = {row[0]: row[4] for row in (ln.split(",") for ln in r.stdout.splitlines()[2:])}
+    f0 = float(value["limit_f0_ordered"])
+    assert abs(float(value["richardson_f0_eta2"]) - f0) <= 1e-12 * abs(f0)
+
+
 def test_expand_eta2_fit_rows_follow_the_existing_rows(tmp_path, params):
     cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
     r = run_cli("expand", "--config", cfg, "--etas", "0.04,0.02,0.01", "--richardson")
@@ -248,24 +271,30 @@ def test_place_deterministic_modulo_wall_time(tmp_path):
     assert p1["evaluations"] >= p1["iterations"]
 
 
+def test_place_from_config_needs_a_config():
+    r = run_cli("place", "--n", "2", "--mass", "1", "--from-config")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: --from-config needs --config\n"
+
+
 def test_place_lattice_compare_skips_incommensurate(tmp_path):
     r = run_cli("place", "--dim", "2", "--n", "3", "--mass", "1", "--restarts", "2",
                 "--seed", "1", "--lattice-compare")
     payload = json.loads(r.stdout)
-    by_name = {c["lattice"]: c for c in payload["lattice_candidates"]}
-    assert "skipped" in by_name["square"]
-    assert "skipped" in by_name["triangular-sheared"]  # 3 != 2 k^2 either
+    [square] = payload["lattice_candidates"]  # the square lattice is the only candidate
+    assert square["lattice"] == "square" and "skipped" in square
 
 
 def test_place_lattice_compare_skips_unequal_masses(tmp_path):
-    # the lattices hold n equal masses; masses[0] alone would report four unit masses
+    # the lattice holds n equal masses; masses[0] alone would report four unit masses
     cfg = write_config(tmp_path, "mixed.json", {"dim": 2, "particles": [
         {"mass": m, "position": [0.1 + 0.5 * (i % 2), 0.2 + 0.5 * (i // 2)]}
         for i, m in enumerate([1.0, 3.0, 1.0, 3.0])]})
     r = run_cli("place", "--config", cfg, "--restarts", "1", "--seed", "1", "--lattice-compare")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
-    assert [set(c) for c in payload["lattice_candidates"]] == [{"lattice", "skipped"}] * 2
+    assert [set(c) for c in payload["lattice_candidates"]] == [{"lattice", "skipped"}]
     assert all("not all equal" in c["skipped"] for c in payload["lattice_candidates"])
 
 

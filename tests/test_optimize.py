@@ -103,28 +103,27 @@ def test_square_count_never_beats_injected_candidate(params):
 
 
 def test_lattice_candidates_2d(params):
-    e_sq = optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)
-    assert e_sq == optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)
-    e_tri = optimize.lattice_candidate_energy(2, 8, 1.0, "triangular-sheared", params)
-    e_tri2 = optimize.lattice_candidate_energy(2, 8, 1.0, "triangular-sheared", params)
-    assert e_tri == e_tri2  # bitwise reproducible
-    with pytest.raises(IncommensurateCount):
-        optimize.lattice_candidate_energy(2, 3, 1.0, "square", params)
-    with pytest.raises(IncommensurateCount):
-        optimize.lattice_candidate_energy(2, 6, 1.0, "triangular-sheared", params)
-    with pytest.raises(IncommensurateCount):
-        optimize.lattice_candidate_energy(3, 8, 1.0, "triangular-sheared", params)
+    for n in (4, 16):
+        e_sq = optimize.lattice_candidate_energy(2, n, 1.0, "square", params)
+        assert e_sq == optimize.lattice_candidate_energy(2, n, 1.0, "square", params)  # bitwise
+        # the square lattice of n = k^2 unit masses has E/n = -log(n)/(4 pi) exactly
+        assert abs(e_sq / n + math.log(n) / (4 * math.pi)) <= 1e-14
+    for n in (3, 8):  # 8 = 2 k^2 is no square count either
+        with pytest.raises(IncommensurateCount):
+            optimize.lattice_candidate_energy(2, n, 1.0, "square", params)
+    with pytest.raises(ValueError, match="lattice must be 'square'"):
+        optimize.lattice_candidate_energy(2, 8, 1.0, "triangular-sheared", params)
 
 
 @pytest.mark.parametrize("call", [
     lambda: optimize.square_lattice_positions(4, 16),
     lambda: optimize.square_lattice_positions(1, 4),
     lambda: optimize.lattice_candidate_energy(4, 16, 1.0, "square"),
-    lambda: optimize.lattice_candidate_energy(4, 8, 1.0, "triangular-sheared"),
+    lambda: optimize.lattice_candidate_energy(4, 8, 1.0, "square"),  # dim before count
     lambda: optimize.lattice_candidate_energy(2, 4, math.nan, "square"),
     lambda: optimize.lattice_candidate_energy(2, 4, math.inf, "square"),
     lambda: optimize.lattice_candidate_energy(2, 4, -1.0, "square"),
-    lambda: optimize.lattice_candidate_energy(2, 8, 0.0, "triangular-sheared"),
+    lambda: optimize.lattice_candidate_energy(2, 8, 0.0, "square"),  # mass before count
 ])
 def test_lattice_candidates_reject_a_bad_dim_or_mass(call):
     # an unchecked dim or mass gives an array of the wrong shape or a meaningless energy

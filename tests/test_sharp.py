@@ -443,6 +443,45 @@ def test_second_order_quotient_single_ball(params):
     assert "ball-ansatz" in table.reference_kind
 
 
+# the README 3D pair, and three unequal 3D masses
+SWEEP_TEMPLATES_3D = [
+    limits.PointConfiguration(3, [(1.0, (0.0, 0.0, 0.0)), (1.0, (0.5, 0.5, 0.5))]),
+    limits.PointConfiguration(3, [(0.7, (0.1, 0.2, 0.3)), (1.3, (0.6, 0.5, 0.4)),
+                                  (2.1, (0.3, 0.8, 0.75))]),
+]
+
+
+@pytest.mark.parametrize("template", SWEEP_TEMPLATES_3D)
+def test_eta2_fit_meets_the_closed_forms(template, params):
+    # q(eta) = F0 + c eta^2 with c = (2/10) sum_{i, j} m_i m_j r_i^2, r_i the unit-scale radius
+    table = sharp.second_order_quotient(template, [0.04, 0.02, 0.01], params)
+    m = template.masses.tolist()
+    c = 0.2 * sum(mi * mj * local.ball_radius_3d(mi) ** 2 for mi in m for mj in m)
+    f0 = limits.f0_energy(template, params).total
+    f0_hat, slope = sharp.richardson_extrapolate(table.etas**2, table.quotients)
+    # the quotients are doubles near F0, and one rounding unit u of each moves the
+    # fitted slope by up to u sum|x - mean x| / sum (x - mean x)^2 over x = eta^2:
+    # up to about 1e-12 of c here (subtracting the reference from each total missed
+    # c by about 1e-10)
+    x = table.etas**2 - np.mean(table.etas**2)
+    assert abs(slope - c) <= 2 * np.spacing(abs(f0)) * np.sum(np.abs(x)) / np.sum(x * x)
+    assert abs(f0_hat - f0) <= 1e-15 * abs(f0)
+    assert table.f0 == f0
+
+
+@pytest.mark.parametrize("template, etas", [
+    (SWEEP_TEMPLATES_3D[1], [0.04, 0.02, 0.01]),
+    (limits.PointConfiguration(2, [(2 ** (2 / 3) * PI, (0.0, 0.0)),
+                                   (2 ** (2 / 3) * PI, (0.5, 0.5))]), [1e-2, 1e-3, 1e-4]),
+])
+def test_sweep_energies_are_bitwise_sharp_energy(template, etas, params):
+    table = sharp.second_order_quotient(template, etas, params)
+    for row in table.rows:
+        ball = sharp.BallConfiguration(template.dim, row.eta,
+                                       zip(template.masses, template.positions))
+        assert row.energy == sharp.sharp_energy(ball, params=params).total
+
+
 def test_second_order_quotient_2d_admissibility():
     bad_mass = limits.PointConfiguration(2, [(1.0, (0, 0)), (2.0, (0.5, 0.5))])
     with pytest.raises(UnequalMasses2D):
