@@ -163,7 +163,7 @@ def default_params(n=2) -> green.EwaldParameters:
     otherwise the library's choice for n particles, ``for_count(n)``, with
     n = 2 for a single G evaluation (2D uses none).  The variable is checked
     before any lattice table is built: at the ends of [0.5, 11] the 3D
-    tables hold 10,648 images or 30,420 half-cube k entries.
+    tables hold 10,648 images or 8,000 octant k entries (20^3).
     """
     env = os.environ.get("OKLIM_EWALD_ALPHA")
     if not env:

@@ -22,12 +22,16 @@ growing c to c + 1 adds the offset ceil(c/2) or -floor(c/2) - 1, each at
 distance >= c/2 from |x|, so the omitted tail is at most
 sum_{L >= c} ((L+1)^3 - L^3) erfc(alpha L / 2) / (2 pi L); its gradient is
 sign(x) times the gradient at |x|.  The long-range part is zero in 2D; in
-3D it is the reciprocal sum and the background over one k-space: the
-half-cube weights of ``_structure_weights`` and the per-axis phase tables of
-``_phases``, with no trig per k-vector.  ``_long_range`` contracts them per
-point; ``_set_long_range`` forms from them the structure factor S(k) of the
-pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
-O(pairs * images + n * K) rather than O(pairs * (images + K)).  Without
+3D it is the reciprocal sum and the background over one k-space, the octant
+k >= 0: c_k is even in each coordinate of k, so each octant entry stands
+for the mu(k) = 2^(nonzero coordinates) vectors its sign flips give.  Its
+weights mu c_k are ``_structure_weights``, and the real per-axis tables of
+``_trig_tables`` hold cos and sin of 2 pi k x_d, with no trig per k-vector.
+``_long_range`` contracts them per point; ``_set_long_range`` forms from them
+the eight real sums over particles that replace the structure factor S(k)
+of the pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
+O(pairs * images + n * K) rather than O(pairs * (images + K)), with real
+matrix products whose bits do not depend on the BLAS thread count.  Without
 explicit parameters, alpha is chosen from n by operation count among
 PAIR_SUM_ALPHAS, and a per-point G takes the choice for one pair, n = 2.
 Each part has its gradient; ``_pair_part`` and ``_set_long_range`` form
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -169,11 +173,14 @@ class EwaldParameters:
         sum with its n, and a per-point G, grad G, g, g(0) or truncation
         bound with n = 2, the parameters of a one-pair sum.  The pair sum
         costs about pairs * images (per-pair part) plus (n + 30) * H / 40
-        (set long-range part, H entries of the half cube of
-        ``_structure_weights``; the 30 is its per-call work on the cube):
-        measured over energy and gradient, an image term costs about 40 times
-        a half-cube entry of one particle.  A small alpha suits few particles,
-        a large one many.
+        (set long-range part; the 30 is its per-call work on k-space).
+        H = (2 fc + 1)^2 (fc + 1) counts the half cube |k1|, |k2| <= fc,
+        0 <= k3 <= fc of an earlier k-space layout, on which the 40 was
+        measured over energy and gradient: an image term cost about 40 times
+        a half-cube entry of one particle.  It is kept as the cost proxy, so
+        that the alpha chosen for each n stays where it was; the octant
+        layout that runs now is cheaper per particle at every cutoff.  A
+        small alpha suits few particles, a large one many.
         """
         pairs = n * (n - 1) // 2
         return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + (n + 30) * c[2] / 40)[0]
@@ -198,7 +205,7 @@ PAIR_SUM_ALPHAS = (2.75, 5.5, 10.7)
 
 @lru_cache(maxsize=1)
 def _pair_sum_candidates():
-    # (params, images, half-cube entries), built on the first 3D pair sum
+    # (params, images, half-cube entries H of for_count), built on the first 3D pair sum
     out = []
     for alpha in PAIR_SUM_ALPHAS:
         p = EwaldParameters.for_alpha(alpha)
@@ -312,7 +319,8 @@ def _cell(dim, X, name, guard=True):
     return X
 
 
-# elements per chunk of every (rows x images) and (rows x k-vectors) temporary
+# elements per chunk of every (rows x images), (rows x k-vectors) and (k-vectors x particles)
+# temporary
 _CHUNK = 1_000_000
 
 
@@ -380,62 +388,129 @@ def _pair_part(dim, X, params, gradient=False):
 
 @lru_cache(maxsize=32)
 def _structure_weights(params):
-    """c_k over the half cube |k1|, |k2| <= fc, 0 <= k3 <= fc, as a read-only (K^2, fc + 1) array.
+    """mu(k) c_k over the octant 0 <= k1, k2, k3 <= fc, as a read-only (F, F, F) array, F = fc + 1.
 
-    c_k = e^(-pi^2 |k|^2 / alpha^2) / (4 pi^2 |k|^2); K = 2 fc + 1; rows are
-    (k1, k2) in lexicographic order, columns k3.  Zero at k = 0 and outside
-    |k| <= fc, and doubled for k3 > 0, where k stands for the pair +-k.
+    c_k = e^(-pi^2 |k|^2 / alpha^2) / (4 pi^2 |k|^2), zero at k = 0 and outside
+    |k| <= fc; mu(k) = 2^(number of nonzero coordinates of k) counts the sign
+    flips of k that the entry stands for.  Symmetric in its three axes.
     """
     fc = params.fourier_cutoff
-    k = np.arange(-fc, fc + 1, dtype=float)
-    ksq = (k[:, None]**2 + k**2).reshape(-1, 1) + k[fc:]**2
+    k = np.arange(fc + 1, dtype=float)
+    ksq = k[:, None, None]**2 + k[:, None]**2 + k**2
     keep = (ksq > 0) & (ksq <= fc * fc)
     ksq = np.where(keep, ksq, 1.0)
-    w = np.where(keep, np.exp(-(math.pi**2) * ksq / params.alpha**2) / (4 * math.pi**2 * ksq), 0.0)
-    w[:, 1:] *= 2.0
+    nonzero = (k > 0).astype(int)
+    mu = 2.0 ** (nonzero[:, None, None] + nonzero[:, None] + nonzero)
+    w = np.where(keep, mu * np.exp(-(math.pi**2) * ksq / params.alpha**2) / (4 * math.pi**2 * ksq),
+                 0.0)
     w.flags.writeable = False
     return w
 
 
-def _phases(positions, fc):
-    """The per-axis tables E_d[j, k] = e^(2 pi i k x_jd), k = -fc..fc, as an (n, 3, K) array."""
-    return np.exp(positions[:, :, None] * (2j * math.pi * np.arange(-fc, fc + 1, dtype=float)))
+@lru_cache(maxsize=32)
+def _parity_weights(params):
+    """``_structure_weights`` at each entry of T, a read-only (4 F^2, 2F) array, and their sum.
+
+    The octant weights repeated over the eight parities sigma_d in {cos, sin},
+    rows (sigma1, k1, sigma2, k2) and columns (sigma3, k3) as T is laid out;
+    the sum is that of the octant, sum_{k != 0} c_k over the ball.
+    """
+    F = params.fourier_cutoff + 1
+    w = _structure_weights(params)
+    tiled = np.tile(w, (2, 2, 2)).reshape(4 * F * F, 2 * F)
+    tiled.flags.writeable = False
+    return tiled, float(w.sum())
+
+
+@lru_cache(maxsize=32)
+def _wavenumbers(F):
+    """2 pi k for k = 0..F-1, and the (2, F) coefficients [-k, k] of the derivative tables.
+
+    Both read-only.
+    """
+    k = np.arange(F, dtype=float)
+    out = (2 * math.pi) * k, np.stack([-k, k])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _trig_tables(positions, F, gradient=False):
+    """The per-axis tables P_d = [cos, sin](2 pi k x_jd), k = 0..F-1, as a (1, 3, n, 2F) array.
+
+    ``[0, d, j, :F]`` is the cos table and ``[0, d, j, F:]`` the sin table.
+    With ``gradient``, (2, 3, n, 2F): the derivative tables
+    D_d = dP_d/dx_d / 2 pi = [-k sin, k cos] follow, P_d with its parities
+    swapped and scaled by -k and k.
+    """
+    two_pi_k, kk = _wavenumbers(F)
+    phase = positions.T[:, :, None] * two_pi_k
+    out = np.empty((1 + gradient, *phase.shape[:2], 2, F))
+    np.cos(phase, out=out[0, :, :, 0])
+    np.sin(phase, out=out[0, :, :, 1])
+    if gradient:
+        np.multiply(out[0, :, :, ::-1], kk, out=out[1])
+    return out.reshape(1 + gradient, *phase.shape[:2], 2 * F)
 
 
 def _long_range(dim, X, params, gradient=False):
     """The per-point long-range part of G at rows |x|, or of grad G at rows x: zero in 2D.
 
     3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus the background
-    1/(4 alpha^2), or its gradient, with w of ``_structure_weights`` and E of
-    ``_phases``: Re sum w E_1 E_2 E_3 and -2 pi sum w k Im(E_1 E_2 E_3) over
-    the half cube.  w is even in k1 and in k2, so with C = Re E, S = Im E
-    only the terms even in both remain: sum w C_1 C_2 C_3 and
-    -2 pi sum w (k1 S_1 C_2 C_3, k2 C_1 S_2 C_3, k3 C_1 C_2 S_3), contracted
-    one axis at a time by einsum, which reduces every row in the same order
-    (a matrix product rounds by row position).
+    1/(4 alpha^2), or its gradient, over the octant weights w of
+    ``_structure_weights`` and the tables of ``_trig_tables``.  The sign
+    flips of k turn cos(2 pi k.x) into mu(k) C_1 C_2 C_3, the cos.cos.cos
+    parity of the structure factor (C = cos, D = -k sin per axis):
+    sum w C_1 C_2 C_3 and 2 pi sum w (D_1 C_2 C_3, C_1 D_2 C_3, C_1 C_2 D_3),
+    contracted one axis at a time by einsum, which reduces every row in the
+    same order (a matrix product rounds by row position).
     """
     if dim == 2:
         return 0.0
-    fc = params.fourier_cutoff
-    K = 2 * fc + 1
-    k = np.arange(-fc, fc + 1, dtype=float)
-    w = _structure_weights(params).reshape(K, K, fc + 1).transpose(1, 2, 0)  # (k2, k3, k1)
+    F = params.fourier_cutoff + 1
+    w = _structure_weights(params)  # symmetric, so its last axis may stand for k1
 
     def rows(x):
-        e = _phases(x, fc)
-        c1, c2, c3 = e.real[:, 0], e.real[:, 1], e.real[:, 2, fc:]
-        t = np.einsum("bca,ja->jbc", w, c1)  # the k1 sums, (rows, K, fc + 1)
+        tables = _trig_tables(x, F, gradient)[..., :F]
+        c1, c2, c3 = tables[0]
+        t = np.einsum("bca,ja->jbc", w, c1)  # the k1 sums, (rows, F, F)
         if not gradient:
             return np.einsum("jbc,jb,jc->j", t, c2, c3)
-        s = e.imag * k
+        d1, d2, d3 = tables[1]
         g = np.empty((len(x), 3))
-        g[:, 0] = np.einsum("jbc,jb,jc->j", np.einsum("bca,ja->jbc", w, s[:, 0]), c2, c3)
-        g[:, 1] = np.einsum("jbc,jb,jc->j", t, s[:, 1], c3)
-        g[:, 2] = np.einsum("jbc,jb,jc->j", t, c2, s[:, 2, fc:])
-        return (-2 * math.pi) * g
+        g[:, 0] = np.einsum("jbc,jb,jc->j", np.einsum("bca,ja->jbc", w, d1), c2, c3)
+        g[:, 1] = np.einsum("jbc,jb,jc->j", t, d2, c3)
+        g[:, 2] = np.einsum("jbc,jb,jc->j", t, c2, d3)
+        return (2 * math.pi) * g
     if gradient:
-        return _by_rows(rows, X, 2 * K * (fc + 1), np.empty_like(X))
-    return _by_rows(rows, X, K * (fc + 1), np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
+        return _by_rows(rows, X, 2 * F * F, np.empty_like(X))
+    return _by_rows(rows, X, F * F, np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
+
+
+# m * k * n of the largest matrix product that OpenBLAS's gemm runs on one thread:
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 in its interface/gemm.c
+_SERIAL_PRODUCT = 1 << 18
+
+
+def _serial_matmul(a, b):
+    """a @ b, in blocks of the rows of a that BLAS multiplies on one thread each.
+
+    A threaded product splits its output between threads, and the kernels of
+    the edge tiles round differently, so its bits change with the thread
+    count; a block of at most _SERIAL_PRODUCT multiply-adds is not split.
+    """
+    rows = max(1, _SERIAL_PRODUCT // (a.shape[1] * b.shape[1]))
+    if rows >= len(a):
+        return a @ b
+    out = np.empty((len(a), b.shape[1]))
+    for lo in range(0, len(a), rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    return out
+
+
+# the gradient along axis s (column) contracts w T with one table per axis (row): D on
+# axis s and P on the others, as indices into the tables [P_1, P_2, P_3, D_1, D_2, D_3]
+_GRADIENT_TABLES = np.array([[3, 0, 0], [1, 4, 1], [2, 2, 5]])
 
 
 def _set_long_range(dim, masses, positions, params, gradient=False):
@@ -443,47 +518,56 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
 
     3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) and M = sum m:
     sum_{k != 0} c_k (|S(k)|^2 - sum m^2) - (M^2 - sum m^2) / (4 alpha^2),
-    the reciprocal and background terms of all ordered pairs i != j at once;
-    its gradient is -4 pi m_j sum_k c_k k Im(conj S(k) e^(2 pi i k.x_j)).
-    S(-k) = conj S(k), so both run over the half cube of ``_structure_weights``.
-    S comes from the per-axis tables E_d of ``_phases`` (Essmann et al., 1995)
-    by one matrix product, (m E_1 (x) E_2).T @ E_3; the gradient contracts
-    back through the same tables, one axis at a time; ``gradient`` returns
-    (value, gradient) from one set of tables and one S.  S is formed in the
-    lexicographic order of the positions, so the value is exactly
-    permutation invariant.  Zero for fewer than two particles.
+    the reciprocal and background terms of all ordered pairs i != j at once.
+    c_k is even in each coordinate of k, so the sum runs over the octant:
+    sum_k c_k |S(k)|^2 = sum_{k >= 0} mu(k) c_k sum_sigma T_sigma(k)^2, with
+    the eight real sums T_sigma(k) = sum_j m_j sigma_1(2 pi k1 x_j1)
+    sigma_2(..) sigma_3(..), sigma_d in {cos, sin}, weighted by
+    ``_parity_weights``.  T comes from the tables P_d of ``_trig_tables``
+    (Essmann et al., 1995) by one real matrix product, (m P_1 (x) P_2).T @ P_3,
+    over chunks of particles whose (4 F^2, chunk) outer products hold at most
+    _CHUNK elements.  The gradient, 4 pi m_j sum mu c_k T dT/dx_j / (2 pi m_j),
+    contracts Z = mu c_k T back through the same tables, once per axis s with
+    the derivative table D_s in place of P_s: one product Z @ R.T over the
+    axis-3 factors R of all three axes, then the sums with the axis-1 and
+    axis-2 factors, each particle's over its own column.  ``gradient`` returns
+    (value, gradient) from one set of tables and one T.  Every product is a
+    ``_serial_matmul`` and every other sum a numpy reduction, so the bits do
+    not depend on the BLAS thread count.  T is formed in the lexicographic
+    order of the positions, so the value is exactly permutation invariant.
+    Zero for fewer than two particles.
     """
     if dim == 2 or len(masses) < 2:
         return (0.0, 0.0) if gradient else 0.0
-    fc = params.fourier_cutoff
-    K = 2 * fc + 1
-    w = _structure_weights(params)
-    k = np.arange(-fc, fc + 1, dtype=float)
+    F = params.fourier_cutoff + 1
+    w, c_sum = _parity_weights(params)
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    e = _phases(positions[order], fc)  # (n, 3, K)
-    e[:, 0] *= m[:, None]  # the masses ride on E_1
-    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2, fc:]
-    step = max(1, _CHUNK // (2 * K * K))  # particles per chunk: (chunk, 2 K^2) temporaries
+    tables = _trig_tables(positions[order], F, gradient)
+    p1t, p2t, p3 = tables[0, 0].T * m, tables[0, 1].T, tables[0, 2]  # the masses ride on P_1
+    step = max(1, _CHUNK // (4 * F * F))  # particles per chunk: (4 F^2, chunk) temporaries
     chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
-    # S over the half cube, (K^2, fc + 1), summed over chunks of particles
-    s = sum((e1[c, :, None] * e2[c, None, :]).reshape(-1, K * K).T @ e3[c] for c in chunks)
+    # T, rows (sigma1, k1, sigma2, k2) and columns (sigma3, k3), summed over the chunks
+    t = reduce(np.add, (_serial_matmul((p1t[:, None, c] * p2t[:, c]).reshape(4 * F * F, -1), p3[c])
+                        for c in chunks))
+    z = t * w
     mm, total = float(m @ m), float(m.sum())
-    recip = float(np.vdot(s, w * s).real) - mm * float(w.sum())  # sum_k c_k (|S(k)|^2 - sum m^2)
+    # summed pairwise: a running sum of the 8 F^3 terms would lose about 1e-14 relative
+    recip = float(np.sum(z * t)) - mm * c_sum
     value = recip - (total * total - mm) / (4 * params.alpha**2)
     if not gradient:
         return value
-    v = (w * np.conj(s)).T
+    tables = tables.reshape(6, len(m), 2 * F)  # P_1, P_2, P_3, D_1, D_2, D_3
     out = np.empty_like(positions)
-    for c in chunks:
-        # the k3 sums first, plain and times k3, (2, chunk, K, K)
-        u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
-        y = (u @ e2[c, :, None])[..., 0]  # then the k2 sums, (2, chunk, K)
-        z = (e1[c, None, :] @ u[0])[:, 0]  # or the k1 sums, (chunk, K)
-        p = (y * e1[c]).imag
-        g = np.empty((len(z), 3))
-        g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
-        out[order[c]] = (-4 * math.pi) * g
+    step = max(1, step // 12)  # (4 F^2, 3 chunk) temporaries of _CHUNK / 4, which stay in cache
+    for lo in range(0, len(m), step):
+        c = slice(lo, lo + step)
+        factors = tables[:, c][_GRADIENT_TABLES]  # (3 factors, 3 axes, chunk, 2F)
+        factors[0] *= m[c, None]
+        left, middle, right = factors.reshape(3, -1, 2 * F).transpose(0, 2, 1)  # (2F, 3 chunk)
+        y = _serial_matmul(z, right).reshape(2 * F, 2 * F, -1)  # the (sigma3, k3) sums
+        g = np.einsum("aj,aj->j", np.einsum("abj,bj->aj", y, middle), left).reshape(3, -1)
+        out[order[c]] = (4 * math.pi) * g.T
     return value, out
 
 

@@ -537,7 +537,7 @@ def _assert_clean_json_exit(code, out, err):
 
 @pytest.mark.parametrize("alpha", ["0.05", "50"])
 def test_green_rejects_an_ewald_alpha_out_of_bounds(alpha):
-    # 0.05 hits the real_cutoff cap; 50 lies above the range: a half cube of 175^2 * 88 entries
+    # 0.05 hits the real_cutoff cap; 50 lies above the range: an octant of 88^3 k entries
     builds = green._structure_weights.cache_info().misses
     code, out, err = _run_main(["green", "--dim", "3", "--x", "0.1,0.2,0.3"], alpha)
     assert code == 1 and out == ""
@@ -713,6 +713,18 @@ def test_dim_must_be_an_integer(dim, argv):
 
 def _without_wall_time(text):
     return re.sub(r'"wall_time_s": [^,}\s]+', "", text)
+
+
+def test_3d_energy_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 250 points the structure factor's matrix products are large enough for BLAS
+    # to split them between threads, if one product were run whole
+    x = np.random.default_rng(5).random((250, 3))
+    path = write_config(tmp_path, "points.json", {"dim": 3, "particles": [
+        {"mass": 1.0, "position": p.tolist()} for p in x]})
+    runs = [run_cli("energy", "--config", path, env_extra={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert _without_wall_time(runs[0].stdout) == _without_wall_time(runs[1].stdout)
 
 
 EQUAL_2D = {"dim": 2, "particles": [{"mass": 1.0, "position": [0.1, 0.2]},

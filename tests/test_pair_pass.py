@@ -43,31 +43,34 @@ def real_space_grad(X, alpha, rc):
 
 
 def set_long_range_grad(masses, positions, params):
-    """Gradient of the 3D particle-set long-range part, from S(k) alone."""
+    """Gradient of the 3D particle-set long-range part, from T over the octant alone.
+
+    Each axis s contracts w T back through the tables P (cos, sin) of the
+    other two axes and the derivative table D of its own.
+    """
     if len(masses) < 2:
         return 0.0
-    fc = params.fourier_cutoff
-    K = 2 * fc + 1
-    w = green._structure_weights(params)
-    k = np.arange(-fc, fc + 1, dtype=float)
+    F = params.fourier_cutoff + 1
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    e = green._phases(positions[order], fc)
-    e[:, 0] *= m[:, None]
-    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2, fc:]
-    step = max(1, green._CHUNK // (2 * K * K))
-    chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
-    s = sum((e1[c, :, None] * e2[c, None, :]).reshape(-1, K * K).T @ e3[c] for c in chunks)
-    v = (w * np.conj(s)).T
+    p, d = green._trig_tables(positions[order], F, gradient=True)
+    step = max(1, green._CHUNK // (4 * F * F))
+    t = 0.0
+    for lo in range(0, len(m), step):
+        c = slice(lo, lo + step)
+        outer = (p[0, c].T[:, None] * m[c] * p[1, c].T).reshape(4 * F * F, -1)
+        t = t + green._serial_matmul(outer, p[2, c])
+    z = t * green._parity_weights(params)[0]
+    factors = [(d[0] * m[:, None], p[1], p[2]), (p[0] * m[:, None], d[1], p[2]),
+               (p[0] * m[:, None], p[1], d[2])]
     out = np.empty_like(positions)
-    for c in chunks:
-        u = (np.concatenate([e3[c], e3[c] * k[fc:]]) @ v).reshape(2, -1, K, K)
-        y = (u @ e2[c, :, None])[..., 0]
-        z = (e1[c, None, :] @ u[0])[:, 0]
-        p = (y * e1[c]).imag
-        g = np.empty((len(z), 3))
-        g[:, 0], g[:, 1], g[:, 2] = p[0] @ k, (z * e2[c]).imag @ k, p[1].sum(axis=1)
-        out[order[c]] = (-4 * math.pi) * g
+    step = max(1, step // 12)
+    for lo in range(0, len(m), step):
+        c = slice(lo, lo + step)
+        left, middle, right = (np.concatenate([f[c] for f in axis]).T for axis in zip(*factors))
+        y = green._serial_matmul(z, right).reshape(2 * F, 2 * F, -1)
+        g = np.einsum("aj,aj->j", np.einsum("abj,bj->aj", y, middle), left).reshape(3, -1)
+        out[order[c]] = (4 * math.pi) * g.T
     return out
 
 

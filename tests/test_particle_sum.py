@@ -7,6 +7,10 @@ not call; agreement is checked to a fraction of (sum m)^2.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,9 +178,10 @@ def test_per_point_long_range_matches_the_per_k_trig_sum(alpha):
     assert np.max(np.abs(grad - trig_long_range(X, params, gradient=True))) <= 1e-14
 
 
-@pytest.mark.parametrize("n, chunk", [(2, None), (4, None), (27, None), (27, 3000), (250, None)])
+@pytest.mark.parametrize("n, chunk", [(2, None), (4, None), (27, None), (27, 3000), (250, None),
+                                      (250, 50000)])
 def test_separable_structure_factor_matches_the_per_k_trig_sum(monkeypatch, n, chunk):
-    if chunk:  # a few particles per chunk
+    if chunk:  # a few particles per chunk, several chunks
         monkeypatch.setattr(green, "_CHUNK", chunk)
     m, x = near_face_configuration(n, 5)
     params = green.EwaldParameters.for_count(n)
@@ -187,6 +192,45 @@ def test_separable_structure_factor_matches_the_per_k_trig_sum(monkeypatch, n, c
     value, grad = green._set_long_range(3, m, x, params, gradient=True)
     assert value == energy
     assert np.max(np.abs(grad - trig_set_long_range(m, x, params, gradient=True))) <= 1e-14 * scale
+
+
+def test_structure_factor_memory_stays_bounded():
+    # the (4 F^2, chunk) outer products of the value hold at most _CHUNK elements and
+    # the gradient's (4 F^2, 3 chunk) sums a quarter of that; the tables of 1000
+    # particles, (2, 3, n, 2F) with the derivative ones, add about a quarter more
+    params = green.EwaldParameters.for_alpha(10.7)
+    rng = np.random.default_rng([1000, 3])
+    m, x = rng.uniform(0.5, 1.5, 1000), rng.random((1000, 3))
+    green._set_long_range(3, m, x, params, gradient=True)  # the cached weights, outside the trace
+    for gradient in (False, True):
+        tracemalloc.start()
+        try:
+            green._set_long_range(3, m, x, params, gradient=gradient)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * green._CHUNK, (gradient, peak)
+
+
+def test_structure_factor_bits_do_not_depend_on_the_blas_thread_count():
+    # at 700 particles a matrix product run whole, as one BLAS call, gives other last
+    # bits on two threads than on one, in the value and in the gradient
+    code = ("import numpy as np\n"
+            "from oklim import green\n"
+            "rng = np.random.default_rng(5)\n"
+            "m, x = rng.uniform(0.5, 1.5, 700), rng.random((700, 3))\n"
+            "for alpha in (5.5, 10.7):\n"
+            "    params = green.EwaldParameters.for_alpha(alpha)\n"
+            "    value, grad = green._set_long_range(3, m, x, params, gradient=True)\n"
+            "    print(value.hex(), grad.tobytes().hex())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outputs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, env=env, check=True).stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_f0_tail_names_the_parameters_that_ran():
