@@ -32,8 +32,9 @@ the eight real sums over particles that replace the structure factor S(k)
 of the pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
 O(pairs * images + n * K) rather than O(pairs * (images + K)), with real
 matrix products whose bits do not depend on the BLAS thread count.  Without
-explicit parameters, alpha is chosen from n by operation count among
-PAIR_SUM_ALPHAS, and a per-point G takes the choice for one pair, n = 2.
+explicit parameters, alpha is chosen from n among PAIR_SUM_ALPHAS (2.75 up
+to n = 13, 5.5 up to 209, 10.7 above), and a per-point G takes the choice
+for one pair, n = 2.
 Each part has its gradient; ``_pair_part`` and ``_set_long_range`` form
 it together with the value, from one set of shared factors.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
@@ -56,6 +57,7 @@ is most of a cold start.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -167,23 +169,15 @@ class EwaldParameters:
 
     @classmethod
     def for_count(cls, n: int) -> "EwaldParameters":
-        """The PAIR_SUM_ALPHAS parameters with the fewest operations for an n-particle pair sum.
+        """The PAIR_SUM_ALPHAS parameters of an n-particle pair sum.
 
         Every 3D evaluation without explicit parameters runs these: a pair
         sum with its n, and a per-point G, grad G, g, g(0) or truncation
-        bound with n = 2, the parameters of a one-pair sum.  The pair sum
-        costs about pairs * images (per-pair part) plus (n + 30) * H / 40
-        (set long-range part; the 30 is its per-call work on k-space).
-        H = (2 fc + 1)^2 (fc + 1) counts the half cube |k1|, |k2| <= fc,
-        0 <= k3 <= fc of an earlier k-space layout, on which the 40 was
-        measured over energy and gradient: an image term cost about 40 times
-        a half-cube entry of one particle.  It is kept as the cost proxy, so
-        that the alpha chosen for each n stays where it was; the octant
-        layout that runs now is cheaper per particle at every cutoff.  A
-        small alpha suits few particles, a large one many.
+        bound with n = 2, the parameters of a one-pair sum.  A small alpha
+        suits few particles (few k entries per particle), a large one many
+        (few images per pair).
         """
-        pairs = n * (n - 1) // 2
-        return min(_pair_sum_candidates(), key=lambda c: pairs * c[1] + (n + 30) * c[2] / 40)[0]
+        return _pair_sum_params(bisect.bisect_left(_PAIR_SUM_COUNTS, n))
 
 
 def _check_alpha(alpha):
@@ -201,17 +195,15 @@ def _check_alpha(alpha):
 #: for_alpha's cutoffs (_TAIL_TOL per shell sum) each certifies a total tail
 #: <= 1e-13.
 PAIR_SUM_ALPHAS = (2.75, 5.5, 10.7)
+# the largest n of the first two alphas, from an operation count on an earlier k-space layout:
+# past it the images of the pairs (pairs * c^3) cost more than the next alpha's k-space
+_PAIR_SUM_COUNTS = (13, 209)
 
 
-@lru_cache(maxsize=1)
-def _pair_sum_candidates():
-    # (params, images, half-cube entries H of for_count), built on the first 3D pair sum
-    out = []
-    for alpha in PAIR_SUM_ALPHAS:
-        p = EwaldParameters.for_alpha(alpha)
-        fc = p.fourier_cutoff
-        out.append((p, p.real_cutoff**3, (2 * fc + 1)**2 * (fc + 1)))
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _pair_sum_params(i):
+    # for_alpha's cutoffs of PAIR_SUM_ALPHAS[i], found on the first 3D G that needs them
+    return EwaldParameters.for_alpha(PAIR_SUM_ALPHAS[i])
 
 
 def _shell_sum(term, start):
@@ -408,21 +400,6 @@ def _structure_weights(params):
 
 
 @lru_cache(maxsize=32)
-def _parity_weights(params):
-    """``_structure_weights`` at each entry of T, a read-only (4 F^2, 2F) array, and their sum.
-
-    The octant weights repeated over the eight parities sigma_d in {cos, sin},
-    rows (sigma1, k1, sigma2, k2) and columns (sigma3, k3) as T is laid out;
-    the sum is that of the octant, sum_{k != 0} c_k over the ball.
-    """
-    F = params.fourier_cutoff + 1
-    w = _structure_weights(params)
-    tiled = np.tile(w, (2, 2, 2)).reshape(4 * F * F, 2 * F)
-    tiled.flags.writeable = False
-    return tiled, float(w.sum())
-
-
-@lru_cache(maxsize=32)
 def _wavenumbers(F):
     """2 pi k for k = 0..F-1, and the (2, F) coefficients [-k, k] of the derivative tables.
 
@@ -522,15 +499,16 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     c_k is even in each coordinate of k, so the sum runs over the octant:
     sum_k c_k |S(k)|^2 = sum_{k >= 0} mu(k) c_k sum_sigma T_sigma(k)^2, with
     the eight real sums T_sigma(k) = sum_j m_j sigma_1(2 pi k1 x_j1)
-    sigma_2(..) sigma_3(..), sigma_d in {cos, sin}, weighted by
-    ``_parity_weights``.  T comes from the tables P_d of ``_trig_tables``
-    (Essmann et al., 1995) by one real matrix product, (m P_1 (x) P_2).T @ P_3,
-    over chunks of particles whose (4 F^2, chunk) outer products hold at most
-    _CHUNK elements.  The gradient, 4 pi m_j sum mu c_k T dT/dx_j / (2 pi m_j),
-    contracts Z = mu c_k T back through the same tables, once per axis s with
-    the derivative table D_s in place of P_s: one product Z @ R.T over the
-    axis-3 factors R of all three axes, then the sums with the axis-1 and
-    axis-2 factors, each particle's over its own column.  ``gradient`` returns
+    sigma_2(..) sigma_3(..), sigma_d in {cos, sin}, each weighted by
+    ``_structure_weights`` at its k.  T comes from the tables P_d of
+    ``_trig_tables`` (Essmann et al., 1995) by one real matrix product,
+    (m P_1 (x) P_2).T @ P_3, over chunks of particles whose (4 F^2, chunk)
+    outer products hold at most _CHUNK elements.  The gradient,
+    4 pi m_j sum mu c_k T dT/dx_j / (2 pi m_j), contracts Z = mu c_k T back
+    through the same tables, once per axis s with the derivative table D_s
+    in place of P_s: one product Z @ R.T over the axis-3 factors R of all
+    three axes, then the sums with the axis-1 and axis-2 factors, each
+    particle's over its own column.  ``gradient`` returns
     (value, gradient) from one set of tables and one T.  Every product is a
     ``_serial_matmul`` and every other sum a numpy reduction, so the bits do
     not depend on the BLAS thread count.  T is formed in the lexicographic
@@ -540,7 +518,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     if dim == 2 or len(masses) < 2:
         return (0.0, 0.0) if gradient else 0.0
     F = params.fourier_cutoff + 1
-    w, c_sum = _parity_weights(params)
+    w = _structure_weights(params)
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
     tables = _trig_tables(positions[order], F, gradient)
@@ -550,10 +528,11 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     # T, rows (sigma1, k1, sigma2, k2) and columns (sigma3, k3), summed over the chunks
     t = reduce(np.add, (_serial_matmul((p1t[:, None, c] * p2t[:, c]).reshape(4 * F * F, -1), p3[c])
                         for c in chunks))
-    z = t * w
+    # mu c_k at each entry of T, broadcast over the parities of its (2, F, 2, F, 2, F) view
+    z = (t.reshape(2, F, 2, F, 2, F) * w[:, None, :, None, :]).reshape(t.shape)
     mm, total = float(m @ m), float(m.sum())
     # summed pairwise: a running sum of the 8 F^3 terms would lose about 1e-14 relative
-    recip = float(np.sum(z * t)) - mm * c_sum
+    recip = float(np.sum(z * t)) - mm * float(w.sum())
     value = recip - (total * total - mm) / (4 * params.alpha**2)
     if not gradient:
         return value

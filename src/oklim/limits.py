@@ -241,15 +241,14 @@ def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
 def _second_order_parts(config, params=None):
     """F0's (self, ordered cross, tail bound) of a configuration, the cross from its pair table.
 
-    self = sum_i m_i^2 g(0), plus f0(m_i) in 2D, in sorted order; masses may differ.
+    self = sum_i (m_i^2 g(0) + f0(m_i)), f0 the column of ``local._particles`` (zero in
+    3D), in sorted order; masses may differ.
     All three use the same Ewald parameters: ``params``, or those the pair
     sum chooses for n particles (3D; 2D uses none).
     """
     dim, masses = config.dim, config.masses
     params = green._resolve(params, len(masses))
-    vals = masses**2 * green.regular_part_at_zero(dim, params)
-    if dim == 2:
-        vals += [local.f0(m) for m in masses]
+    vals = masses**2 * green.regular_part_at_zero(dim, params) + local._particles(dim, masses)[3]
     return (float(np.sum(np.sort(vals))),
             _pair_sum(dim, masses, config.positions, config.pairs, params),
             green.truncation_bound(dim, params) * float(np.sum(masses))**2)

@@ -18,6 +18,10 @@ so m_opt = 5 pi and the envelope, the best equal split of balls, is an
 upper bound for the true one.  The module also gives the curvature
 coefficient whose sign changes at mass 2 pi, and the mass beyond which two
 half-mass balls beat a single ball.
+
+Each particle's radius, perimeter and self energy are written once per
+dimension, in the vectorised table ``_particles``: the scalar functions, the
+envelope, the radii and energies of ``sharp`` and F0's self terms all read it.
 """
 
 from __future__ import annotations
@@ -56,34 +60,54 @@ def _check_mass(m) -> float:
     return m
 
 
-def e2d(m) -> float:
-    """2D per-particle energy m^2/(2 pi) + 2 sqrt(pi m)."""
-    m = _check_mass(m)
-    return m * m / (2 * math.pi) + 2.0 * math.sqrt(math.pi * m)
+def _particles(dim, masses):
+    """Each particle's unit-scale radius, perimeter, scale-free self energy and f0 (vectorized).
+
+    2D: the disc of area m, radius sqrt(m / pi), perimeter 2 sqrt(pi m),
+    self energy m^2 / (2 pi) and log self term f0(m).  3D: the ball of
+    volume m, radius cbrt(3 m / (4 pi)), perimeter 4 pi r^2, whole-space
+    H^-1 self energy 8 pi r^5 / 15 = 8 pi r^3 r^2 / 15 and f0 zero.  The
+    one power is np.cbrt, whose array loop rounds a scalar and an array
+    entry alike (unlike x ** (1/3)), so a mass has the same bits in every
+    layer.
+    """
+    m = np.asarray(masses, dtype=float)
+    if dim == 3:
+        cube = 3.0 * m / (4 * math.pi)
+        r = np.cbrt(cube)
+        return r, 4 * math.pi * r * r, 8 * math.pi * cube * r * r / 15.0, np.zeros(m.shape)
+    return (np.sqrt(m / math.pi), 2.0 * np.sqrt(math.pi * m), m * m / (2 * math.pi),
+            m * m / (8 * math.pi) * (1.0 - 2.0 * np.log(m / math.pi)))
 
 
-def _e2d_arr(m):
-    return m * m / (2 * math.pi) + 2.0 * np.sqrt(math.pi * m)
+def _particle(dim, m):
+    """The ``_particles`` row of one checked mass, as floats.
+
+    Overflow gives inf without a warning, as plain float arithmetic does
+    (e2d(1e200) is inf, f0(1e200) is -inf).
+    """
+    with np.errstate(over="ignore"):
+        return [float(c) for c in _particles(dim, _check_mass(m))]
 
 
-def _e3d_arr(m):
-    r = (3.0 * m / (4 * math.pi)) ** (1.0 / 3.0)
-    return 4 * math.pi * r * r + 8 * math.pi * r**5 / 15.0
+def _energies(dim, ms) -> np.ndarray:
+    """Per-particle energies e(m) of an array of masses (vectorized): perimeter plus self energy."""
+    _, perimeter, self_energy, _ = _particles(dim, ms)
+    return perimeter + self_energy
 
 
-# per dimension: the vectorised per-particle energy and the optimal part mass
-# (the ball energy c2 m^(2/3) + c5 m^(5/3) has c2 / c5 = 10 pi, so 3D's is 5 pi)
-_PARTS = {2: (_e2d_arr, OPTIMAL_PER_MASS), 3: (_e3d_arr, 5.0 * math.pi)}
+# the optimal part mass per dimension (the ball energy c2 m^(2/3) + c5 m^(5/3) has
+# c2 / c5 = 10 pi, so 3D's is 5 pi)
+_OPTIMAL_MASS = {2: OPTIMAL_PER_MASS, 3: 5.0 * math.pi}
 
 
 def _best_count(dim, M):
     # k e(M/k) has one critical point, k* = M / m_opt, so the integer optimum
     # is floor(k*) or the next count (at least 1 each)
     green._check_dim(dim)
-    energy, m_opt = _PARTS[dim]
-    lo = np.maximum(np.floor(M / m_opt), 1.0)
+    lo = np.maximum(np.floor(M / _OPTIMAL_MASS[dim]), 1.0)
     hi = lo + 1.0
-    v_lo, v_hi = lo * energy(M / lo), hi * energy(M / hi)
+    v_lo, v_hi = lo * _energies(dim, M / lo), hi * _energies(dim, M / hi)
     return np.where(v_hi < v_lo, hi, lo), np.minimum(v_lo, v_hi)  # ties to smaller n
 
 
@@ -106,9 +130,10 @@ def envelope_many(dim, Ms) -> np.ndarray:
     return _best_count(dim, np.asarray(Ms, dtype=float))[1]
 
 
-def _energies(dim, ms) -> np.ndarray:
-    """Per-particle energies e(m) of an array of masses (vectorized)."""
-    return _PARTS[dim][0](np.asarray(ms, dtype=float))
+def e2d(m) -> float:
+    """2D per-particle energy m^2/(2 pi) + 2 sqrt(pi m)."""
+    _, perimeter, self_energy, _ = _particle(2, m)
+    return perimeter + self_energy
 
 
 def f0(m) -> float:
@@ -117,13 +142,12 @@ def f0(m) -> float:
     Closed form m^2/(8 pi) * (1 - 2 log(m/pi)), from the disc's geometric
     mean distance a * exp(-1/4) with a = sqrt(m/pi).
     """
-    m = _check_mass(m)
-    return m * m / (8 * math.pi) * (1.0 - 2.0 * math.log(m / math.pi))
+    return _particle(2, m)[3]
 
 
 def ball_radius_3d(m) -> float:
     """Radius of the ball of volume m."""
-    return (3.0 * _check_mass(m) / (4 * math.pi)) ** (1.0 / 3.0)
+    return _particle(3, m)[0]
 
 
 def e3d_ball(m) -> EnergyBreakdown:
@@ -132,10 +156,7 @@ def e3d_ball(m) -> EnergyBreakdown:
     An upper bound for the 3D per-particle infimum (conjecturally sharp);
     never reported as the infimum itself.
     """
-    m = _check_mass(m)
-    r = ball_radius_3d(m)
-    perim = 4 * math.pi * r * r
-    self_h1 = 8 * math.pi * r**5 / 15.0
+    _, perim, self_h1, _ = _particle(3, m)
     return EnergyBreakdown(
         perimeter_term=perim,
         self_h1_term=self_h1,

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import green
 from .errors import IncommensurateCount, NoConvergence
-# interaction_gradient is not called here: it stays importable beside interaction_energy
+# interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
+# wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
 from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, _stack,
                      interaction_energy, interaction_gradient)
 

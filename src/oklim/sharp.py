@@ -31,8 +31,10 @@ through the same G; the independent evidence is the direct mode sum below
 and the benchmark's references (``perfbench/refs.py``).
 
 A ``BallConfiguration`` is a ``limits.PointConfiguration`` that also
-carries eta and the radii, a read-only array computed once from the masses;
-its disjointness check reads the inherited pair table.  A
+carries eta and the radii, a read-only array computed once from the masses
+as eta times the unit radii of ``local._particles``, the table whose
+perimeters and self energies the breakdown sums; its disjointness check
+reads the inherited pair table.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
 nothing with G (it calls nothing in ``green`` or ``limits``) and is kept as
 the independent check at moderate scales; ``fourier_cutoff`` is its mode
@@ -65,16 +67,8 @@ _WINDOW = 1 << 15  # shells |k|^2 per window (per shell index) of the direct mod
 
 
 def ball_scale_radius(dim: int, masses, eta: float) -> np.ndarray:
-    """Physical radii of the particles of the array ``masses`` at scale eta.
-
-    The 3D cube root is Python's pow per mass: numpy's vectorised power can
-    round a radius one ulp differently, and the 3D quotients of ``expand``
-    and their fits amplify that to about 5e-10 relative.
-    """
-    masses = np.asarray(masses, dtype=float)
-    if dim == 3:
-        return eta * np.array([(3.0 * m / (4 * math.pi)) ** (1.0 / 3.0) for m in masses.tolist()])
-    return eta * np.sqrt(masses / math.pi)
+    """Physical radii of the particles of the array ``masses`` at scale eta."""
+    return eta * local._particles(dim, masses)[0]
 
 
 def gamma_for(dim: int, eta: float) -> float:
@@ -258,15 +252,9 @@ def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
     eta = config.eta
     m = config.masses
     pref = _pref(config.dim, eta)
-    if config.dim == 3:
-        q = 10.0
-        r = config.radii / eta
-        perim = float(np.sum(4 * math.pi * r**2))
-        self_h1 = float(np.sum(8 * math.pi * r**5 / 15.0))
-    else:
-        q = 8.0
-        perim = float(np.sum(2.0 * np.sqrt(math.pi * m)))
-        self_h1 = float(np.sum(m**2) / (2 * math.pi))
+    q = 2.0 * config.dim + 4.0  # 8 in 2D, 10 in 3D
+    _, perim, self_h1, _ = local._particles(config.dim, m)
+    perim, self_h1 = float(np.sum(perim)), float(np.sum(self_h1))
     self_sum, cross_sum, tail = parts
     if method == "ewald":
         a2 = config.radii**2
@@ -370,12 +358,10 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
             raise InadmissibleConfiguration(
                 "2D template is not an admissible limit configuration: "
                 + "; ".join(report.detail))
-        mass = float(template.masses[0])
-        reference = template.n * local.e2d(mass)
         kind = "n * e2d(m) (optimal equal partition)"
     else:
-        reference = float(sum(local.e3d_ball(mi).total for mi in template.masses))
         kind = "sum of ball-ansatz energies (upper bound for the true per-particle infimum)"
+    reference = float(np.sum(local._energies(template.dim, template.masses)))
 
     parts = limits._second_order_parts(template, params)
     rows = []

@@ -263,6 +263,34 @@ def test_e3d_ball_small_mass_limit():
     assert b.total < 1e-3
 
 
+def test_scalar_energies_are_bitwise_the_array_path():
+    # the scalar functions and the envelope read one table, so they agree to the bit
+    masses = np.exp(np.random.default_rng(24).uniform(math.log(1e-6), math.log(40.0), 6000))
+    for dim, scalar in ((2, local.e2d), (3, lambda m: local.e3d_ball(m).total)):
+        whole = masses[local._best_count(dim, masses)[0] == 1]
+        assert whole.size >= 2000
+        assert [scalar(m) for m in whole.tolist()] == local.envelope_many(dim, whole).tolist()
+    assert [local.f0(m) for m in masses.tolist()] == local._particles(2, masses)[3].tolist()
+
+
+def test_unit_radii_are_within_one_ulp_of_the_exact_roots():
+    mpmath = pytest.importorskip("mpmath")
+    masses = np.exp(np.random.default_rng(24).uniform(math.log(1e-6), math.log(1e4), 2000))
+    with mpmath.workdps(40):
+        for dim in (2, 3):
+            for m, r in zip(masses.tolist(), local._particles(dim, masses)[0].tolist()):
+                mp, pi = mpmath.mpf(m), mpmath.pi
+                exact = mpmath.sqrt(mp / pi) if dim == 2 else mpmath.cbrt(3 * mp / (4 * pi))
+                assert abs(mpmath.mpf(r) - exact) <= math.ulp(float(exact))
+
+
+def test_scalar_energies_overflow_to_inf_without_a_warning():
+    # the RuntimeWarning filter of the test settings turns a numpy overflow warning into an error
+    assert local.e2d(1e200) == math.inf
+    assert local.f0(1e200) == -math.inf
+    assert local.e3d_ball(1e308).total == math.inf
+
+
 def test_e3d_ball_dilation_identity():
     rng = np.random.default_rng(5)
     for _ in range(20):

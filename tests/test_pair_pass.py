@@ -60,7 +60,8 @@ def set_long_range_grad(masses, positions, params):
         c = slice(lo, lo + step)
         outer = (p[0, c].T[:, None] * m[c] * p[1, c].T).reshape(4 * F * F, -1)
         t = t + green._serial_matmul(outer, p[2, c])
-    z = t * green._parity_weights(params)[0]
+    w = green._structure_weights(params)[:, None, :, None, :]  # broadcast over the parities
+    z = (t.reshape(2, F, 2, F, 2, F) * w).reshape(t.shape)
     factors = [(d[0] * m[:, None], p[1], p[2]), (p[0] * m[:, None], d[1], p[2]),
                (p[0] * m[:, None], p[1], d[2])]
     out = np.empty_like(positions)

@@ -101,10 +101,8 @@ def test_configuration_validation():
 
 @pytest.mark.parametrize("cfg", FIXTURES_2D + FIXTURES_3D)
 def test_radii_are_one_read_only_array_of_the_masses(cfg):
-    # bitwise the per-mass formula
-    per_mass = [cfg.eta * (math.sqrt(m / PI) if cfg.dim == 2 else (3.0 * m / (4 * PI)) ** (1 / 3))
-                for m in cfg.masses.tolist()]
-    assert cfg.radii.tolist() == per_mass
+    # bitwise eta times the unit radii of local's particle table
+    assert cfg.radii.tolist() == (cfg.eta * local._particles(cfg.dim, cfg.masses)[0]).tolist()
     assert cfg.radii is cfg.radii and not hasattr(cfg, "particles")
     assert cfg.pairs[3].tolist() == limits._pairs(cfg.positions)[3].tolist()
     for a in (cfg.radii, *cfg.pairs):
