@@ -1,11 +1,14 @@
 """Command-line surface: evaluate Green's functions, local energies, limit and
 finite-scale energies, the eta-sweep expansion table, and particle placement.
 
+Each command returns its output text, and ``main`` alone writes it: to
+``--out`` when the command has one and it is given, otherwise to stdout.
 Exit codes: 0 success, 1 usage/schema (or Ewald parameters whose certified
-tail breaks the accuracy contract, a result outside the float range, or
-any other library error), 2 singularity, 3 physical validation,
-4 admissibility.  All numeric output is finite and carries 17 significant
-digits; CSV columns are append-only across versions.  The 3D Ewald sum
+tail breaks the accuracy contract, a result outside the float range, an
+``--out`` that cannot be written, running out of memory, or any other
+library error), 2 singularity, 3 physical validation, 4 admissibility.
+All numeric output is finite and carries 17 significant digits; CSV
+columns are append-only across versions.  The 3D Ewald sum
 chooses its splitting parameter from the particle count, and the green
 command takes the choice for one pair, n = 2; the environment variable
 OKLIM_EWALD_ALPHA fixes it instead (the 2D theta form has none).
@@ -15,7 +18,6 @@ Manifests name the parameters that ran.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -25,9 +27,8 @@ import time
 import numpy as np
 
 from . import __version__, green, limits, local, optimize, sharp
-from .errors import (CoincidentPoints, CutoffTooSmall, DiameterTooLarge,
-                     InadmissibleConfiguration, NoConvergence, OklimError, OverlappingBalls,
-                     SingularPoint, UnequalMasses2D)
+from .errors import (CoincidentPoints, DiameterTooLarge, InadmissibleConfiguration,
+                     NoConvergence, OklimError, OverlappingBalls, SingularPoint, UnequalMasses2D)
 
 EXIT_USAGE = 1
 EXIT_SINGULAR = 2
@@ -79,9 +80,9 @@ def make_manifest(command: str, parameters: dict, params: green.EwaldParameters,
     }
 
 
-def write_csv(stream, manifest: dict, header: list, rows: list):
-    stream.write("# manifest: " + dumps17(manifest).replace("\n", " ") + "\n")
-    stream.write(",".join(header) + "\n")
+def write_csv(manifest: dict, header: list, rows: list) -> str:
+    """CSV text: the ``# manifest:`` line, the header, then one line per row."""
+    lines = ["# manifest: " + dumps17(manifest).replace("\n", " "), ",".join(header)]
     for row in rows:
         cells = []
         for v in row:
@@ -91,15 +92,8 @@ def write_csv(stream, manifest: dict, header: list, rows: list):
                 cells.append(v)
             else:
                 cells.append(fmt17(v))
-        stream.write(",".join(cells) + "\n")
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +178,28 @@ def default_params(n=2) -> green.EwaldParameters:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_green(args) -> int:
+def cmd_green(args) -> str:
     params = default_params()
     x = [float(v) for v in args.x.split(",")]
     if len(x) != args.dim:
         raise ValueError(f"--x needs {args.dim} comma-separated coordinates")
     g = green.green_eval(args.dim, x, params)
     if not (args.grad or args.regular):
-        sys.stdout.write(fmt17(g) + "\n")
-        return 0
+        return fmt17(g) + "\n"
     payload = {"G": g}
     if args.grad:
         payload["grad"] = list(green.green_grad(args.dim, x, params))
     if args.regular:
         payload["g"] = green.regular_part(args.dim, x, params)
-    sys.stdout.write(dumps17(payload) + "\n")
-    return 0
+    return dumps17(payload) + "\n"
 
 
 # the flags of `local` that the other dimension's energies have no output for
 _FOREIGN_LOCAL_FLAGS = {2: ("concavity", "splitting"), 3: ()}
 
 
-def cmd_local(args) -> int:
-    if args.mass is None or not (args.mass > 0 and math.isfinite(args.mass)):
+def cmd_local(args) -> str:
+    if not (args.mass > 0 and math.isfinite(args.mass)):
         raise ValueError("--mass must be a positive finite number")
     for flag in _FOREIGN_LOCAL_FLAGS[args.dim]:
         if getattr(args, flag):
@@ -229,8 +221,7 @@ def cmd_local(args) -> int:
         part = local.envelope(args.dim, m)
         payload["partition"] = {"n": part.n, "per_mass": part.per_mass,
                                 "envelope_value": part.envelope_value}
-    sys.stdout.write(dumps17(payload) + "\n")
-    return 0
+    return dumps17(payload) + "\n"
 
 
 _CSV_HEADER = ["kind", "eta", "gamma", "perimeter_term", "self_h1_term",
@@ -242,7 +233,7 @@ def _breakdown_row(kind, bd) -> list:
             bd.regular_self_term, bd.cross_term, bd.total, bd.tail_bound]
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> str:
     t0 = time.perf_counter()
     cfg, inline_eta = load_point_configuration(args.config)
     params = default_params(cfg.n)
@@ -260,13 +251,10 @@ def cmd_energy(args) -> int:
     manifest = make_manifest("energy", {
         "config": args.config, "eta": eta, "pair_convention": args.pair_convention},
         params, time.perf_counter() - t0, cfg.dim)
-    buf = io.StringIO()
-    write_csv(buf, manifest, _CSV_HEADER, rows)
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return write_csv(manifest, _CSV_HEADER, rows)
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> str:
     t0 = time.perf_counter()
     cfg, _ = load_point_configuration(args.config)
     params = default_params(cfg.n)
@@ -290,13 +278,10 @@ def cmd_expand(args) -> int:
         "config": args.config, "etas": etas, "richardson": bool(args.richardson),
         "reference": table.reference, "reference_kind": table.reference_kind},
         params, time.perf_counter() - t0, cfg.dim)
-    buf = io.StringIO()
-    write_csv(buf, manifest, ["kind", "eta", "E_eta", "F_eta", "value"], rows)
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return write_csv(manifest, ["kind", "eta", "E_eta", "F_eta", "value"], rows)
 
 
-def cmd_place(args) -> int:
+def cmd_place(args) -> str:
     t0 = time.perf_counter()
     initial = None
     if args.from_config and not args.config:
@@ -313,16 +298,14 @@ def cmd_place(args) -> int:
         masses = [args.mass] * args.n  # empty for n < 1, which place rejects
         dim = args.dim
     params = default_params(len(masses))
-    converged = True
     try:
         result = optimize.place(dim, masses, restarts=args.restarts, seed=args.seed,
                                 tol=args.tol, params=params, initial_positions=initial)
     except NoConvergence as exc:
         result = exc.result
-        converged = False
-    equal = float(np.ptp(masses)) == 0.0  # place injects a lattice start only then
+    equal = limits.equal_masses(result.config.masses)  # place injects a lattice start only then
     payload = {
-        "converged": converged,
+        "converged": result.converged,
         "energy": result.energy,
         "grad_norm": result.grad_norm,
         "iterations": result.iterations,
@@ -340,7 +323,7 @@ def cmd_place(args) -> int:
         if equal:
             try:
                 square = {"lattice": "square", "energy": optimize.lattice_candidate_energy(
-                    dim, len(masses), float(masses[0]), "square", params)}
+                    dim, len(masses), float(masses[0]), params)}
             except OklimError as exc:
                 square["skipped"] = str(exc)
         payload["lattice_candidates"] = [square]
@@ -350,8 +333,7 @@ def cmd_place(args) -> int:
         "masses": [float(m) for m in masses],
         "restarts": args.restarts, "seed": args.seed, "tol": args.tol},
         params, time.perf_counter() - t0, dim)
-    _emit(dumps17(payload) + "\n", args.out)
-    return 0
+    return dumps17(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +398,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan reach fmt17's report
-            return args.func(args)
+            text = args.func(args)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except SingularPoint as exc:
         sys.stderr.write(f"singular point: {exc}\n")
         return EXIT_SINGULAR
@@ -426,13 +414,13 @@ def main(argv=None) -> int:
     except (UnequalMasses2D, InadmissibleConfiguration) as exc:
         sys.stderr.write(f"not an admissible limit configuration: {exc}\n")
         return EXIT_ADMISSIBILITY
-    except (ValueError, OSError, json.JSONDecodeError, CutoffTooSmall) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except OverflowError as exc:
         sys.stderr.write(f"error: an input is outside the float range ({exc})\n")
         return EXIT_USAGE
-    except OklimError as exc:  # any library error without an exit code of its own
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return EXIT_USAGE
+    except (ValueError, OSError, OklimError) as exc:  # OklimError: any without a code of its own
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

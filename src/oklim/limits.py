@@ -14,7 +14,9 @@ second-order energy adds the constant g(0) self terms and the Coulomb-like
 pairwise interaction through the periodic Green's function; in 2D it is
 defined on equal-mass configurations only.  ``_second_order_parts`` builds
 its self terms, pair sum (over the configuration's table) and tail bound
-for F0 and for ``sharp``.
+for F0 and for ``sharp``.  ``equal_masses`` (relative MASS_EQUALITY_RTOL)
+is the one equal-mass rule: 2D F0, admissibility, the 2D expansion and the
+placement's lattice start all read it.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both
@@ -88,9 +90,11 @@ class PointConfiguration:
     def n(self) -> int:
         return len(self.masses)
 
-    def equal_masses(self) -> bool:
-        m = self.masses
-        return float(np.max(m) - np.min(m)) <= MASS_EQUALITY_RTOL * float(np.max(m))
+
+def equal_masses(masses) -> bool:
+    """Whether the masses agree to MASS_EQUALITY_RTOL relative: the one equal-mass rule."""
+    m = np.asarray(masses, dtype=float)
+    return float(np.max(m) - np.min(m)) <= MASS_EQUALITY_RTOL * float(np.max(m))
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,7 @@ def f0_energy(config: PointConfiguration, params=None,
     """
     if pair_convention not in ("ordered", "halved"):
         raise ValueError("pair_convention must be 'ordered' or 'halved'")
-    if config.dim == 2 and not config.equal_masses():
+    if config.dim == 2 and not equal_masses(config.masses):
         raise UnequalMasses2D("2D second-order energy requires equal masses")
     self_term, cross, tail = _second_order_parts(config, params)
     if pair_convention == "halved":
@@ -283,14 +287,14 @@ def f0_energy(config: PointConfiguration, params=None,
 
 def _optimal_partition(config: PointConfiguration) -> tuple[bool, list[str]]:
     # optimal iff sum_i e(m_i) reaches the envelope of the total mass
-    if config.dim == 2 and not config.equal_masses():
+    if config.dim == 2 and not equal_masses(config.masses):
         return False, ["masses are not all equal"]
     value = float(np.sum(np.sort(local._energies(config.dim, config.masses))))
     total = float(np.sum(config.masses))
     best = local.envelope(config.dim, total)
     if value <= best.envelope_value * (1.0 + 1e-12):
         return True, []
-    parts = "equal parts of" if config.equal_masses() else "parts of mean mass"
+    parts = "equal parts of" if equal_masses(config.masses) else "parts of mean mass"
     return False, [f"n={config.n} {parts} {total / config.n:.6g} cost "
                    f"{value:.12g} > envelope {best.envelope_value:.12g} attained at n={best.n}"]
 

@@ -41,7 +41,7 @@ from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
 from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, _stack,
-                     interaction_energy, interaction_gradient)
+                     equal_masses, interaction_energy, interaction_gradient)
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -197,17 +197,15 @@ def square_lattice_positions(dim, n) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def lattice_candidate_energy(dim, n, masses_equal, lattice, params=None) -> float:
-    """Interaction energy of the square (cubic) lattice arrangement of n equal masses.
+def lattice_candidate_energy(dim, n, mass, params=None) -> float:
+    """Interaction energy of the square (cubic) lattice arrangement of n masses ``mass``.
 
-    For comparison tables.  ValueError for a ``dim`` other than 2 or 3, for a
-    mass that is not positive and finite, and for a ``lattice`` other than
-    'square'; IncommensurateCount when n is not a square (cube) count.
+    For comparison tables.  ValueError for a ``dim`` other than 2 or 3 and
+    for a mass that is not positive and finite; IncommensurateCount when n is
+    not a square (cube) count.
     """
     green._check_dim(dim)
-    masses = _check_masses(np.full(n, float(masses_equal)))
-    if lattice != "square":
-        raise ValueError(f"lattice must be 'square', got {lattice!r}")
+    masses = _check_masses(np.full(n, float(mass)))
     return interaction_energy(dim, masses, square_lattice_positions(dim, n), params)
 
 
@@ -217,11 +215,12 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     """Multi-start descent over particle positions; deterministic in (seed, restarts).
 
     Runs ``restarts`` seeded uniform starts (plus the square-lattice
-    arrangement as an extra start when the count is commensurate and masses
-    are equal, and ``initial_positions`` if given) and returns the
-    lowest-energy converged result.  Energies within RESTART_TIE (relative) of
-    the lowest count as tied, and ties go to the earliest start: restarts that
-    reach one minimum differ in the last bits, which must not pick the output.
+    arrangement as an extra start when the count is commensurate and the
+    masses are equal by ``limits.equal_masses``, and ``initial_positions``
+    if given) and returns the lowest-energy converged result.  Energies
+    within RESTART_TIE (relative) of the lowest count as tied, and ties go to
+    the earliest start: restarts that reach one minimum differ in the last
+    bits, which must not pick the output.
     Raises NoConvergence (carrying the best effort) if no start reaches the
     gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
     or ``seed`` is negative, no start applies, or ``initial_positions`` is not
@@ -253,7 +252,7 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         starts.append(rng.random((n, dim)))
     if initial_positions is not None:
         starts.append(initial_positions % 1.0)
-    if float(np.ptp(masses)) == 0.0:
+    if equal_masses(masses):
         with contextlib.suppress(IncommensurateCount):
             starts.append(square_lattice_positions(dim, n))
     if not starts:

@@ -351,7 +351,7 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
         raise TypeError("template must be a BallConfiguration or PointConfiguration")
 
     if template.dim == 2:
-        if not template.equal_masses():
+        if not limits.equal_masses(template.masses):
             raise UnequalMasses2D("2D expansion template requires equal masses")
         report = limits.check_admissible(template)
         if not (report.is_optimal_partition and report.is_compact):

@@ -135,6 +135,6 @@ def test_criterion_09_optimizer_soundness(params):
 
         res4 = optimize.place(2, [1.0] * 4, restarts=4, seed=11, tol=1e-8,
                               params=params)
-        lattice = optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)
+        lattice = optimize.lattice_candidate_energy(2, 4, 1.0, params)
         assert res4.converged
         assert res4.energy <= lattice + 1e-12

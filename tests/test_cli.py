@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oklim import cli, green, limits
+from oklim import cli, green, limits, optimize
 from oklim.errors import OklimError
 
 PI = math.pi
@@ -751,3 +751,59 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, sequence, codes):
         code, out, _ = _run_main(argv)
         assert code == fresh.returncode == expect
         assert _without_wall_time(out) == _without_wall_time(fresh.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "{3d}"],
+    ["energy", "{3d}", "--eta", "0.02"],
+    ["expand", "{3d}", "--etas", "0.04,0.02,0.01", "--richardson"],
+    ["place", "--n", "4", "--mass", "1", "--restarts", "2", "--seed", "1", "--lattice-compare"],
+])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, argv):
+    # main is the one writer: --out only redirects the text a command returns
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    argv = [a for v in argv for a in (["--config", cfg] if v == "{3d}" else [v])]
+    code, out, err = _run_main(argv)
+    assert code == 0 and err == ""
+    target = tmp_path / "out.txt"
+    code, empty, err = _run_main([*argv, "--out", str(target)])
+    assert code == 0 and empty == "" and err == ""
+    written = target.read_bytes().decode("utf-8")
+    assert _without_wall_time(written) == _without_wall_time(out)
+
+
+def test_an_out_path_that_is_a_directory_exits_1(tmp_path):
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    code, out, err = _run_main(["energy", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["place", "--n", "4", "--mass", "1", "--restarts", "1"],
+                                  ["energy", "--config", "{3d}"]])
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path, argv):
+    # numpy raises a MemoryError for an allocation the address space cannot hold,
+    # such as the (n, n) mask of np.triu_indices at n = 100,000 under a 2 GB cap
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    argv = [cfg if a == "{3d}" else a for a in argv]
+    with mock.patch.object(limits, "_pair_index",
+                           side_effect=MemoryError("Unable to allocate 9.31 GiB")):
+        code, out, err = _run_main(argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 9.31 GiB"]
+
+
+def test_masses_equal_to_the_rounding_get_the_lattice_start(tmp_path):
+    # one equal-mass rule (limits.equal_masses) for 2D F0 and for place's lattice start
+    cfg = write_config(tmp_path, "near.json", {"dim": 2, "particles": [
+        {"mass": m, "position": [0.5 * (i // 2), 0.5 * (i % 2)]}
+        for i, m in enumerate([1.0, 1.0, 1.0, 1.0 + 1e-15])]})
+    assert _run_main(["energy", "--config", cfg])[0] == 0  # a 2D F0: equal masses
+    code, out, err = _run_main(["place", "--config", cfg, "--restarts", "2", "--seed", "0",
+                                "--lattice-compare"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["restarts_used"] == 3
+    [square] = payload["lattice_candidates"]
+    assert set(square) == {"lattice", "energy"}
+    assert square["energy"] == optimize.lattice_candidate_energy(2, 4, 1.0)

@@ -97,33 +97,31 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
 
 def test_square_count_never_beats_injected_candidate(params):
     res = optimize.place(2, [1.0] * 4, restarts=4, seed=2, tol=1e-8, params=params)
-    lattice = optimize.lattice_candidate_energy(2, 4, 1.0, "square", params)
+    lattice = optimize.lattice_candidate_energy(2, 4, 1.0, params)
     assert res.converged
     assert res.energy <= lattice + 1e-12
 
 
 def test_lattice_candidates_2d(params):
     for n in (4, 16):
-        e_sq = optimize.lattice_candidate_energy(2, n, 1.0, "square", params)
-        assert e_sq == optimize.lattice_candidate_energy(2, n, 1.0, "square", params)  # bitwise
+        e_sq = optimize.lattice_candidate_energy(2, n, 1.0, params)
+        assert e_sq == optimize.lattice_candidate_energy(2, n, 1.0, params)  # bitwise
         # the square lattice of n = k^2 unit masses has E/n = -log(n)/(4 pi) exactly
         assert abs(e_sq / n + math.log(n) / (4 * math.pi)) <= 1e-14
     for n in (3, 8):  # 8 = 2 k^2 is no square count either
         with pytest.raises(IncommensurateCount):
-            optimize.lattice_candidate_energy(2, n, 1.0, "square", params)
-    with pytest.raises(ValueError, match="lattice must be 'square'"):
-        optimize.lattice_candidate_energy(2, 8, 1.0, "triangular-sheared", params)
+            optimize.lattice_candidate_energy(2, n, 1.0, params)
 
 
 @pytest.mark.parametrize("call", [
     lambda: optimize.square_lattice_positions(4, 16),
     lambda: optimize.square_lattice_positions(1, 4),
-    lambda: optimize.lattice_candidate_energy(4, 16, 1.0, "square"),
-    lambda: optimize.lattice_candidate_energy(4, 8, 1.0, "square"),  # dim before count
-    lambda: optimize.lattice_candidate_energy(2, 4, math.nan, "square"),
-    lambda: optimize.lattice_candidate_energy(2, 4, math.inf, "square"),
-    lambda: optimize.lattice_candidate_energy(2, 4, -1.0, "square"),
-    lambda: optimize.lattice_candidate_energy(2, 8, 0.0, "square"),  # mass before count
+    lambda: optimize.lattice_candidate_energy(4, 16, 1.0),
+    lambda: optimize.lattice_candidate_energy(4, 8, 1.0),  # dim before count
+    lambda: optimize.lattice_candidate_energy(2, 4, math.nan),
+    lambda: optimize.lattice_candidate_energy(2, 4, math.inf),
+    lambda: optimize.lattice_candidate_energy(2, 4, -1.0),
+    lambda: optimize.lattice_candidate_energy(2, 8, 0.0),  # mass before count
 ])
 def test_lattice_candidates_reject_a_bad_dim_or_mass(call):
     # an unchecked dim or mass gives an array of the wrong shape or a meaningless energy
@@ -133,7 +131,7 @@ def test_lattice_candidates_reject_a_bad_dim_or_mass(call):
 
 def test_simple_cubic_regrouping_identity(params):
     # 8 points on the 2x2x2 lattice: every particle sees the same 7 offsets
-    e = optimize.lattice_candidate_energy(3, 8, 1.5, "square", params)
+    e = optimize.lattice_candidate_energy(3, 8, 1.5, params)
     offsets = [np.array(v) * 0.5 for v in
                [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]]
     avg = np.mean([green.green_eval(3, off, params) for off in offsets])
