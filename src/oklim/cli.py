@@ -199,8 +199,6 @@ _FOREIGN_LOCAL_FLAGS = {2: ("concavity", "splitting"), 3: ()}
 
 
 def cmd_local(args) -> str:
-    if not (args.mass > 0 and math.isfinite(args.mass)):
-        raise ValueError("--mass must be a positive finite number")
     for flag in _FOREIGN_LOCAL_FLAGS[args.dim]:
         if getattr(args, flag):
             raise ValueError(f"--{flag} does not apply to --dim {args.dim}")

@@ -275,13 +275,6 @@ def _resolve(params, n=2):
     return params if params is not None else EwaldParameters.for_count(n)
 
 
-def _coords(x, dim):
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"expected {dim} coordinates, got shape {arr.shape}")
-    return arr
-
-
 def _check_dim(dim, X=None, name="positions"):
     """X as an (M, dim) array; ValueError unless dim is 2 or 3 and rows hold dim finite floats.
 
@@ -563,7 +556,7 @@ def green_eval(dim, x, params=None) -> float:
     Even in x and invariant under signed coordinate permutations.  Raises
     SingularPoint within 1e-9 of a lattice point, where G diverges.
     """
-    return float(green_eval_many(dim, _coords(x, dim)[None, :], params)[0])
+    return float(green_eval_many(dim, np.asarray(x, dtype=float)[None], params)[0])
 
 
 def green_grad_many(dim, X, params=None):
@@ -576,7 +569,7 @@ def green_grad_many(dim, X, params=None):
 
 def green_grad(dim, x, params=None) -> np.ndarray:
     """Gradient of G; antisymmetric under x -> -x."""
-    return green_grad_many(dim, _coords(x, dim)[None, :], params)[0]
+    return green_grad_many(dim, np.asarray(x, dtype=float)[None], params)[0]
 
 
 def _g_smooth_n0(r, alpha):
@@ -605,7 +598,7 @@ def regular_part(dim, x, params=None) -> float:
     singular part is divided out inside the 2D log, or combined analytically
     with the n = 0 screened term in 3D, instead of subtracted numerically.
     """
-    x = np.abs(_cell(dim, _coords(x, dim), "regular_part", guard=False))
+    x = np.abs(_cell(dim, np.asarray(x, dtype=float)[None], "regular_part", guard=False))
     r = float(np.linalg.norm(x))
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])

@@ -39,6 +39,8 @@ chosen from n unless given, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
 ``masses`` does not hold one positive finite entry per position row;
 F0's self terms and tail bound use the same parameters as its pair sum.
+The mass rule is ``local._check_masses``, applied where masses enter: in
+``PointConfiguration`` and in the raw-array wrappers.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class PointConfiguration:
         particles = list(particles)
         if not particles:
             raise ValueError("configuration must contain at least one particle")
-        masses = _check_masses([m for m, _ in particles])
+        masses = local._check_masses([m for m, _ in particles])
         positions = green._check_dim(dim, [p for _, p in particles], "PointConfiguration")
         positions %= 1.0
         positions[positions == 1.0] = 0.0  # v % 1.0 rounds to 1.0 for tiny negative v
@@ -116,16 +118,7 @@ def e0(config: PointConfiguration) -> float:
     return float(np.sum(np.sort(local.envelope_many(config.dim, config.masses))))
 
 
-def _check_masses(masses):
-    """``masses`` as a float array; ValueError unless each is positive and finite."""
-    m = np.asarray(masses, dtype=float)
-    bad = ~(np.isfinite(m) & (m > 0.0))
-    if bad.any():
-        raise ValueError(f"masses must be positive and finite, got {m[bad][0]}")
-    return m
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _pair_index(n):
     # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum
     iu, ju = np.triu_indices(n, k=1)
@@ -133,7 +126,7 @@ def _pair_index(n):
     return iu, ju
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _scatter_order(n):
     """The rows of the 2P pair terms ``[w; -w]`` that each particle gathers, (n, n - 1), read-only.
 
@@ -224,7 +217,7 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
 def _raw_pair_sum(dim, masses, positions, params, gradient=False):
     # raw arrays: one positive finite mass per position row
     positions = green._check_dim(dim, positions)
-    masses = _check_masses(masses)
+    masses = local._check_masses(masses)
     if masses.shape != (len(positions),):
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
                          f"got shape {masses.shape}")

@@ -22,6 +22,9 @@ half-mass balls beat a single ball.
 Each particle's radius, perimeter and self energy are written once per
 dimension, in the vectorised table ``_particles``: the scalar functions, the
 envelope, the radii and energies of ``sharp`` and F0's self terms all read it.
+The one mass rule, positive and finite, is ``_check_masses``: each public
+function of the library that takes masses applies it once, where they enter,
+and ``_particles`` itself reads masses that have passed it.
 """
 
 from __future__ import annotations
@@ -53,10 +56,12 @@ class PartitionResult:
     envelope_value: float
 
 
-def _check_mass(m) -> float:
-    m = float(m)
-    if not m > 0.0:
-        raise ValueError(f"mass must be positive, got {m}")
+def _check_masses(masses):
+    """``masses`` as a float array; ValueError unless each is positive and finite."""
+    m = np.asarray(masses, dtype=float)
+    bad = ~(np.isfinite(m) & (m > 0.0))
+    if bad.any():
+        raise ValueError(f"masses must be positive and finite, got {m[bad][0]}")
     return m
 
 
@@ -69,7 +74,7 @@ def _particles(dim, masses):
     H^-1 self energy 8 pi r^5 / 15 = 8 pi r^3 r^2 / 15 and f0 zero.  The
     one power is np.cbrt, whose array loop rounds a scalar and an array
     entry alike (unlike x ** (1/3)), so a mass has the same bits in every
-    layer.
+    layer.  Unchecked: ``masses`` have passed ``_check_masses``.
     """
     m = np.asarray(masses, dtype=float)
     if dim == 3:
@@ -87,7 +92,7 @@ def _particle(dim, m):
     (e2d(1e200) is inf, f0(1e200) is -inf).
     """
     with np.errstate(over="ignore"):
-        return [float(c) for c in _particles(dim, _check_mass(m))]
+        return [float(c) for c in _particles(dim, _check_masses(m))]
 
 
 def _energies(dim, ms) -> np.ndarray:
@@ -120,14 +125,14 @@ def envelope(dim, M) -> PartitionResult:
     counts around its continuous minimizer are compared.  Exact ties break
     toward smaller n.
     """
-    M = _check_mass(M)
+    M = float(_check_masses(M))
     n, value = _best_count(dim, M)
     return PartitionResult(n=int(n), per_mass=M / int(n), envelope_value=float(value))
 
 
 def envelope_many(dim, Ms) -> np.ndarray:
     """Envelope values for an array of total masses (vectorized)."""
-    return _best_count(dim, np.asarray(Ms, dtype=float))[1]
+    return _best_count(dim, _check_masses(Ms))[1]
 
 
 def e2d(m) -> float:

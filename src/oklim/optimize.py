@@ -40,8 +40,9 @@ from . import green
 from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
-from .limits import (PointConfiguration, _check_masses, _pair_sum, _pairs, _stack,
-                     equal_masses, interaction_energy, interaction_gradient)
+from .limits import (PointConfiguration, _pair_sum, _pairs, _stack, equal_masses,
+                     interaction_energy, interaction_gradient)
+from .local import _check_masses
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -204,8 +205,7 @@ def lattice_candidate_energy(dim, n, mass, params=None) -> float:
     for a mass that is not positive and finite; IncommensurateCount when n is
     not a square (cube) count.
     """
-    green._check_dim(dim)
-    masses = _check_masses(np.full(n, float(mass)))
+    masses = np.full(n, _check_masses(mass))
     return interaction_energy(dim, masses, square_lattice_positions(dim, n), params)
 
 

@@ -68,7 +68,7 @@ _WINDOW = 1 << 15  # shells |k|^2 per window (per shell index) of the direct mod
 
 def ball_scale_radius(dim: int, masses, eta: float) -> np.ndarray:
     """Physical radii of the particles of the array ``masses`` at scale eta."""
-    return eta * local._particles(dim, masses)[0]
+    return eta * local._particles(dim, local._check_masses(masses))[0]
 
 
 def gamma_for(dim: int, eta: float) -> float:
@@ -240,6 +240,11 @@ def _pref(dim, eta):
     return eta if dim == 3 else 1.0 / abs(math.log(eta))
 
 
+def _total(values) -> float:
+    """The sum of ``values`` in sorted order: the same bits in every particle order."""
+    return float(np.sum(np.sort(values)))
+
+
 def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
     """The energy breakdown of ``config`` from its pair parts (self, ordered cross, tail).
 
@@ -254,12 +259,12 @@ def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
     pref = _pref(config.dim, eta)
     q = 2.0 * config.dim + 4.0  # 8 in 2D, 10 in 3D
     _, perim, self_h1, _ = local._particles(config.dim, m)
-    perim, self_h1 = float(np.sum(perim)), float(np.sum(self_h1))
+    perim, self_h1 = _total(perim), _total(self_h1)
     self_sum, cross_sum, tail = parts
     if method == "ewald":
         a2 = config.radii**2
-        regular_self = pref * (self_sum + (2.0 / q) * float(np.sum(m**2 * a2)))
-        cross = pref * (cross_sum + (2.0 / q) * float(np.sum(m * a2 * (np.sum(m) - m))))
+        regular_self = pref * (self_sum + (2.0 / q) * _total(m**2 * a2))
+        cross = pref * (cross_sum + (2.0 / q) * _total(m * a2 * (_total(m) - m)))
     else:
         regular_self = pref * self_sum - self_h1
         cross = pref * cross_sum
@@ -361,7 +366,7 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
         kind = "n * e2d(m) (optimal equal partition)"
     else:
         kind = "sum of ball-ansatz energies (upper bound for the true per-particle infimum)"
-    reference = float(np.sum(local._energies(template.dim, template.masses)))
+    reference = _total(local._energies(template.dim, template.masses))
 
     parts = limits._second_order_parts(template, params)
     rows = []

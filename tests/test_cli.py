@@ -92,6 +92,7 @@ def test_local_concavity_near_zero_at_2pi():
 def test_local_rejects_nonpositive_mass():
     r = run_cli("local", "--dim", "2", "--mass", "-1")
     assert r.returncode == 1
+    assert r.stderr == "error: masses must be positive and finite, got -1.0\n"  # the library's rule
     for dim, mass in (("2", "nan"), ("2", "1e400"), ("3", "inf")):  # 1e400 parses as inf
         r = run_cli("local", "--dim", dim, "--mass", mass, "--partition", "--concavity")
         assert r.returncode == 1

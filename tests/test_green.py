@@ -273,9 +273,13 @@ def test_non_finite_coordinates_are_rejected(dim, bad):
     lambda: limits.interaction_gradient(3, np.ones(2), np.array([[0.1, 0.2], [0.6, 0.1]])),
     lambda: limits.interaction_energy(4, np.ones(2), np.array([[0.1] * 4, [0.6] * 4])),
     lambda: limits.interaction_energy(2, np.ones(2), np.array([[0.1, math.inf], [0.6, 0.1]])),
+    lambda: green.green_eval(2, (0.1, 0.2, 0.3)),
+    lambda: green.green_grad(3, [[0.1, 0.2, 0.3]]),
+    lambda: green.regular_part(2, 0.5),
 ], ids=["eval-4d", "eval-1d", "grad-4d", "regular-1d", "g0-4d", "bound-4d", "many-2d-on-3",
         "many-3d-on-2", "grad-many-2d-on-3", "grad-many-3d-on-2", "energy-2d-on-3",
-        "gradient-3d-on-2", "energy-4d", "energy-inf"])
+        "gradient-3d-on-2", "energy-4d", "energy-inf", "eval-2d-on-3", "grad-nested-row",
+        "regular-scalar"])
 def test_a_dimension_other_than_2_or_3_or_of_the_rows_is_a_value_error(call):
     # unchecked, the other dimension's kernel or a dropped column gives a number
     # silently, too few columns an IndexError, and an inf coordinate nan

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from oklim import local
+from oklim import limits, local, optimize, sharp
 
 PI = math.pi
 
@@ -399,6 +400,36 @@ def test_envelope_rejects_a_dim_other_than_2_or_3():
         local.envelope(4, 1.0)
     with pytest.raises(ValueError, match="dim"):
         local.envelope_many(1, [1.0])
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    local.e2d,
+    local.f0,
+    local.ball_radius_3d,
+    local.e3d_ball,
+    local.concavity_coefficient,
+    lambda m: local.envelope(2, m),
+    lambda m: local.envelope(3, m),
+    lambda m: local.envelope_many(2, [1.0, m]),
+    lambda m: local.envelope_many(3, [m]),
+    lambda m: sharp.ball_scale_radius(2, [m], 0.1),
+    lambda m: limits.PointConfiguration(2, [(m, (0.1, 0.2))]),
+    lambda m: sharp.BallConfiguration(3, 0.05, [(1.0, (0.1, 0.2, 0.3)), (m, (0.6, 0.6, 0.6))]),
+    lambda m: limits.interaction_energy(3, [1.0, m], [[0.1, 0.2, 0.3], [0.6, 0.6, 0.6]]),
+    lambda m: limits.interaction_gradient(2, [m, 1.0], [[0.1, 0.2], [0.6, 0.6]]),
+    lambda m: optimize.place(2, [1.0, m]),
+    lambda m: optimize.lattice_candidate_energy(2, 4, m),
+], ids=["e2d", "f0", "ball_radius_3d", "e3d_ball", "concavity_coefficient", "envelope-2d",
+        "envelope-3d", "envelope_many-2d", "envelope_many-3d", "ball_scale_radius",
+        "PointConfiguration", "BallConfiguration", "interaction_energy",
+        "interaction_gradient", "place", "lattice_candidate_energy"])
+def test_every_public_function_that_takes_masses_applies_the_one_mass_rule(call, mass):
+    # unchecked, such a mass gave nan, inf, a RuntimeWarning or an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            call(mass)
 
 
 # ---------------------------------------------------------------------------
