@@ -40,7 +40,8 @@ it together with the value, from one set of shared factors.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
 with the singular part analytically.  Values are taken at |x| in the
-centered cell, where G is even in each coordinate, and reduced row by row,
+centered cell, where G is even in each coordinate: every kernel takes
+signed rows x and their absolute values itself, and reduces row by row,
 so each value is independent of its row in the batch.  The pair sum's
 rows arrive as the (M, d) transpose of a coordinate-major (d, M) array
 (``limits._pairs``), so each X[:, k] is contiguous; the 2D kernel's
@@ -331,17 +332,16 @@ def _image_distances(X, rc):
 
 
 def _real_space(X, alpha, rc, origin=True, gradient=False):
-    """Screened image sum per row |x|: sum_n erfc(alpha r) / (4 pi r), r = |x + n|, n in o(rc)^3.
+    """Screened image sum per row x: sum_n erfc(alpha r) / (4 pi r), r = ||x| + n|, n in o(rc)^3.
 
     ``origin=False`` leaves out the image n = 0.  With ``gradient``, an
-    (M, 4) array at signed rows x from one set of image distances and erfc
-    terms: the value, then its gradient sign(x) * -sum_n w(r) (|x| + n),
-    r = ||x| + n|.
+    (M, 4) array from one set of image distances and erfc terms: the value,
+    then its gradient sign(x) * -sum_n w(r) (|x| + n).
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
 
     def rows(x):
-        a = np.abs(x) if gradient else x
+        a = np.abs(x)
         r = _image_distances(a, rc)
         if not origin:
             r = np.delete(r, (rc // 2) * (rc * rc + rc + 1), axis=1)  # n = 0 in ``_images(rc)``
@@ -361,7 +361,7 @@ def _real_space(X, alpha, rc, origin=True, gradient=False):
 
 
 def _pair_part(dim, X, params, gradient=False):
-    """The per-pair part of G at rows |x|, or (G, grad G) at rows x, of the centered cell.
+    """The per-pair part of G, or (G, grad G), at rows x of the centered cell.
 
     2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
     """
@@ -424,7 +424,7 @@ def _trig_tables(positions, F, gradient=False):
 
 
 def _long_range(dim, X, params, gradient=False):
-    """The per-point long-range part of G at rows |x|, or of grad G at rows x: zero in 2D.
+    """The per-point long-range part of G, or of grad G, at rows x: zero in 2D.
 
     3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus the background
     1/(4 alpha^2), or its gradient, over the octant weights w of
@@ -545,7 +545,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
 
 def green_eval_many(dim, X, params=None):
     """G evaluated at an (M, d) array of coordinate differences."""
-    X = np.abs(_cell(dim, X, "green_eval"))
+    X = _cell(dim, X, "green_eval")
     params = _resolve(params)
     return _pair_part(dim, X, params) + _long_range(dim, X, params)
 
@@ -598,7 +598,7 @@ def regular_part(dim, x, params=None) -> float:
     singular part is divided out inside the 2D log, or combined analytically
     with the n = 0 screened term in 3D, instead of subtracted numerically.
     """
-    x = np.abs(_cell(dim, np.asarray(x, dtype=float)[None], "regular_part", guard=False))
+    x = _cell(dim, np.asarray(x, dtype=float)[None], "regular_part", guard=False)
     r = float(np.linalg.norm(x))
     if dim == 2:
         return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])

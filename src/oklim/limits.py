@@ -25,22 +25,23 @@ dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
 ``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
 placement optimizer; it is exactly permutation invariant.  It is one driver,
 ``_pair_sum``, over green's split of G in both dimensions: it takes one
-min-image pair table and runs one coincidence guard, the per-pair parts
-(summed in sorted order, and scattered for the gradient), then the
-particle-set long-range part.  Asked for the gradient, it returns the
-energy with it from one pass: one per-pair kernel call and one structure
-factor.  Over a leading axis of R configurations of the same masses (the
-trial points of the placement restarts, their tables joined by ``_stack``)
-it makes one kernel call over all R * P pair rows, sorts and sums per row,
-and scatters the gradients through a per-n gather order; each row is bitwise
-its own one-configuration call.  ``interaction_energy`` and
-``interaction_gradient`` wrap it over raw arrays with the Ewald parameters
-chosen from n unless given, and raise ValueError
+min-image pair table, checked by ``_check_distinct`` where it was built,
+and runs the per-pair parts (summed by ``local._total``, and scattered for
+the gradient), then the particle-set long-range part.  Asked for the
+gradient, it returns the energy with it from one pass: one per-pair kernel
+call and one structure factor.  Over a leading axis of R configurations of
+the same masses (the trial points of the placement restarts, their tables
+joined by ``_stack``) it makes one kernel call over all R * P pair rows,
+sums each row by ``local._total``, and scatters the gradients through a
+per-n gather order; each row is bitwise its own one-configuration call.
+``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
+with the Ewald parameters chosen from n unless given, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
 ``masses`` does not hold one positive finite entry per position row;
 F0's self terms and tail bound use the same parameters as its pair sum.
 The mass rule is ``local._check_masses``, applied where masses enter: in
-``PointConfiguration`` and in the raw-array wrappers.
+``PointConfiguration`` and in the raw-array wrappers.  Every reported sum
+over particles or pairs is a ``local._total``.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def e0(config: PointConfiguration) -> float:
     Position-blind by construction.  In 3D the envelope is the best equal
     split of balls, an upper bound for the true one.
     """
-    # canonical summation order keeps the value exactly permutation invariant
-    return float(np.sum(np.sort(local.envelope_many(config.dim, config.masses))))
+    return local._total(local.envelope_many(config.dim, config.masses))
 
 
 @lru_cache(maxsize=8)
@@ -178,28 +178,26 @@ def _stack(tables):
 def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
     """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
 
-    One pass: the per-pair parts (summed in sorted order, and scattered for
-    the gradient), then the particle-set long-range part; with ``gradient``,
-    (energy, gradient) from one call of each.  ``positions`` may carry a
+    One pass: the per-pair parts (summed by ``local._total``, and scattered
+    for the gradient), then the particle-set long-range part; with
+    ``gradient``, (energy, gradient) from one call of each.  ``positions`` may carry a
     leading axis of R configurations of the same masses, with ``pairs`` their
     tables joined by ``_stack``: then a list of R energies and the (R, n, d)
     gradients come from one per-pair kernel call over all R * P rows, and each
     row is bitwise its own one-configuration call (the per-pair kernels and
     the sums are row-independent; the long-range part runs per configuration).
+    Unchecked: each table passed ``_check_distinct`` where it was built.
     """
-    iu, ju, diffs, _ = _check_distinct(pairs)
+    iu, ju, diffs, _ = pairs
     stack = positions.reshape(-1, *positions.shape[-2:])
     R, n = stack.shape[:2]
-    if gradient:
-        part, grad = green._pair_part(dim, diffs, params, gradient=True)
-    else:
-        part = green._pair_part(dim, np.abs(diffs), params)
+    part = green._pair_part(dim, diffs, params, gradient)
     long = [green._set_long_range(dim, masses, x, params, gradient) for x in stack]
     if gradient:
+        part, grad = part
         long, long_grad = zip(*long)
-    # row-independent pair terms in a canonical order: exactly permutation invariant
     mm = masses[iu] * masses[ju]
-    sums = np.sum(np.sort(mm * part.reshape(R, -1), axis=1), axis=1).tolist()
+    sums = local._total(mm * part.reshape(R, -1)).tolist()
     energy = [2.0 * s + e for s, e in zip(sums, long)]
     if positions.ndim == 2:
         energy = energy[0]
@@ -221,7 +219,7 @@ def _raw_pair_sum(dim, masses, positions, params, gradient=False):
     if masses.shape != (len(positions),):
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
                          f"got shape {masses.shape}")
-    return _pair_sum(dim, masses, positions, _pairs(positions),
+    return _pair_sum(dim, masses, positions, _check_distinct(_pairs(positions)),
                      green._resolve(params, len(masses)), gradient)
 
 
@@ -239,16 +237,17 @@ def _second_order_parts(config, params=None):
     """F0's (self, ordered cross, tail bound) of a configuration, the cross from its pair table.
 
     self = sum_i (m_i^2 g(0) + f0(m_i)), f0 the column of ``local._particles`` (zero in
-    3D), in sorted order; masses may differ.
+    3D), and the tail bound G's truncation bound times (sum m)^2, both sums
+    ``local._total``; masses may differ.
     All three use the same Ewald parameters: ``params``, or those the pair
     sum chooses for n particles (3D; 2D uses none).
     """
     dim, masses = config.dim, config.masses
     params = green._resolve(params, len(masses))
     vals = masses**2 * green.regular_part_at_zero(dim, params) + local._particles(dim, masses)[3]
-    return (float(np.sum(np.sort(vals))),
+    return (local._total(vals),
             _pair_sum(dim, masses, config.positions, config.pairs, params),
-            green.truncation_bound(dim, params) * float(np.sum(masses))**2)
+            green.truncation_bound(dim, params) * local._total(masses)**2)
 
 
 def f0_energy(config: PointConfiguration, params=None,
@@ -282,8 +281,8 @@ def _optimal_partition(config: PointConfiguration) -> tuple[bool, list[str]]:
     # optimal iff sum_i e(m_i) reaches the envelope of the total mass
     if config.dim == 2 and not equal_masses(config.masses):
         return False, ["masses are not all equal"]
-    value = float(np.sum(np.sort(local._energies(config.dim, config.masses))))
-    total = float(np.sum(config.masses))
+    value = local._total(local._energies(config.dim, config.masses))
+    total = local._total(config.masses)
     best = local.envelope(config.dim, total)
     if value <= best.envelope_value * (1.0 + 1e-12):
         return True, []

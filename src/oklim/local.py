@@ -24,7 +24,8 @@ dimension, in the vectorised table ``_particles``: the scalar functions, the
 envelope, the radii and energies of ``sharp`` and F0's self terms all read it.
 The one mass rule, positive and finite, is ``_check_masses``: each public
 function of the library that takes masses applies it once, where they enter,
-and ``_particles`` itself reads masses that have passed it.
+and ``_particles`` itself reads masses that have passed it.  The one
+summation rule of the reported totals is ``_total``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ def _check_masses(masses):
     if bad.any():
         raise ValueError(f"masses must be positive and finite, got {m[bad][0]}")
     return m
+
+
+def _total(values):
+    """The sum of ``values`` along their last axis in sorted order: the one summation rule.
+
+    Every total and bound that the library reports and that sums per-particle
+    or per-pair terms (E0, F0's self terms, cross sum and tail bound, the
+    finite-scale breakdown, the expansion reference, the admissibility
+    value) sums them here, so it has the same bits in every order of the
+    particles.  A float for 1-D ``values``, else an array of the row sums,
+    each row the bits of its own 1-D call.
+    """
+    s = np.sort(values).sum(axis=-1)
+    return s if s.ndim else float(s)
 
 
 def _particles(dim, masses):

@@ -40,8 +40,8 @@ from . import green
 from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
-from .limits import (PointConfiguration, _pair_sum, _pairs, _stack, equal_masses,
-                     interaction_energy, interaction_gradient)
+from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, _stack,
+                     equal_masses, interaction_energy, interaction_gradient)
 from .local import _check_masses
 
 ARMIJO = 1e-4
@@ -104,10 +104,12 @@ def _descend(x0, tol, max_iterations):
 
     Yields each guarded trial point as (positions, its ``_pairs`` table) and
     receives its (energy, gradient); returns (x, energy, grad_norm, iters,
-    converged, evaluations), ``evaluations`` counting the trial points.
+    converged, evaluations), ``evaluations`` counting the trial points.  The
+    start's table passes ``_check_distinct``, each trial's the stricter
+    COALESCENCE_GUARD.
     """
     x = x0 % 1.0
-    energy, g = yield x, _pairs(x)
+    energy, g = yield x, _check_distinct(_pairs(x))
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
     S = Y = np.empty((0, x.size))  # the last MEMORY steps and gradient changes, as rows
@@ -187,9 +189,16 @@ def _lockstep(dim, masses, descents, params):
     return runs
 
 
+def _check_count(n):
+    """The one particle-count rule of a placement: ValueError unless n >= 2."""
+    if n < 2:
+        raise ValueError("placement needs at least two particles")
+
+
 def square_lattice_positions(dim, n) -> np.ndarray:
-    """Axis-aligned square (cubic) lattice arrangement of n points, if commensurate."""
+    """Axis-aligned square (cubic) lattice arrangement of n >= 2 points, if commensurate."""
     green._check_dim(dim)
+    _check_count(n)
     s = round(n ** (1.0 / dim))
     if s**dim != n:
         raise IncommensurateCount(f"{n} points do not form a square lattice on the torus")
@@ -201,9 +210,9 @@ def square_lattice_positions(dim, n) -> np.ndarray:
 def lattice_candidate_energy(dim, n, mass, params=None) -> float:
     """Interaction energy of the square (cubic) lattice arrangement of n masses ``mass``.
 
-    For comparison tables.  ValueError for a ``dim`` other than 2 or 3 and
-    for a mass that is not positive and finite; IncommensurateCount when n is
-    not a square (cube) count.
+    For comparison tables.  ValueError for a ``dim`` other than 2 or 3, for
+    n < 2 and for a mass that is not positive and finite; IncommensurateCount
+    when n is not a square (cube) count.
     """
     masses = np.full(n, _check_masses(mass))
     return interaction_energy(dim, masses, square_lattice_positions(dim, n), params)
@@ -229,21 +238,16 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     green._check_dim(dim)
     masses = _check_masses(masses)
     n = masses.size
-    if n < 2:
-        raise ValueError("placement needs at least two particles")
+    _check_count(n)
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     for name, value in (("restarts", restarts), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
     if initial_positions is not None:
-        initial_positions = np.asarray(initial_positions, dtype=float)
-        if initial_positions.shape != (n, dim):
-            raise ValueError(f"initial_positions must have shape ({n}, {dim}) for {n} masses "
-                             f"in {dim}D, got {initial_positions.shape}")
-        if not np.isfinite(initial_positions).all():
-            raise ValueError("initial_positions must be finite, got "
-                             f"{initial_positions[~np.isfinite(initial_positions)][0]}")
+        initial_positions = green._check_dim(dim, initial_positions, "initial_positions")
+        if len(initial_positions) != n:
+            raise ValueError(f"initial_positions needs {n} rows, got {len(initial_positions)}")
     params = green._resolve(params, n)
 
     starts = []

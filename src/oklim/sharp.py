@@ -38,12 +38,15 @@ reads the inherited pair table.  A
 brute-force truncated mode sum over the ball form factors ("direct") shares
 nothing with G (it calls nothing in ``green`` or ``limits``) and is kept as
 the independent check at moderate scales; ``fourier_cutoff`` is its mode
-cutoff.  It runs over the orthant k >= 0 with per-axis cosine tables.  A
-window of shells |k|^2 at a time, it maps each block of modes to its shell
-through one int32 shell index that every pair row shares, evaluates the
-form factors once per occupied shell, and takes each row's weights from
-there; it bounds its omitted modes by the closed-form integral of a
-piecewise power-law envelope.
+cutoff.  It takes the particles in lexicographic position order, as
+``green._set_long_range`` does, so its sums over particles and pairs have
+the same bits in every order of the particles; the breakdown sums its
+per-particle terms by ``local._total``.  It runs over the orthant k >= 0
+with per-axis cosine tables.  A window of shells |k|^2 at a time, it maps
+each block of modes to its shell through one int32 shell index that every
+pair row shares, evaluates the form factors once per occupied shell, and
+takes each row's weights from there; it bounds its omitted modes by the
+closed-form integral of a piecewise power-law envelope.
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ def _pair_sums_direct(config, cutoff):
 
         S_ij = sum_{0 < |k| <= cutoff} m_i m_j phi_i phi_j cos(2 pi k.(x_i - x_j)) / (4 pi^2 |k|^2)
 
-    and the bound on its omitted modes.  The sign flips of k add cos(2 pi k.d)
+    and the bound on its omitted modes, with the particles taken in
+    lexicographic position order.  The sign flips of k add cos(2 pi k.d)
     up to 2^(nonzero coordinates) prod_a cos(2 pi k_a d_a), so k runs over the
     orthant k >= 0 and each axis contributes one row of a cosine table ``tab``
     (row 0, at d = 0, counts the modes); the axes after the first are folded
@@ -172,9 +176,11 @@ def _pair_sums_direct(config, cutoff):
     about (n + 1) (_WINDOW + _CHUNK) doubles, plus in 3D the rows times the
     shells of ``rest``, whose count grows as c^2 / sqrt(log c).
     """
-    dim, n, m, a = config.dim, config.n, config.masses, config.radii
+    dim, n = config.dim, config.n
+    order = np.lexsort(config.positions.T[::-1])
+    m, a, x = config.masses[order], config.radii[order], config.positions[order]
     iu, ju = np.triu_indices(n, 1)
-    d = np.concatenate([np.zeros((1, dim)), config.positions[iu] - config.positions[ju]])
+    d = np.concatenate([np.zeros((1, dim)), x[iu] - x[ju]])
     kk = np.arange(cutoff + 1)
     sq = kk * kk
     c2 = cutoff * cutoff
@@ -240,11 +246,6 @@ def _pref(dim, eta):
     return eta if dim == 3 else 1.0 / abs(math.log(eta))
 
 
-def _total(values) -> float:
-    """The sum of ``values`` in sorted order: the same bits in every particle order."""
-    return float(np.sum(np.sort(values)))
-
-
 def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
     """The energy breakdown of ``config`` from its pair parts (self, ordered cross, tail).
 
@@ -252,19 +253,20 @@ def _breakdown(config, parts, method="ewald") -> EnergyBreakdown:
     eta^2 term (2/q) sum_{i, j} m_i m_j a_i^2, a_i = eta r_i, split into its
     i = j and i != j sums.  ``method='direct'``: the mode sums of
     ``_pair_sums_direct``, whose diagonal holds the whole-space self energy.
-    CutoffTooSmall when the scaled tail breaks the accuracy contract.
+    The per-particle terms are summed by ``local._total``.  CutoffTooSmall
+    when the scaled tail breaks the accuracy contract.
     """
     eta = config.eta
     m = config.masses
     pref = _pref(config.dim, eta)
     q = 2.0 * config.dim + 4.0  # 8 in 2D, 10 in 3D
     _, perim, self_h1, _ = local._particles(config.dim, m)
-    perim, self_h1 = _total(perim), _total(self_h1)
+    perim, self_h1 = local._total(perim), local._total(self_h1)
     self_sum, cross_sum, tail = parts
     if method == "ewald":
         a2 = config.radii**2
-        regular_self = pref * (self_sum + (2.0 / q) * _total(m**2 * a2))
-        cross = pref * (cross_sum + (2.0 / q) * _total(m * a2 * (_total(m) - m)))
+        regular_self = pref * (self_sum + (2.0 / q) * local._total(m**2 * a2))
+        cross = pref * (cross_sum + (2.0 / q) * local._total(m * a2 * (local._total(m) - m)))
     else:
         regular_self = pref * self_sum - self_h1
         cross = pref * cross_sum
@@ -366,7 +368,7 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
         kind = "n * e2d(m) (optimal equal partition)"
     else:
         kind = "sum of ball-ansatz energies (upper bound for the true per-particle infimum)"
-    reference = _total(local._energies(template.dim, template.masses))
+    reference = local._total(local._energies(template.dim, template.masses))
 
     parts = limits._second_order_parts(template, params)
     rows = []

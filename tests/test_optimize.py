@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from oklim import green, limits, optimize
-from oklim.errors import IncommensurateCount, NoConvergence
+from oklim.errors import CoincidentPoints, IncommensurateCount, NoConvergence
 
 PI = math.pi
 
@@ -129,6 +130,13 @@ def test_lattice_candidates_reject_a_bad_dim_or_mass(call):
         call()
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_lattice_candidates_reject_fewer_than_two_particles(n):
+    # the count rule of place: n = 0 failed in a reshape, and n = 1 gave an energy of 0.0
+    with pytest.raises(ValueError, match="placement needs at least two particles"):
+        optimize.lattice_candidate_energy(2, n, 1.0)
+
+
 def test_simple_cubic_regrouping_identity(params):
     # 8 points on the 2x2x2 lattice: every particle sees the same 7 offsets
     e = optimize.lattice_candidate_energy(3, 8, 1.5, params)
@@ -173,13 +181,23 @@ def test_place_rejects_negative_restarts_and_empty_start_lists():
 
 
 @pytest.mark.parametrize("initial, problem", [
-    ([[0.2, 0.3]], r"shape \(2, 2\).*got \(1, 2\)"),  # one row for two masses
-    ([[0.2, 0.3, 0.1], [0.7, 0.6, 0.4]], r"shape \(2, 2\).*got \(2, 3\)"),  # 3D rows in 2D
-    ([[0.2, 0.3], [math.inf, 0.6]], "finite, got inf"),
+    ([[0.2, 0.3]], "initial_positions needs 2 rows, got 1"),  # one row for two masses
+    ([[0.2, 0.3, 0.1], [0.7, 0.6, 0.4]],  # 3D rows in 2D
+     r"initial_positions needs 2 coordinates per row, got shape \(2, 3\)"),
+    ([[0.2, 0.3], [math.inf, 0.6]], "initial_positions needs finite coordinates, got inf"),
 ], ids=["one-row", "3d-rows", "inf-row"])
 def test_place_rejects_initial_positions_before_the_descent(initial, problem):
     with pytest.raises(ValueError, match=problem):
         optimize.place(2, [1.0, 1.0], restarts=1, seed=0, initial_positions=initial)
+
+
+def test_coincident_start_is_coincident_points_without_a_warning():
+    # the start's pair table is checked where it is built; unchecked, log(0) warns first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoincidentPoints):
+            optimize.place(2, [1.0, 1.0, 1.0], restarts=0,
+                           initial_positions=[[0.1, 0.2], [0.1, 0.2], [0.5, 0.5]])
 
 
 def test_six_particles_3d_converge():

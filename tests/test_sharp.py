@@ -236,13 +236,11 @@ def test_direct_mode_calls_nothing_of_green_or_limits(monkeypatch):
     (3, 0.15, 20, [(1.0, (0.1, 0.2, 0.3)), (0.6, (0.1, 0.65, 0.3)), (1.4, (0.55, 0.4, 0.8))]),
 ])
 def test_direct_pair_sums_are_invariant_under_permutation(dim, eta, cutoff, particles):
-    # particles 0 and 1 share coordinates; every order of the three gives the same sums
-    diag, off, _ = sharp._pair_sums_direct(sharp.BallConfiguration(dim, eta, particles), cutoff)
+    # particles 0 and 1 share coordinates; every order of the three gives the same bits
+    sums = sharp._pair_sums_direct(sharp.BallConfiguration(dim, eta, particles), cutoff)
     for order in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
         cfg = sharp.BallConfiguration(dim, eta, [particles[i] for i in order])
-        d, o, _ = sharp._pair_sums_direct(cfg, cutoff)
-        assert abs(d - diag) <= 1e-14 * abs(diag)
-        assert abs(o - off) <= 1e-14 * abs(off)
+        assert sharp._pair_sums_direct(cfg, cutoff) == sums
 
 
 def _mpmath_tail(dim, cutoff, masses, radii):
@@ -518,3 +516,39 @@ def test_richardson_needs_two_distinct_scales():
     # a repeated eta leaves the slope undetermined: lstsq would return a minimum-norm guess
     with pytest.raises(ValueError, match="two distinct scales"):
         sharp.richardson_extrapolate([0.02, 0.02], [1.0, 1.1])
+
+
+def _jittered_sets(dim, equal, count, seed):
+    """``count`` seeded (masses, positions) sets on the 2^dim lattice of spacing 1/2, jittered."""
+    rng = np.random.default_rng([dim, seed])
+    sites = np.array(np.meshgrid(*[[0.0, 0.5]] * dim, indexing="ij")).reshape(dim, -1).T
+    for _ in range(count):
+        x = (sites + rng.uniform(-0.1, 0.1, sites.shape)) % 1.0
+        yield (np.full(len(x), local.OPTIMAL_PER_MASS) if equal
+               else rng.uniform(0.5, 1.5, len(x))), x
+
+
+def _reported_numbers(dim, m, x, cutoff):
+    """Every reported number of one configuration that sums over its particles or pairs."""
+    point = limits.PointConfiguration(dim, zip(m, x))
+    balls = sharp.BallConfiguration(dim, 0.02, zip(m, x))
+    report = limits.check_admissible(point)
+    out = [limits.e0(point), report, sharp.sharp_energy(balls),
+           sharp._pair_sums_direct(sharp.BallConfiguration(dim, 0.1, zip(m, x)), cutoff)]
+    if dim == 3 or limits.equal_masses(m):  # F0 and the expansion: equal masses in 2D
+        table = sharp.second_order_quotient(balls, [0.04, 0.02, 0.01])
+        out += [limits.f0_energy(point), table.reference, table.f0, table.quotients.tolist(),
+                [r.energy for r in table.rows]]
+    return out
+
+
+@pytest.mark.parametrize("dim, equal, cutoff", [(2, True, 120), (2, False, 120), (3, False, 16)])
+def test_every_reported_number_is_bitwise_the_same_in_every_particle_order(dim, equal, cutoff):
+    # E0, every F0 and sharp_energy field (tail_bound included), the direct mode sums and
+    # their tail, the expansion table and the admissibility report
+    for k, (m, x) in enumerate(_jittered_sets(dim, equal, 12, 27)):
+        n = len(m)
+        runs = [_reported_numbers(dim, m[p], x[p], cutoff)
+                for p in (np.arange(n), np.arange(n)[::-1],
+                          np.random.default_rng(k).permutation(n))]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
