@@ -294,6 +294,17 @@ def _check_dim(dim, X=None, name="positions"):
     return X
 
 
+def _positions(dim, X, name="positions"):
+    """Rows of X, checked by ``_check_dim``, in [0, 1): the one position rule.
+
+    Each coordinate v is stored as v % 1.0, and as 0.0 where that rounds to
+    1.0 (tiny negative v); coordinates in [0, 1) keep their bits.
+    """
+    X = _check_dim(dim, X, name) % 1.0
+    X[X == 1.0] = 0.0
+    return X
+
+
 def _cell(dim, X, name, guard=True):
     """Rows of X, checked by ``_check_dim``, in the centered cell.
 

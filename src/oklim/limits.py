@@ -32,10 +32,11 @@ gradient, it returns the energy with it from one pass: one per-pair kernel
 call and one structure factor.  Over a leading axis of R configurations of
 the same masses (the trial points of the placement restarts, their tables
 joined by ``_stack``) it makes one kernel call over all R * P pair rows,
-sums each row by ``local._total``, and scatters the gradients through a
-per-n gather order; each row is bitwise its own one-configuration call.
+sums each row by ``local._total``, and sums each particle's gradient terms
+over the pair triangle; each row is bitwise its own one-configuration call.
 ``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
-with the Ewald parameters chosen from n unless given, and raise ValueError
+with the Ewald parameters chosen from n unless given, reduce the rows to
+[0, 1) by the one position rule ``green._positions``, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
 ``masses`` does not hold one positive finite entry per position row;
 F0's self terms and tail bound use the same parameters as its pair sum.
@@ -79,9 +80,7 @@ class PointConfiguration:
         if not particles:
             raise ValueError("configuration must contain at least one particle")
         masses = local._check_masses([m for m, _ in particles])
-        positions = green._check_dim(dim, [p for _, p in particles], "PointConfiguration")
-        positions %= 1.0
-        positions[positions == 1.0] = 0.0  # v % 1.0 rounds to 1.0 for tiny negative v
+        positions = green._positions(dim, [p for _, p in particles], "PointConfiguration")
         masses.flags.writeable = positions.flags.writeable = False
         obj_set = object.__setattr__
         obj_set(self, "dim", dim)
@@ -124,20 +123,6 @@ def _pair_index(n):
     iu, ju = np.triu_indices(n, k=1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
-
-
-@lru_cache(maxsize=8)
-def _scatter_order(n):
-    """The rows of the 2P pair terms ``[w; -w]`` that each particle gathers, (n, n - 1), read-only.
-
-    Row k lists the n - 1 entries of concatenate([iu, ju]) equal to k, in
-    their order there: summed left to right, each particle's terms add up in
-    pair-row order, as ``np.bincount`` over concatenate([iu, ju]) adds them.
-    """
-    iu, ju = _pair_index(n)
-    order = np.argsort(np.concatenate([iu, ju]), kind="stable").reshape(n, n - 1)
-    order.flags.writeable = False
-    return order
 
 
 def _pairs(positions):
@@ -203,18 +188,18 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
         energy = energy[0]
     if not gradient:
         return energy
-    w = (2.0 * mm)[:, None] * grad.reshape(R, -1, dim)
-    # each particle's pair terms, summed in pair-row order
-    w = np.take(np.concatenate([w, -w], axis=1), _scatter_order(n), axis=1)
-    out = np.add.reduce(w, axis=2)
+    # each particle's pair terms over the (i < j) triangle: + along its row, - down its column
+    t = np.zeros((R, n, n, dim))
+    t[:, iu, ju] = (2.0 * mm)[:, None] * grad.reshape(R, -1, dim)
+    out = t.sum(axis=2) - t.sum(axis=1)
     for row, g in zip(out, long_grad):
         row += g  # a zero in 2D and for one particle
     return energy, out.reshape(positions.shape)
 
 
 def _raw_pair_sum(dim, masses, positions, params, gradient=False):
-    # raw arrays: one positive finite mass per position row
-    positions = green._check_dim(dim, positions)
+    # raw arrays: one positive finite mass per position row, the rows reduced to the cell
+    positions = green._positions(dim, positions)
     masses = local._check_masses(masses)
     if masses.shape != (len(positions),):
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "

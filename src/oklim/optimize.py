@@ -16,16 +16,17 @@ stacked pass of the pair sum ``limits._pair_sum``, which returns the
 energies and gradients together, at Ewald parameters resolved once per
 ``place`` call.  Its rows are row-independent, so each restart takes the
 bits of its solo run; ``evaluations`` counts the trial points
-over all restarts.  The reported pairwise distances come from the pair
-table of the result's ``PointConfiguration``.  Near the minimum, where the
-Armijo decrement falls below the rounding noise of the energy, the decrease
-is measured instead by the trapezoid rule on the slopes at both ends of the
-step.  A direction
-that is not a descent direction, or a line search that fails, clears the
-pair memory and retries along -grad; a failure along -grad ends the
-restart.  Outputs are stationary candidates, never certified global
-minimizers; the square (cubic) lattice arrangement is available for
-comparison and is injected as an extra start when commensurate.
+over all restarts.  With a given start, every restart runs in the
+lexicographic order of its positions.  The reported pairwise distances
+come from the pair table of the result's ``PointConfiguration``.  Near the
+minimum, where the Armijo decrement falls below the rounding noise of the
+energy, the decrease is measured instead by the trapezoid rule on the
+slopes at both ends of the step.  A direction that is not a descent
+direction, or a line search that fails, clears the pair memory and retries
+along -grad; a failure along -grad ends the restart.  Outputs are
+stationary candidates, never certified global minimizers; the square
+(cubic) lattice arrangement is available for comparison and is injected as
+an extra start when commensurate.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def _lbfgs_direction(g, S, Y):
     return (np.array(c + [-gamma * v for v in a]) @ W - gamma * g.ravel()).reshape(g.shape)
 
 
-def _descend(x0, tol, max_iterations):
-    """One restart's descent from x0, as a generator of its trial points.
+def _descend(x, tol, max_iterations):
+    """One restart's descent from the rows x in [0, 1), as a generator of its trial points.
 
     Yields each guarded trial point as (positions, its ``_pairs`` table) and
     receives its (energy, gradient); returns (x, energy, grad_norm, iters,
@@ -108,7 +109,6 @@ def _descend(x0, tol, max_iterations):
     start's table passes ``_check_distinct``, each trial's the stricter
     COALESCENCE_GUARD.
     """
-    x = x0 % 1.0
     energy, g = yield x, _check_distinct(_pairs(x))
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
@@ -226,10 +226,15 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     Runs ``restarts`` seeded uniform starts (plus the square-lattice
     arrangement as an extra start when the count is commensurate and the
     masses are equal by ``limits.equal_masses``, and ``initial_positions``
-    if given) and returns the lowest-energy converged result.  Energies
-    within RESTART_TIE (relative) of the lowest count as tied, and ties go to
-    the earliest start: restarts that reach one minimum differ in the last
-    bits, which must not pick the output.
+    if given) and returns the lowest-energy converged result.  Given
+    ``initial_positions``, reduced to [0, 1), every start runs with the
+    particles in the lexicographic order of those positions (seeded rows go
+    to the particles in that order), so the result's bits do not depend on
+    the order in which the particles are listed; the result lists them in
+    the caller's order.  Energies within RESTART_TIE (relative) of the
+    lowest count as tied, and ties go to the earliest start: restarts that
+    reach one minimum differ in the last bits, which must not pick the
+    output.
     Raises NoConvergence (carrying the best effort) if no start reaches the
     gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
     or ``seed`` is negative, no start applies, or ``initial_positions`` is not
@@ -244,10 +249,12 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     for name, value in (("restarts", restarts), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    order = np.arange(n)
     if initial_positions is not None:
-        initial_positions = green._check_dim(dim, initial_positions, "initial_positions")
+        initial_positions = green._positions(dim, initial_positions, "initial_positions")
         if len(initial_positions) != n:
             raise ValueError(f"initial_positions needs {n} rows, got {len(initial_positions)}")
+        order = np.lexsort(initial_positions.T[::-1])
     params = green._resolve(params, n)
 
     starts = []
@@ -255,7 +262,7 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         rng = np.random.default_rng([seed, idx])
         starts.append(rng.random((n, dim)))
     if initial_positions is not None:
-        starts.append(initial_positions % 1.0)
+        starts.append(initial_positions[order])
     if equal_masses(masses):
         with contextlib.suppress(IncommensurateCount):
             starts.append(square_lattice_positions(dim, n))
@@ -263,14 +270,15 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
 
     # (x, energy, grad_norm, iters, conv, evaluations) per start
-    runs = _lockstep(dim, masses, [_descend(x0, tol, max_iterations) for x0 in starts], params)
+    runs = _lockstep(dim, masses[order], [_descend(x0, tol, max_iterations) for x0 in starts],
+                     params)
     evaluations = sum(r[5] for r in runs)
     pool = [r for r in runs if r[4]] or runs
     low = min(pool, key=lambda r: r[1])
     gap = RESTART_TIE * max(1.0, abs(low[1]))
     # low itself when the gaps are not finite: energies that overflowed to inf
     x, e, gn, iters, conv, _ = next((r for r in pool if r[1] - low[1] <= gap), low)
-    config = PointConfiguration(dim, zip(masses, x))
+    config = PointConfiguration(dim, zip(masses, x[np.argsort(order)]))  # the caller's order
     result = OptimizationResult(
         config=config,
         energy=e,

@@ -220,6 +220,18 @@ def test_interaction_gradient_rejects_coincident_points(dim):
         limits.interaction_gradient(dim, np.ones(3), x)
 
 
+@pytest.mark.parametrize("shift", [-1e3, 1e3, 1e6, 1e8])
+def test_raw_pair_sums_reduce_their_rows_to_the_cell(shift):
+    # the 3D structure factor takes cos and sin of 2 pi k.x at the coordinate it is given
+    rng = np.random.default_rng(28)
+    m, x = rng.uniform(0.5, 1.5, 6), rng.random((6, 3)) + shift
+    reduced = x % 1.0
+    assert limits.interaction_energy(3, m, x) == limits.interaction_energy(3, m, reduced)
+    assert np.array_equal(limits.interaction_gradient(3, m, x),
+                          limits.interaction_gradient(3, m, reduced))
+    assert np.array_equal(green._positions(3, reduced), reduced)  # rows in the cell keep their bits
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_sum_needs_one_mass_per_position_row(dim):
     x = np.random.default_rng(6).random((2, dim))

@@ -66,6 +66,19 @@ def test_seed_determinism_bitwise():
     assert r1.iterations == r2.iterations
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_place_gives_the_same_bits_for_any_order_of_the_given_start(dim, restarts):
+    rng = np.random.default_rng([dim, 28])
+    m, x = rng.uniform(0.5, 1.5, 6), rng.random((6, dim))
+    given = optimize.place(dim, m, restarts=restarts, initial_positions=x)
+    reversed_ = optimize.place(dim, m[::-1], restarts=restarts, initial_positions=x[::-1])
+    for name in ("energy", "grad_norm", "iterations", "evaluations", "pairwise_distances"):
+        assert getattr(reversed_, name) == getattr(given, name)
+    assert np.array_equal(reversed_.config.masses, m[::-1])
+    assert np.array_equal(reversed_.config.positions, given.config.positions[::-1])
+
+
 @pytest.mark.parametrize("energies, converged, picked", [
     ((-1.0, -1.0 - 2e-16, -0.9), (True, True, True), 0),  # one minimum, last bits apart
     ((-1.0, -1.0 - 1e-10, -0.9), (True, True, True), 1),  # a real gap

@@ -77,17 +77,16 @@ def set_long_range_grad(masses, positions, params):
 
 
 def reference_gradient(dim, masses, positions, params):
-    """The pair-sum gradient from the gradient-only formulas, scattered as the driver does."""
+    """The pair-sum gradient from the gradient-only formulas, summed over the pair triangle."""
     iu, ju, diffs, _ = limits._pairs(positions)
     if dim == 2:
         grad, rest = theta_grad(diffs), 0.0
     else:
         grad = real_space_grad(diffs, params.alpha, params.real_cutoff)
         rest = set_long_range_grad(masses, positions, params)
-    w = (2.0 * masses[iu] * masses[ju])[:, None] * grad
-    idx, w = np.concatenate([iu, ju]), np.concatenate([w, -w])
-    out = np.stack([np.bincount(idx, w[:, d], len(positions)) for d in range(dim)], axis=1)
-    return out + rest
+    t = np.zeros((len(positions), len(positions), dim))
+    t[iu, ju] = (2.0 * masses[iu] * masses[ju])[:, None] * grad
+    return t.sum(axis=1) - t.sum(axis=0) + rest
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -125,24 +124,30 @@ def test_each_row_of_a_stacked_pass_is_bitwise_its_own_call(dim, n):
 @pytest.mark.parametrize("dim, n, restarts, seed", [(2, 8, 4, 1), (3, 4, 4, 0)])
 def test_each_restart_ends_bitwise_where_its_solo_run_ends(dim, n, restarts, seed):
     masses = np.ones(n)  # no square lattice start at these n
-    starts = [np.random.default_rng([seed, i]).random((n, dim)) for i in range(restarts)]
+    seeded = [np.random.default_rng([seed, i]).random((n, dim)) for i in range(restarts)]
+    # place runs a given start in its lexicographic order: sorted, it is its own order
+    starts = [x0[np.lexsort(x0.T[::-1])] for x0 in seeded]
     solo = [optimize.place(dim, masses, restarts=0, initial_positions=x0) for x0 in starts]
     params = green._resolve(None, n)
-    runs = optimize._lockstep(dim, masses, [optimize._descend(x0, 1e-8, optimize.MAX_ITERATIONS)
-                                            for x0 in starts], params)
+
+    def descents(xs):
+        return [optimize._descend(x0, 1e-8, optimize.MAX_ITERATIONS) for x0 in xs]
+
+    runs = optimize._lockstep(dim, masses, descents(starts), params)
     for (x, e, gn, iters, conv, evals), one in zip(runs, solo):
         assert np.array_equal(x, one.config.positions) and e == one.energy
         assert (gn, iters, conv, evals) == (one.grad_norm, one.iterations, one.converged,
                                             one.evaluations)
-    # place reports the earliest of the solo runs tied with the lowest
+    # place reports the earliest of the solo runs tied with the lowest; seeded starts
+    # keep their rows, so each solo run is its descent run alone
+    alone = [optimize._lockstep(dim, masses, descents([x0]), params)[0] for x0 in seeded]
     result = optimize.place(dim, masses, restarts=restarts, seed=seed)
-    low = min(one.energy for one in solo)
-    best = next(one for one in solo
-                if one.energy - low <= optimize.RESTART_TIE * max(1.0, abs(low)))
-    assert np.array_equal(result.config.positions, best.config.positions)
-    assert (result.energy, result.grad_norm, result.iterations) == (best.energy, best.grad_norm,
-                                                                    best.iterations)
-    assert result.evaluations == sum(one.evaluations for one in solo)
+    low = min(run[1] for run in alone)
+    best = next(run for run in alone
+                if run[1] - low <= optimize.RESTART_TIE * max(1.0, abs(low)))
+    assert np.array_equal(result.config.positions, best[0])
+    assert (result.energy, result.grad_norm, result.iterations) == best[1:4]
+    assert result.evaluations == sum(run[5] for run in alone)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 9), (3, 4)])
@@ -204,9 +209,8 @@ def test_evaluations_cover_every_restart_and_repeat_on_reruns():
 
 def test_the_per_size_pair_caches_keep_few_sizes():
     # each size caches O(n^2) int64 index arrays: 64 cached sizes kept 31 MB
-    # after these gradients, 8 keep 13 MB
+    # after these gradients, 8 keep 6.4 MB
     limits._pair_index.cache_clear()
-    limits._scatter_order.cache_clear()
     rng = np.random.default_rng(26)
     tracemalloc.start()
     try:
