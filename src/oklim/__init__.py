@@ -5,7 +5,7 @@ functionals on point configurations, exact spectral energies of ball
 configurations, and a Coulomb placement optimizer.
 """
 
-__version__ = "0.6.3"
+__version__ = "0.7.0"
 
 from .breakdown import EnergyBreakdown
 from .errors import (CoincidentPoints, CutoffTooSmall, DiameterTooLarge,

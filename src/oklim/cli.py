@@ -310,6 +310,7 @@ def cmd_place(args) -> str:
         "restarts_used": result.restarts_used,
         "evaluations": result.evaluations,
         "pairwise_distances": list(result.pairwise_distances),
+        "min_hessian_eigenvalue": result.min_hessian_eigenvalue,
         "config": {
             "dim": dim,
             "particles": [{"mass": m, "position": p} for m, p in

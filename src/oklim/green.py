@@ -36,7 +36,15 @@ explicit parameters, alpha is chosen from n among PAIR_SUM_ALPHAS (2.75 up
 to n = 13, 5.5 up to 209, 10.7 above), and a per-point G takes the choice
 for one pair, n = 2.
 Each part has its gradient; ``_pair_part`` and ``_set_long_range`` form
-it together with the value, from one set of shared factors.  The regular
+it together with the value, from one set of shared factors.  ``_pair_part``
+also forms, on request, the Hessian of the whole G per row (for
+``green_hess_many`` and the placement's Newton steps), from the same
+factors: in 2D G = Re Phi + y^2/2 with Phi holomorphic, so the Hessian is
+[[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], Phi'' from the theta
+cubics and their derivatives; in 3D the second derivatives of the image
+terms plus those of the reciprocal sum, ``_long_range_hessian``, per row
+(the structure factor serves values and gradients only).  Away from the
+lattice points its trace is 1, since -lap G = delta - 1.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
 with the singular part analytically.  Values are taken at |x| in the
@@ -98,6 +106,8 @@ _U = np.array([[1, 0, 0, 0], [-1, 4, 0, 0], [1, -12, 16, 0], [-1, 24, -80, 64]])
 _B = ([(-1) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(THETA_TERMS)]
       @ _U[:THETA_TERMS]).tolist()
 _D = [(k + 1) * bn - (k + 0.5) * bk for k, (bk, bn) in enumerate(zip(_B, _B[1:] + [0.0]))]
+# their derivatives in C, the quadratics dB/dC and -(dD/dC) / 2, lowest power first
+_DB, _DD = ([k * p[k] for k in range(1, 4)] for p in (_B, _D))
 # log 2 - pi/4 - log eta(i), eta(i) = Gamma(1/4) / (2 pi^(3/4)), correctly rounded from
 # mpmath at 40 digits: 2*log(2) - pi/4 - log(gamma(1/4)) + 3/4*log(pi).  Its terms cancel
 # to 0.17, so summing them in floating point lands 10 ulps off, an offset that a pair
@@ -107,7 +117,7 @@ _LOG_CONST = 0.17142108741141499
 _G0_2D = -0.2085777932435014
 
 
-def _theta_green(X, scale, gradient=False):
+def _theta_green(X, scale, gradient=False, hessian=False):
     """G at rows (x, y) of the centered cell, with |sin w| divided by ``scale``.
 
     With w = pi z, C = cos^2 w and the cubics B, D of the theta series:
@@ -117,7 +127,14 @@ def _theta_green(X, scale, gradient=False):
     rows, the gradient at |x| times sign(x): F = d/dz log theta1(w) =
     pi cot w D(C) / B(C), d/dx G = -Re F / 2pi and d/dy G = Im F / 2pi + y.
     The kernel takes conj(C), so B, D and cot w come conjugated, and
-    -conj(F) / 2pi = (d/dx G, d/dy G - y) as a complex number.
+    -conj(F) / 2pi = (d/dx G, d/dy G - y) as a complex number.  With
+    ``hessian`` as well, (G, grad G, (M, 2, 2) Hessian): G = Re Phi + y^2/2
+    with Phi = -(1/2pi) log theta1(w) holomorphic, so the Hessian is
+    [[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], and with R = -D / 2B
+    and csc^2 w = 1 + cot^2 w,
+    Phi'' = -pi [R csc^2 w + 2 C (dR/dC)], dR/dC = (-(dD/dC) / 2 - R dB/dC) / B,
+    taken conjugated as well; the off-diagonal entry at signed rows is the
+    one at |x| times sign(x) sign(y).
     """
     px, py = math.pi * np.abs(X).T
     s, c, sh = np.sin(px), np.cos(px), np.sinh(py)
@@ -133,7 +150,19 @@ def _theta_green(X, scale, gradient=False):
     d = ((_D[3] * cos2 + _D[2]) * cos2 + _D[1]) * cos2 + _D[0]  # -conj(D) / 2
     grad = (s * c + 1j * (sh * ch)) * d / (b * sine2)  # -conj(F) / 2pi
     grad.imag += py / math.pi
-    return value, np.sign(X) * grad.view(float).reshape(-1, 2)
+    grad = np.sign(X) * grad.view(float).reshape(-1, 2)
+    if not hessian:
+        return value, grad
+    cot = (s * c + 1j * (sh * ch)) / sine2  # conj(cot w)
+    r = d / b
+    db = (_DB[2] * cos2 + _DB[1]) * cos2 + _DB[0]
+    dd = (_DD[2] * cos2 + _DD[1]) * cos2 + _DD[0]
+    h = -math.pi * (r * (1.0 + cot * cot) + 2.0 * cos2 * (dd - r * db) / b)  # conj(Phi'')
+    hess = np.empty((len(X), 2, 2))
+    hess[:, 0, 0] = h.real
+    hess[:, 0, 1] = hess[:, 1, 0] = np.sign(X[:, 0]) * np.sign(X[:, 1]) * h.imag
+    hess[:, 1, 1] = 1.0 - h.real
+    return value, grad, hess
 
 
 @dataclass(frozen=True)
@@ -342,12 +371,16 @@ def _image_distances(X, rc):
     return np.sqrt(r2.reshape(len(X), -1))
 
 
-def _real_space(X, alpha, rc, origin=True, gradient=False):
+def _real_space(X, alpha, rc, origin=True, gradient=False, hessian=False):
     """Screened image sum per row x: sum_n erfc(alpha r) / (4 pi r), r = ||x| + n|, n in o(rc)^3.
 
     ``origin=False`` leaves out the image n = 0.  With ``gradient``, an
     (M, 4) array from one set of image distances and erfc terms: the value,
-    then its gradient sign(x) * -sum_n w(r) (|x| + n).
+    then its gradient sign(x) * -sum_n w(r) (|x| + n).  With ``hessian`` as
+    well, (M, 13): the Hessian's 9 entries follow, at |x| the sum over the
+    images of W(r) v v^T - w(r) I, v = |x| + n,
+    W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, and at signed
+    rows entry (i, j) times sign(x_i) sign(x_j).
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
 
@@ -359,26 +392,39 @@ def _real_space(X, alpha, rc, origin=True, gradient=False):
         f = erfc(alpha * r) / r
         if not gradient:
             return f.sum(axis=1)
-        w = (f + (2 * alpha / _SQRT_PI) * np.exp(-(alpha * r) ** 2)) / (r * r)
-        out = np.empty((len(x), 4))
+        gauss = np.exp(-(alpha * r) ** 2)
+        w = (f + (2 * alpha / _SQRT_PI) * gauss) / (r * r)
+        out = np.empty((len(x), 13 if hessian else 4))
         out[:, 0] = f.sum(axis=1)
         # one (1, images) @ (images, 3) product per row: a matrix product over all
         # rows would round each row by its place in the batch
-        out[:, 1:] = -np.sign(x) * (a * w.sum(axis=1)[:, None]
-                                    + (w[:, None, :] @ _images(rc))[:, 0])
+        out[:, 1:4] = -np.sign(x) * (a * w.sum(axis=1)[:, None]
+                                     + (w[:, None, :] @ _images(rc))[:, 0])
+        if hessian:
+            v = a[:, None, :] + _images(rc)  # rows, images, 3
+            big_w = (3 * w + (4 * alpha**3 / _SQRT_PI) * gauss) / (r * r)
+            h = (big_w[:, None, :] * v.transpose(0, 2, 1)) @ v  # one (3, images) product per row
+            h -= w.sum(axis=1)[:, None, None] * np.eye(3)
+            sign = np.sign(x)
+            out[:, 4:] = (h * sign[:, :, None] * sign[:, None, :]).reshape(-1, 9)
         return out
-    out = np.empty((len(X), 4) if gradient else len(X))
-    return _by_rows(rows, X, rc**3, out) / (4 * math.pi)
+    out = np.empty((len(X), 13 if hessian else 4) if gradient else len(X))
+    return _by_rows(rows, X, rc**3 * (1 + 3 * hessian), out) / (4 * math.pi)
 
 
-def _pair_part(dim, X, params, gradient=False):
+def _pair_part(dim, X, params, gradient=False, hessian=False):
     """The per-pair part of G, or (G, grad G), at rows x of the centered cell.
 
     2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
+    With ``gradient`` and ``hessian``, (G, grad G, (M, d, d) Hessian), the
+    Hessian that of the whole G: in 3D that of the image sum plus
+    ``_long_range_hessian``, so each row's Hessian is complete.
     """
     if dim == 2:
-        return _theta_green(X, 1.0, gradient)
-    out = _real_space(X, params.alpha, params.real_cutoff, gradient=gradient)
+        return _theta_green(X, 1.0, gradient, hessian)
+    out = _real_space(X, params.alpha, params.real_cutoff, gradient=gradient, hessian=hessian)
+    if hessian:
+        return out[:, 0], out[:, 1:4], out[:, 4:].reshape(-1, 3, 3) + _long_range_hessian(X, params)
     return (out[:, 0], out[:, 1:]) if gradient else out
 
 
@@ -466,6 +512,36 @@ def _long_range(dim, X, params, gradient=False):
     if gradient:
         return _by_rows(rows, X, 2 * F * F, np.empty_like(X))
     return _by_rows(rows, X, F * F, np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
+
+
+# the six Hessian entries (1,1), (2,2), (3,3), (1,2), (1,3), (2,3) of the reciprocal sum, each a
+# contraction of w with one table per axis: indices into [P, E, D] (cos, -k^2 cos, -k sin)
+_HESSIAN_TABLES = np.array([[1, 0, 0, 2, 2, 0], [0, 1, 0, 2, 0, 2], [0, 0, 1, 0, 2, 2]])
+# the (3, 3) Hessian from its six entries
+_SYMMETRIC = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def _long_range_hessian(X, params):
+    """The Hessian of the per-point 3D long-range part at rows x, as an (M, 3, 3) array.
+
+    -(2 pi)^2 sum_{k != 0} c_k k k^T cos(2 pi k.x): over the octant weights w,
+    (2 pi)^2 sum w E_a C_b C_c on the diagonal and (2 pi)^2 sum w D_a D_b C_c
+    off it, with C = cos, D = -k sin and E = -k^2 cos per axis (the sign flips
+    of k cancel every other parity).  Like ``_long_range``, contracted one axis
+    at a time by einsum, so each row's bits do not depend on the batch.
+    """
+    F = params.fourier_cutoff + 1
+    w = _structure_weights(params)
+    k2 = -_wavenumbers(F)[1][1] ** 2
+
+    def rows(x):
+        (p, d) = _trig_tables(x, F, gradient=True)[..., :F]  # (3, rows, F) each
+        tables = np.stack([p, p * k2, d], axis=1)  # (3 axes, [C, E, D], rows, F)
+        t = np.einsum("bca,tja->tjbc", w, tables[0])  # the k1 sums, (3, rows, F, F)
+        first, second, third = _HESSIAN_TABLES
+        h = np.einsum("tjbc,tjb,tjc->jt", t[first], tables[1, second], tables[2, third])
+        return h[:, _SYMMETRIC]
+    return _by_rows(rows, X, 9 * F * F, np.empty((len(X), 3, 3))) * (2 * math.pi) ** 2
 
 
 # m * k * n of the largest matrix product that OpenBLAS's gemm runs on one thread:
@@ -581,6 +657,15 @@ def green_grad_many(dim, X, params=None):
 def green_grad(dim, x, params=None) -> np.ndarray:
     """Gradient of G; antisymmetric under x -> -x."""
     return green_grad_many(dim, np.asarray(x, dtype=float)[None], params)[0]
+
+
+def green_hess_many(dim, X, params=None):
+    """The Hessian of G at an (M, d) array of coordinate differences, as (M, d, d).
+
+    Even in x; its trace is 1 away from the lattice points, since -lap G = delta - 1.
+    """
+    X = _cell(dim, X, "green_hess")
+    return _pair_part(dim, X, _resolve(params), gradient=True, hessian=True)[2]
 
 
 def _g_smooth_n0(r, alpha):

@@ -29,12 +29,17 @@ min-image pair table, checked by ``_check_distinct`` where it was built,
 and runs the per-pair parts (summed by ``local._total``, and scattered for
 the gradient), then the particle-set long-range part.  Asked for the
 gradient, it returns the energy with it from one pass: one per-pair kernel
-call and one structure factor.  Over a leading axis of R configurations of
-the same masses (the trial points of the placement restarts, their tables
-joined by ``_stack``) it makes one kernel call over all R * P pair rows,
-sums each row by ``local._total``, and sums each particle's gradient terms
-over the pair triangle; each row is bitwise its own one-configuration call.
-``interaction_energy`` and ``interaction_gradient`` wrap it over raw arrays
+call and one structure factor.  Asked for the Hessian as well, it assembles
+the (n d, n d) Hessian from the per-pair Hessians of G that the same kernel
+call returns: each pair's block enters the two diagonal blocks with + and
+the two off-diagonal blocks with -, written through the same pair triangle
+as the gradient terms (``_triangle``, one flat index per pair).  Over a
+leading axis of R configurations of the same masses (the trial points of
+the placement restarts, their tables joined by ``_stack``) it makes one
+kernel call over all R * P pair rows, sums each row by ``local._total``, and
+sums each particle's gradient terms over the pair triangle; each row is
+bitwise its own one-configuration call.  ``interaction_energy``,
+``interaction_gradient`` and ``interaction_hessian`` wrap it over raw arrays
 with the Ewald parameters chosen from n unless given, reduce the rows to
 [0, 1) by the one position rule ``green._positions``, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
@@ -119,10 +124,13 @@ def e0(config: PointConfiguration) -> float:
 
 @lru_cache(maxsize=8)
 def _pair_index(n):
-    # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum
+    # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum;
+    # the third array is each pair's flat index i * n + j into an (n, n) plane
     iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+    flat = iu * n + ju
+    for a in (iu, ju, flat):
+        a.flags.writeable = False
+    return iu, ju, flat
 
 
 def _pairs(positions):
@@ -132,7 +140,7 @@ def _pairs(positions):
     returned as its (P, d) transpose, so each column ``diffs[:, k]`` is
     contiguous; the lengths sum the squares axis by axis, as a row norm does.
     """
-    iu, ju = _pair_index(len(positions))
+    iu, ju, _ = _pair_index(len(positions))
     cols = positions.T
     diffs = green.min_image(np.take(cols, iu, axis=1) - np.take(cols, ju, axis=1))
     dist = np.sqrt(np.add.reduce(diffs * diffs, axis=0))
@@ -160,26 +168,37 @@ def _stack(tables):
     return iu, ju, diffs, np.concatenate([t[3] for t in tables])
 
 
-def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
+def _triangle(n, terms):
+    """The (R, P, ...) pair terms on the (i < j) triangle of an (R, n, n, ...) array of zeros."""
+    t = np.zeros((len(terms), n * n, *terms.shape[2:]))
+    t[:, _pair_index(n)[2]] = terms
+    return t.reshape(len(terms), n, n, *terms.shape[2:])
+
+
+def _pair_sum(dim, masses, positions, pairs, params, gradient=False, hessian=False):
     """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
 
     One pass: the per-pair parts (summed by ``local._total``, and scattered
     for the gradient), then the particle-set long-range part; with
-    ``gradient``, (energy, gradient) from one call of each.  ``positions`` may carry a
+    ``gradient``, (energy, gradient) from one call of each, and with
+    ``hessian`` as well, (energy, gradient, Hessian), the (n d, n d) Hessian
+    in the row order of ``positions.ravel()`` assembled from the per-pair
+    Hessians of G that the same kernel call returns.  ``positions`` may carry a
     leading axis of R configurations of the same masses, with ``pairs`` their
-    tables joined by ``_stack``: then a list of R energies and the (R, n, d)
-    gradients come from one per-pair kernel call over all R * P rows, and each
-    row is bitwise its own one-configuration call (the per-pair kernels and
-    the sums are row-independent; the long-range part runs per configuration).
+    tables joined by ``_stack``: then a list of R energies, the (R, n, d)
+    gradients and the (R, n d, n d) Hessians come from one per-pair kernel
+    call over all R * P rows, and each row is bitwise its own one-configuration
+    call (the per-pair kernels and the sums are row-independent; the
+    long-range part runs per configuration).
     Unchecked: each table passed ``_check_distinct`` where it was built.
     """
     iu, ju, diffs, _ = pairs
     stack = positions.reshape(-1, *positions.shape[-2:])
     R, n = stack.shape[:2]
-    part = green._pair_part(dim, diffs, params, gradient)
+    part = green._pair_part(dim, diffs, params, gradient, hessian)
     long = [green._set_long_range(dim, masses, x, params, gradient) for x in stack]
     if gradient:
-        part, grad = part
+        part, grad, *hess = part
         long, long_grad = zip(*long)
     mm = masses[iu] * masses[ju]
     sums = local._total(mm * part.reshape(R, -1)).tolist()
@@ -189,15 +208,22 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False):
     if not gradient:
         return energy
     # each particle's pair terms over the (i < j) triangle: + along its row, - down its column
-    t = np.zeros((R, n, n, dim))
-    t[:, iu, ju] = (2.0 * mm)[:, None] * grad.reshape(R, -1, dim)
+    t = _triangle(n, (2.0 * mm)[:, None] * grad.reshape(R, -1, dim))
     out = t.sum(axis=2) - t.sum(axis=1)
     for row, g in zip(out, long_grad):
         row += g  # a zero in 2D and for one particle
-    return energy, out.reshape(positions.shape)
+    if not hessian:
+        return energy, out.reshape(positions.shape)
+    # the pair (i, j) block 2 m_i m_j H(x_i - x_j) enters blocks (i, j) and (j, i) with -
+    # (H is even, so both are the same) and blocks (i, i) and (j, j) with +
+    t = _triangle(n, (-2.0 * mm)[:, None, None] * hess[0].reshape(R, -1, dim, dim))
+    t += t.swapaxes(1, 2)
+    t[:, range(n), range(n)] = -t.sum(axis=2)
+    full = t.swapaxes(2, 3).reshape(R, n * dim, n * dim)
+    return energy, out.reshape(positions.shape), full if positions.ndim > 2 else full[0]
 
 
-def _raw_pair_sum(dim, masses, positions, params, gradient=False):
+def _raw_pair_sum(dim, masses, positions, params, gradient=False, hessian=False):
     # raw arrays: one positive finite mass per position row, the rows reduced to the cell
     positions = green._positions(dim, positions)
     masses = local._check_masses(masses)
@@ -205,7 +231,7 @@ def _raw_pair_sum(dim, masses, positions, params, gradient=False):
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
                          f"got shape {masses.shape}")
     return _pair_sum(dim, masses, positions, _check_distinct(_pairs(positions)),
-                     green._resolve(params, len(masses)), gradient)
+                     green._resolve(params, len(masses)), gradient, hessian)
 
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
@@ -216,6 +242,14 @@ def interaction_energy(dim, masses, positions, params=None) -> float:
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
     return _raw_pair_sum(dim, masses, positions, params, gradient=True)[1]
+
+
+def interaction_hessian(dim, masses, positions, params=None) -> np.ndarray:
+    """Hessian of the interaction energy, an (n d, n d) array in the order of ``positions.ravel()``.
+
+    Its rows sum to zero block by block: the d translations are in its null space.
+    """
+    return _raw_pair_sum(dim, masses, positions, params, gradient=True, hessian=True)[2]
 
 
 def _second_order_parts(config, params=None):

@@ -1,24 +1,34 @@
-"""Multi-start quasi-Newton descent for the pairwise interaction energy on the torus.
+"""Multi-start quasi-Newton descent, finished by Newton steps, for the pair interaction energy.
 
 Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``
-(``interaction_energy`` and ``interaction_gradient``), over particle
-positions with seeded uniform restarts and a deterministic reduction of the
-restart results.  Each restart follows the L-BFGS direction (two-loop
-recursion over the last 10 step/gradient-change pairs; Liu & Nocedal,
-Math. Prog. 45, 1989), its dot products taken from one Gram product of the
-stored rows, with backtracking line search (Armijo 1e-4, shrink
-0.5, first trial step 1 capped so no particle moves more than 0.1 of the
-cell) and a coalescence guard.  The restarts run in lockstep: each is a
-generator, ``_descend``, that yields its guarded trial points with their
-min-image pair tables and receives their energies and gradients, and each
-round evaluates the pending trial point of every running restart in one
-stacked pass of the pair sum ``limits._pair_sum``, which returns the
-energies and gradients together, at Ewald parameters resolved once per
+(``interaction_energy``, ``interaction_gradient`` and
+``interaction_hessian``), over particle positions with seeded uniform
+restarts and a deterministic reduction of the restart results.  Each restart
+follows the L-BFGS direction (two-loop recursion over the last 10
+step/gradient-change pairs; Liu & Nocedal, Math. Prog. 45, 1989), its dot
+products taken from one Gram product of the stored rows, with backtracking
+line search (Armijo 1e-4, shrink 0.5, first trial step 1 capped so no
+particle moves more than 0.1 of the cell) and a coalescence guard.  L-BFGS
+converges linearly near a minimum, so once |grad| falls below
+_NEWTON_SWITCH a restart asks for the analytic Hessian at its trial points
+and, where the Hessian with particle 0 held fixed (which removes the d
+translations) is positive definite, steps along its Newton direction
+through the same line search, which converges quadratically (Nocedal &
+Wright, Numerical Optimization, 2nd ed., ch. 3); elsewhere, and when a
+Newton line search fails, it follows L-BFGS.  The restarts run in lockstep:
+each is a generator, ``_descend``, that yields its guarded trial points with
+their min-image pair tables and whether it wants the Hessian there, and
+receives their energies, gradients and Hessians; each round evaluates the
+pending trial point of every running restart in one stacked pass of the
+pair sum ``limits._pair_sum``, which returns the energies, gradients and,
+when asked, Hessians together, at Ewald parameters resolved once per
 ``place`` call.  Its rows are row-independent, so each restart takes the
 bits of its solo run; ``evaluations`` counts the trial points
 over all restarts.  With a given start, every restart runs in the
 lexicographic order of its positions.  The reported pairwise distances
-come from the pair table of the result's ``PointConfiguration``.  Near the
+come from the pair table of the result's ``PointConfiguration``, and the
+smallest eigenvalue of the result's Hessian, the translations projected
+out, is computed when it is first read.  Near the
 minimum, where the Armijo decrement falls below the rounding noise of the
 energy, the decrease is measured instead by the trapezoid rule on the
 slopes at both ends of the step.  A direction that is not a descent
@@ -34,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from .errors import IncommensurateCount, NoConvergence
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
 from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, _stack,
-                     equal_masses, interaction_energy, interaction_gradient)
+                     equal_masses, interaction_energy, interaction_gradient, interaction_hessian)
 from .local import _check_masses
 
 ARMIJO = 1e-4
@@ -52,6 +63,14 @@ MAX_ITERATIONS = 100_000
 MEMORY = 10  # (s, y) pairs kept by the L-BFGS model
 MAX_MOVE = 0.1  # largest particle displacement of a first trial step, in cell lengths
 RESTART_TIE = 1e-13  # relative energy gap within which restarts count as tied
+_NEWTON_SWITCH = 1e-2  # |grad| below which a restart asks for Hessians and takes Newton steps
+# the largest particle displacement of a Newton step: a longer one leaves the region where
+# the quadratic model holds and can cross into another basin, so L-BFGS takes that step
+_NEWTON_MOVE = 0.01
+# the most rows of a reduced Hessian that gets Newton steps and an eigenvalue: with OpenBLAS
+# 0.3.31, np.linalg.cholesky, solve and eigvalsh gave the same bits under one and two threads
+# up to 96 rows and not from 97 on, and past that size the O(n^3) solves outgrow a pair pass
+_NEWTON_ROWS = 96
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,29 @@ class OptimizationResult:
     pairwise_distances: tuple
     converged: bool
     evaluations: int  # trial points evaluated, over all restarts
+    params: green.EwaldParameters  # the Ewald parameters of the descent
+
+    @cached_property
+    def min_hessian_eigenvalue(self) -> float | None:
+        """The smallest eigenvalue of the Hessian at ``config``, the d translations projected out.
+
+        Computed on first access, in the lexicographic order of the positions,
+        so its bits do not depend on the order of the particles; None when the
+        projected Hessian would have more than _NEWTON_ROWS rows, nan when the
+        Hessian is not finite.
+        """
+        n, d = self.config.n, self.config.dim
+        if (n - 1) * d > _NEWTON_ROWS:
+            return None
+        order = np.lexsort(self.config.positions.T[::-1])
+        x = self.config.positions[order]
+        hessian = interaction_hessian(d, self.config.masses[order], x, self.params)
+        if not np.isfinite(hessian).all():
+            return math.nan
+        # an orthonormal basis of the vectors orthogonal to (1, ..., 1), one copy per axis
+        q = np.kron(np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:], np.eye(d))
+        projected = green._serial_matmul(green._serial_matmul(q.T, hessian), q)
+        return float(np.linalg.eigvalsh(projected)[0])
 
 
 def _lbfgs_direction(g, S, Y):
@@ -100,16 +142,44 @@ def _lbfgs_direction(g, S, Y):
     return (np.array(c + [-gamma * v for v in a]) @ W - gamma * g.ravel()).reshape(g.shape)
 
 
+def _newton_direction(g, hessian):
+    """The Newton direction -H^-1 g with particle 0 held fixed, or None.
+
+    Fixing particle 0 removes the d translations, the null space of the
+    Hessian; None unless the reduced Hessian is positive definite
+    (``np.linalg.cholesky`` accepts it) and no particle moves more than
+    _NEWTON_MOVE.
+    """
+    d = g.shape[1]
+    reduced = hessian[d:, d:]
+    try:
+        np.linalg.cholesky(reduced)
+    except np.linalg.LinAlgError:
+        return None
+    p = np.zeros_like(g)
+    p[1:] = np.linalg.solve(reduced, -g[1:].ravel()).reshape(-1, d)
+    if (p * p).sum(axis=1).max() > _NEWTON_MOVE**2:
+        return None
+    return p
+
+
 def _descend(x, tol, max_iterations):
     """One restart's descent from the rows x in [0, 1), as a generator of its trial points.
 
-    Yields each guarded trial point as (positions, its ``_pairs`` table) and
-    receives its (energy, gradient); returns (x, energy, grad_norm, iters,
-    converged, evaluations), ``evaluations`` counting the trial points.  The
+    Yields each guarded trial point as (positions, its ``_pairs`` table,
+    whether it wants the Hessian there) and receives its (energy, gradient,
+    Hessian or None); returns (x, energy, grad_norm, iters, converged,
+    evaluations), ``evaluations`` counting the trial points.  Once |grad|
+    falls below _NEWTON_SWITCH, it asks for the Hessian at each trial point
+    (if the reduced Hessian has at most _NEWTON_ROWS rows), and at a point
+    whose Hessian it holds it steps along ``_newton_direction`` where that
+    exists, through the same line search; a Newton line search that fails
+    drops the Hessian and retries along the L-BFGS direction.  The
     start's table passes ``_check_distinct``, each trial's the stricter
     COALESCENCE_GUARD.
     """
-    energy, g = yield x, _check_distinct(_pairs(x))
+    energy, g, hessian = yield x, _check_distinct(_pairs(x)), False
+    newton_fits = (len(x) - 1) * x.shape[1] <= _NEWTON_ROWS
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
     S = Y = np.empty((0, x.size))  # the last MEMORY steps and gradient changes, as rows
@@ -117,7 +187,10 @@ def _descend(x, tol, max_iterations):
     for iters in range(1, max_iterations + 1):
         if grad_norm <= tol:
             return x, energy, grad_norm, iters, True, evaluations
-        p = _lbfgs_direction(g, S, Y)
+        p = None if hessian is None else _newton_direction(g, hessian)
+        newton = p is not None
+        if not newton:
+            p = _lbfgs_direction(g, S, Y)
         slope = float(np.vdot(p, g))
         if slope >= 0.0:  # not a descent direction: drop the model, take -g
             S = Y = S[:0]
@@ -139,7 +212,7 @@ def _descend(x, tol, max_iterations):
             decrement = -ARMIJO * step * slope
             # the slope at x_new is needed at almost every trial point, so the
             # gradient comes with the energy in one pass
-            e_new, g_new = yield x_new, pairs
+            e_new, g_new, h_new = yield x_new, pairs, newton_fits and grad_norm < _NEWTON_SWITCH
             evaluations += 1
             if decrement >= noise:
                 ok = e_new <= energy - decrement
@@ -155,12 +228,15 @@ def _descend(x, tol, max_iterations):
                 if sy > 0.0:  # keeps the inverse-Hessian model positive definite
                     S = np.concatenate([S, s[None]])[-MEMORY:]
                     Y = np.concatenate([Y, y[None]])[-MEMORY:]
-                x, energy, g = x_new, min(energy, e_new), g_new
+                x, energy, g, hessian = x_new, min(energy, e_new), g_new, h_new
                 grad_norm = math.sqrt(g.ravel() @ g.ravel())
                 accepted = True
                 break
             step *= SHRINK
         if not accepted:
+            if newton:
+                hessian = None  # retry along the L-BFGS direction
+                continue
             if not len(S):
                 break  # line search along -g exhausted below machine resolution
             S = Y = S[:0]  # retry from -g before giving up
@@ -171,18 +247,21 @@ def _lockstep(dim, masses, descents, params):
     """Run the ``_descend`` generators together: one stacked pair pass per round.
 
     Each round evaluates the pending trial points of every restart still
-    running in one ``_pair_sum`` call; returns each generator's result.
+    running in one ``_pair_sum`` call, with the Hessians when any of them
+    asks for one, and sends each restart the Hessian only if it asked;
+    returns each generator's result.
     """
     runs = [None] * len(descents)
     trials = [next(d) for d in descents]
     live = list(range(len(descents)))
     while live:
         x = np.stack([trials[i][0] for i in live])
-        energies, grads = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]),
-                                    params, gradient=True)
-        for i, e, g in zip(live, energies, grads):
+        hessian = any(trials[i][2] for i in live)
+        out = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]), params,
+                        gradient=True, hessian=hessian)
+        for i, e, g, h in zip(live, out[0], out[1], out[2] if hessian else [None] * len(live)):
             try:
-                trials[i] = descents[i].send((e, g))
+                trials[i] = descents[i].send((e, g, h if trials[i][2] else None))
             except StopIteration as done:
                 runs[i] = done.value
         live = [i for i in live if runs[i] is None]
@@ -288,6 +367,7 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         pairwise_distances=tuple(np.sort(config.pairs[3]).tolist()),
         converged=conv,
         evaluations=evaluations,
+        params=params,
     )
     if not conv:
         raise NoConvergence("no restart reached the gradient tolerance", result=result)

@@ -270,6 +270,11 @@ def test_place_deterministic_modulo_wall_time(tmp_path):
     assert p1 == p2
     assert p1["converged"] is True
     assert p1["evaluations"] >= p1["iterations"]
+    # the appended key follows the keys it was added after, in their order
+    assert list(p1) == ["converged", "energy", "grad_norm", "iterations", "restarts_used",
+                        "evaluations", "pairwise_distances", "min_hessian_eigenvalue",
+                        "config", "manifest"]
+    assert p1["min_hessian_eigenvalue"] > 0.0
 
 
 def test_place_from_config_needs_a_config():

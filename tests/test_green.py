@@ -366,3 +366,63 @@ def test_2d_theta_form_matches_the_theta_series():
     assert abs(green.regular_part_at_zero(2) - float(g0_ref)) <= 1e-16
     # G is even in each coordinate, so its derivative across a zero coordinate is 0
     assert np.all(grad[X == 0.0] == 0.0)
+
+
+HESSIAN_PARAMS = [None, math.sqrt(math.pi), 10.7]  # 2.75 (the per-point choice), sqrt(pi), 10.7
+
+
+def _hessian_points(rng, dim, count=60):
+    return np.array([random_torus_point(rng, dim, min_dist=0.05) for _ in range(count)])
+
+
+@pytest.mark.parametrize("alpha", HESSIAN_PARAMS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_matches_central_differences_of_the_gradient(dim, alpha):
+    params = None if alpha is None else green.EwaldParameters.for_alpha(alpha)
+    X = _hessian_points(np.random.default_rng([dim, 41]), dim)
+    hess = green.green_hess_many(dim, X, params)
+    h = 1e-6
+    fd = np.empty_like(hess)
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        fd[:, :, j] = (green.green_grad_many(dim, X + e, params)
+                       - green.green_grad_many(dim, X - e, params)) / (2 * h)
+    scale = np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))
+    assert (np.abs(fd - hess).max(axis=(1, 2)) <= 1e-7 * scale).all()
+
+
+@pytest.mark.parametrize("alpha", HESSIAN_PARAMS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_trace_is_one_away_from_lattice_points(dim, alpha):
+    # -lap G = delta - 1: the identity holds for the exact G, whatever the method
+    params = None if alpha is None else green.EwaldParameters.for_alpha(alpha)
+    X = _hessian_points(np.random.default_rng([dim, 43]), dim, 200)
+    trace = np.trace(green.green_hess_many(dim, X, params), axis1=1, axis2=2)
+    assert np.abs(trace - 1.0).max() <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_is_even_and_symmetric(dim):
+    X = _hessian_points(np.random.default_rng([dim, 47]), dim)
+    hess = green.green_hess_many(dim, X)
+    assert np.array_equal(green.green_hess_many(dim, -X), hess)
+    assert np.abs(hess - hess.transpose(0, 2, 1)).max() <= 1e-13 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("alpha", HESSIAN_PARAMS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_rows_with_the_hessian_are_bitwise_their_one_row_calls(dim, alpha):
+    # the placement's Newton steps read these rows from stacked calls over the restarts
+    params = green._resolve(None if alpha is None else green.EwaldParameters.for_alpha(alpha))
+    X = np.array([random_torus_point(np.random.default_rng([dim, i]), dim, min_dist=1e-3)
+                  * np.where(np.arange(dim) % 2, -1.0, 1.0) for i in range(40)])
+    X = green.min_image(X)
+    value, grad, hess = green._pair_part(dim, X, params, gradient=True, hessian=True)
+    # the Hessian leaves the value and gradient bits alone
+    plain = green._pair_part(dim, X, params, gradient=True)
+    assert np.array_equal(plain[0], value) and np.array_equal(plain[1], grad)
+    for i in range(len(X)):
+        one = green._pair_part(dim, X[i:i + 1], params, gradient=True, hessian=True)
+        assert one[0][0] == value[i]
+        assert np.array_equal(one[1][0], grad[i]) and np.array_equal(one[2][0], hess[i])

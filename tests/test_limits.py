@@ -288,3 +288,43 @@ def test_check_admissible_3d_heuristics():
     one = limits.check_admissible(config(3, [(40.0, (0.1, 0.1, 0.1))]))
     assert not one.is_optimal_partition and not one.is_compact
     assert any("n=3" in d for d in one.detail)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_hessian_matches_central_differences_of_the_gradient(dim):
+    rng = np.random.default_rng([dim, 29])
+    n = 6
+    m, x = rng.uniform(0.5, 1.5, n), rng.random((n, dim))
+    hess = limits.interaction_hessian(dim, m, x)
+    assert hess.shape == (n * dim, n * dim)
+    h = 1e-6
+    fd = np.empty_like(hess)
+    for k in range(n * dim):
+        e = np.zeros(n * dim)
+        e[k] = h
+        e = e.reshape(n, dim)
+        fd[:, k] = (limits.interaction_gradient(dim, m, x + e)
+                    - limits.interaction_gradient(dim, m, x - e)).ravel() / (2 * h)
+    scale = np.abs(hess).max()
+    assert np.abs(fd - hess).max() <= 1e-7 * scale
+    assert np.abs(hess - hess.T).max() <= 1e-13 * scale
+    # translation invariance: each block row sums to zero
+    assert np.abs(hess.reshape(n, dim, n, dim).sum(axis=2)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_each_row_of_a_stacked_hessian_pass_is_bitwise_its_own_call(dim, n):
+    rng = np.random.default_rng([dim, n, 31])
+    m = rng.uniform(0.5, 2.0, n)
+    params = green._resolve(None, n)
+    x = rng.random((3, n, dim))
+    tables = [limits._pairs(xr) for xr in x]
+    energies, grads, hessians = limits._pair_sum(dim, m, x, limits._stack(tables), params,
+                                                 gradient=True, hessian=True)
+    assert hessians.shape == (3, n * dim, n * dim)
+    for xr, table, e, g, hess in zip(x, tables, energies, grads, hessians):
+        one_e, one_g = limits._pair_sum(dim, m, xr, table, params, gradient=True)
+        assert e == one_e and np.array_equal(g, one_g)  # the value and gradient bits stay
+        assert np.array_equal(limits._pair_sum(dim, m, xr, table, params, gradient=True,
+                                               hessian=True)[2], hess)

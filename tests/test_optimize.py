@@ -90,11 +90,12 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
     runs = iter(zip(energies, converged))
 
     def descend(x0, *rest):
-        # the descent's protocol: yield the start as the one trial point, end on its pass
+        # the descent's protocol: yield the start as the one trial point, without asking for
+        # its Hessian, and end on its pass
         e, conv = next(runs)
 
         def trial_points():
-            yield x0, optimize._pairs(x0)
+            yield x0, optimize._pairs(x0), False
             return x0, e, 0.0, 1, conv, 1
         return trial_points()
 
@@ -242,3 +243,38 @@ def test_place_does_not_import_scipy_optimize():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=env, check=True)
     assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("dim, n, restarts, seed, before", [
+    (2, 8, 2, 3, 86), (2, 9, 1, 0, 75), (3, 4, 2, 5, 49)])
+def test_the_newton_finish_cuts_the_evaluations(dim, n, restarts, seed, before):
+    # `before`: the evaluations of an L-BFGS descent to the default tolerance, without the
+    # Newton finish; the Newton steps cover |grad| from 1e-2 to 1e-8 in a few steps
+    res = optimize.place(dim, np.ones(n), restarts=restarts, seed=seed)
+    assert res.converged
+    assert res.evaluations <= 0.85 * before
+
+
+@pytest.mark.parametrize("dim, n", [(2, 7), (3, 5)])
+def test_min_hessian_eigenvalue_is_the_smallest_beside_the_translations(dim, n):
+    rng = np.random.default_rng([dim, n, 29])
+    m, x = rng.uniform(0.5, 1.5, n), rng.random((n, dim))
+    res = optimize.place(dim, m, restarts=1, seed=2, initial_positions=x)
+    hessian = limits.interaction_hessian(dim, res.config.masses, res.config.positions,
+                                         res.params)
+    eigenvalues = np.linalg.eigvalsh(hessian)  # the d translations give the d zeros
+    scale = np.abs(eigenvalues).max()
+    assert np.abs(eigenvalues[:dim]).max() <= 1e-12 * scale
+    assert res.min_hessian_eigenvalue > 0.0  # positive definite beside the translations
+    assert abs(res.min_hessian_eigenvalue - eigenvalues[dim]) <= 1e-12 * scale
+    # the particles' order does not move its bits
+    reversed_ = optimize.place(dim, m[::-1], restarts=1, seed=2, initial_positions=x[::-1])
+    assert reversed_.min_hessian_eigenvalue == res.min_hessian_eigenvalue
+
+
+def test_min_hessian_eigenvalue_is_none_past_the_newton_rows():
+    # 2D, 50 particles: 98 rows once the translations are out, past _NEWTON_ROWS
+    with pytest.raises(NoConvergence) as info:
+        optimize.place(2, np.ones(50), restarts=1, seed=0, max_iterations=1)
+    assert (50 - 1) * 2 > optimize._NEWTON_ROWS
+    assert info.value.result.min_hessian_eigenvalue is None
