@@ -3,6 +3,9 @@ finite-scale energies, the eta-sweep expansion table, and particle placement.
 
 Each command returns its output text, and ``main`` alone writes it: to
 ``--out`` when the command has one and it is given, otherwise to stdout.
+``main(argv)`` returns the exit code and may be called many times in one
+process: it builds its parser on the first call, and at each call it looks
+up the command function, ``cmd_<command>``, by name.
 Exit codes: 0 success, 1 usage/schema (or Ewald parameters whose certified
 tail breaks the accuracy contract, a result outside the float range, an
 ``--out`` that cannot be written, running out of memory, or any other
@@ -18,6 +21,7 @@ Manifests name the parameters that ran.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -101,8 +105,10 @@ def write_csv(manifest: dict, header: list, rows: list) -> str:
 # ---------------------------------------------------------------------------
 
 def _is_finite_number(v) -> bool:
-    # json.load accepts NaN, Infinity and -Infinity as numbers
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # json.load accepts NaN, Infinity and -Infinity as numbers, and integers of any size;
+    # an int compares with a float exactly, so one beyond the float range fails here too
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+        abs(v) <= sys.float_info.max
 
 
 def validate_config(data) -> list:
@@ -238,6 +244,8 @@ def cmd_energy(args) -> str:
     eta = args.eta if args.eta is not None else inline_eta
     rows = []
     if eta is not None:
+        if args.pair_convention == "halved":  # the finite-scale energy sums ordered pairs only
+            raise ValueError("--pair-convention halved does not apply with an eta")
         ball = sharp.BallConfiguration(cfg.dim, eta, zip(cfg.masses, cfg.positions))
         bd = sharp.sharp_energy(ball, params=params)
         rows.append(_breakdown_row("sharp", bd))
@@ -344,6 +352,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first main call, not at import
 def build_parser() -> _Parser:
     p = _Parser(prog="oklim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -353,7 +362,6 @@ def build_parser() -> _Parser:
     g.add_argument("--x", required=True, help="comma-separated coordinates")
     g.add_argument("--grad", action="store_true")
     g.add_argument("--regular", action="store_true")
-    g.set_defaults(func=cmd_green)
 
     l = sub.add_parser("local", help="per-particle local energies")
     l.add_argument("--dim", type=int, choices=(2, 3), required=True)
@@ -361,21 +369,18 @@ def build_parser() -> _Parser:
     l.add_argument("--partition", action="store_true")
     l.add_argument("--concavity", action="store_true")
     l.add_argument("--splitting", action="store_true")
-    l.set_defaults(func=cmd_local)
 
     e = sub.add_parser("energy", help="limit or finite-scale energies of a configuration")
     e.add_argument("--config", required=True)
     e.add_argument("--eta", type=float)
     e.add_argument("--pair-convention", choices=("ordered", "halved"), default="ordered")
     e.add_argument("--out")
-    e.set_defaults(func=cmd_energy)
 
     x = sub.add_parser("expand", help="eta-sweep of second-order quotients")
     x.add_argument("--config", required=True)
     x.add_argument("--etas", required=True)
     x.add_argument("--richardson", action="store_true")
     x.add_argument("--out")
-    x.set_defaults(func=cmd_expand)
 
     pl = sub.add_parser("place", help="optimize particle positions")
     pl.add_argument("--dim", type=int, choices=(2, 3), default=2)
@@ -388,16 +393,14 @@ def build_parser() -> _Parser:
     pl.add_argument("--from-config", action="store_true")
     pl.add_argument("--lattice-compare", action="store_true")
     pl.add_argument("--out")
-    pl.set_defaults(func=cmd_place)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan reach fmt17's report
-            text = args.func(args)
+            text = globals()["cmd_" + args.command](args)  # by name: the parser holds no command
         if getattr(args, "out", None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

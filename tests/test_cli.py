@@ -171,6 +171,16 @@ def test_energy_schema_violations_are_pointered(tmp_path):
     assert r.returncode == 1
     assert "/dim" in r.stderr
     assert "/particles/0/mass" in r.stderr
+    # JSON integers beyond the float range are no finite numbers, each reported at its pointer
+    huge = 10**400
+    code, out, err = _run_on_config({"dim": 2, "eta": huge, "particles": [
+        {"mass": huge, "position": [0.1, 0.2]}, {"mass": 1, "position": [0.5, -huge]}]},
+        ["energy"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "schema violation at /particles/0/mass: must be a positive finite number",
+        "schema violation at /particles/1/position: must be an array of 2 finite numbers",
+        "schema violation at /eta: must be a number in (0, 0.25]"]
 
 
 def test_energy_unequal_masses_2d_admissibility_exit(tmp_path):
@@ -346,6 +356,18 @@ def test_energy_inline_eta(tmp_path):
     assert float(rows[0].split(",")[1]) == 0.02
 
 
+@pytest.mark.parametrize("inline", [False, True])
+def test_energy_rejects_the_halved_convention_with_an_eta(tmp_path, inline):
+    # the finite-scale energy sums ordered pairs: halved would print the ordered row
+    payload = dict(TWO_BALLS_3D, **({"eta": 0.02} if inline else {}))
+    cfg = write_config(tmp_path, "two.json", payload)
+    argv = ["energy", "--config", cfg, "--pair-convention", "halved"]
+    code, out, err = _run_main(argv if inline else [*argv, "--eta", "0.02"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --pair-convention halved does not apply with an eta"]
+    assert _run_main(argv[:3] if inline else argv)[0] == 0  # either one alone runs
+
+
 def test_place_masses_from_config(tmp_path):
     cfg = write_config(tmp_path, "pts.json", {"dim": 2, "particles": [
         {"mass": 1.0, "position": [0.1, 0.1]},
@@ -413,6 +435,8 @@ def test_place_on_non_finite_values_is_one_line(args, message):
     {"mass": 1.0, "position": [float("nan"), 0.5]},
     {"mass": 1.0, "position": [0.5, float("-inf")]},
     {"mass": float("inf"), "position": [0.5, 0.5]},
+    {"mass": 10**400, "position": [0.5, 0.5]},  # json.load reads integers of any size
+    {"mass": 1.0, "position": [0.5, -10**400]},
 ])
 def test_energy_rejects_non_finite_config_values(tmp_path, particle):
     # json.dumps writes NaN/Infinity literals, which json.load reads back as floats
@@ -753,10 +777,49 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, sequence, codes):
         argv = [paths.get(a, a) for a in argv]
         if argv[0] == "energy":
             argv[1:1] = ["--config"]
-        fresh = run_cli(*argv)
-        code, out, _ = _run_main(argv)
-        assert code == fresh.returncode == expect
-        assert _without_wall_time(out) == _without_wall_time(fresh.stdout)
+        assert _in_process_as_fresh(argv)[0] == expect
+
+
+def _in_process_as_fresh(argv, out=None):
+    """cli.main on ``argv`` in this process, checked against a fresh process on it.
+
+    The exit codes, stderr and text (stdout, or the file written to ``out`` through
+    --out) must agree apart from the wall time; returns the in-process code and text.
+    """
+    if out:
+        argv = [*argv, "--out", out]
+    fresh = run_cli(*argv)
+    fresh_text = fresh.stdout + (_pop_text(out) if out and fresh.returncode == 0 else "")
+    code, text, err = _run_main(argv)
+    text += _pop_text(out) if out and code == 0 else ""
+    assert (code, err) == (fresh.returncode, fresh.stderr)
+    assert _without_wall_time(text) == _without_wall_time(fresh_text)
+    return code, text
+
+
+def _pop_text(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    os.remove(path)
+    return text
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # main builds its parser on the first call only, and what one call parsed
+    # (a flag, an --out, a usage error) does not reach the next
+    cfg = write_config(tmp_path, "two.json", TWO_BALLS_3D)
+    place = ["place", "--n", "4", "--mass", "1", "--restarts", "1", "--seed", "1"]
+    energy = ["energy", "--config", cfg]
+    code, text = _in_process_as_fresh([*place, "--lattice-compare"])
+    assert code == 0 and "lattice_candidates" in json.loads(text)
+    code, text = _in_process_as_fresh(place)
+    assert code == 0 and "lattice_candidates" not in json.loads(text)
+    assert _in_process_as_fresh(["local", "--dim", "2", "--mass", "1", "--splitting"])[0] == 1
+    code, text = _in_process_as_fresh([*energy, "--eta", "0.02"], out=str(tmp_path / "out.csv"))
+    assert code == 0 and [ln.split(",")[0] for ln in text.splitlines()[2:]] == ["sharp"]
+    code, text = _in_process_as_fresh(energy)
+    assert code == 0 and [ln.split(",")[0] for ln in text.splitlines()[2:]] == ["E0", "F0"]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [
