@@ -7,15 +7,14 @@ configurations, and a Coulomb placement optimizer.
 
 __version__ = "0.7.0"
 
-from .breakdown import EnergyBreakdown
 from .errors import (CoincidentPoints, CutoffTooSmall, DiameterTooLarge,
                      IncommensurateCount, InadmissibleConfiguration, NoConvergence,
                      OklimError, OverlappingBalls, SingularPoint, UnequalMasses2D)
 from .green import EwaldParameters, green_eval, green_grad, regular_part, \
     regular_part_at_zero
 from .limits import AdmissibilityReport, PointConfiguration, check_admissible, e0, f0_energy
-from .local import (PartitionResult, concavity_coefficient, e2d, e3d_ball, envelope,
-                    envelope_many, f0, splitting_threshold_3d)
+from .local import (EnergyBreakdown, PartitionResult, concavity_coefficient, e2d, e3d_ball,
+                    envelope, envelope_many, f0, splitting_threshold_3d)
 from .optimize import OptimizationResult, lattice_candidate_energy, place
 from .sharp import (BallConfiguration, richardson_extrapolate, second_order_quotient,
                     sharp_energy)

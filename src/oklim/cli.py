@@ -301,6 +301,8 @@ def cmd_place(args) -> str:
     else:
         if args.n is None or args.mass is None:
             raise ValueError("--n and --mass are required without --config")
+        if args.n > sys.maxsize:  # no list of masses that long
+            raise ValueError(f"--n is a particle count of at most {sys.maxsize}, got {args.n}")
         masses = [args.mass] * args.n  # empty for n < 1, which place rejects
         dim = args.dim
     params = default_params(len(masses))

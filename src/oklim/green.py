@@ -27,7 +27,11 @@ k >= 0: c_k is even in each coordinate of k, so each octant entry stands
 for the mu(k) = 2^(nonzero coordinates) vectors its sign flips give.  Its
 weights mu c_k are ``_structure_weights``, and the real per-axis tables of
 ``_trig_tables`` hold cos and sin of 2 pi k x_d, with no trig per k-vector.
-``_long_range`` contracts them per point; ``_set_long_range`` forms from them
+``_long_range`` contracts them per point: the value, the gradient and the
+Hessian all come from one contraction, each entry the sum of w A_1 A_2 A_3
+over one table per axis among C = cos, D = -k sin and E = -k^2 cos, and one
+column table, ``_COLUMNS``, names the tables of every entry.
+``_set_long_range`` forms from them
 the eight real sums over particles that replace the structure factor S(k)
 of the pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
 O(pairs * images + n * K) rather than O(pairs * (images + K)), with real
@@ -35,15 +39,16 @@ matrix products whose bits do not depend on the BLAS thread count.  Without
 explicit parameters, alpha is chosen from n among PAIR_SUM_ALPHAS (2.75 up
 to n = 13, 5.5 up to 209, 10.7 above), and a per-point G takes the choice
 for one pair, n = 2.
-Each part has its gradient; ``_pair_part`` and ``_set_long_range`` form
-it together with the value, from one set of shared factors.  ``_pair_part``
-also forms, on request, the Hessian of the whole G per row (for
-``green_hess_many`` and the placement's Newton steps), from the same
-factors: in 2D G = Re Phi + y^2/2 with Phi holomorphic, so the Hessian is
+Each per-point kernel takes one derivative ``order``: 0 for the value, 1
+for the value and gradient, 2 for the value, gradient and Hessian, all
+from one set of shared factors; ``_set_long_range`` forms its gradient with
+its value.  ``_pair_part`` at order 2 forms the Hessian of the whole G per
+row (for ``green_hess_many`` and the placement's Newton steps): in 2D
+G = Re Phi + y^2/2 with Phi holomorphic, so the Hessian is
 [[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], Phi'' from the theta
 cubics and their derivatives; in 3D the second derivatives of the image
-terms plus those of the reciprocal sum, ``_long_range_hessian``, per row
-(the structure factor serves values and gradients only).  Away from the
+terms plus the order-2 ``_long_range``, per row (the structure factor
+serves values and gradients only).  Away from the
 lattice points its trace is 1, since -lap G = delta - 1.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
@@ -117,18 +122,18 @@ _LOG_CONST = 0.17142108741141499
 _G0_2D = -0.2085777932435014
 
 
-def _theta_green(X, scale, gradient=False, hessian=False):
+def _theta_green(X, scale, order=0):
     """G at rows (x, y) of the centered cell, with |sin w| divided by ``scale``.
 
     With w = pi z, C = cos^2 w and the cubics B, D of the theta series:
     G = -(1/2pi) [log 2 - pi/4 - log eta(i) + log|sin w| + log|B(C)|] + y^2/2,
     from the real sin, cos and sinh of pi x and pi y (cosh = sqrt(1 + sinh^2)),
-    complex only for C, B and D.  With ``gradient``, (G, grad G) at signed
+    complex only for C, B and D.  At ``order`` 1, (G, grad G) at signed
     rows, the gradient at |x| times sign(x): F = d/dz log theta1(w) =
     pi cot w D(C) / B(C), d/dx G = -Re F / 2pi and d/dy G = Im F / 2pi + y.
     The kernel takes conj(C), so B, D and cot w come conjugated, and
-    -conj(F) / 2pi = (d/dx G, d/dy G - y) as a complex number.  With
-    ``hessian`` as well, (G, grad G, (M, 2, 2) Hessian): G = Re Phi + y^2/2
+    -conj(F) / 2pi = (d/dx G, d/dy G - y) as a complex number.  At
+    ``order`` 2, (G, grad G, (M, 2, 2) Hessian): G = Re Phi + y^2/2
     with Phi = -(1/2pi) log theta1(w) holomorphic, so the Hessian is
     [[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], and with R = -D / 2B
     and csc^2 w = 1 + cot^2 w,
@@ -145,13 +150,13 @@ def _theta_green(X, scale, gradient=False, hessian=False):
     b = ((_B[3] * cos2 + _B[2]) * cos2 + _B[1]) * cos2 + _B[0]
     log = np.log(np.sqrt(sine2) * np.abs(b) / scale)
     value = (py * py / math.pi - log) / (2 * math.pi) - _LOG_CONST / (2 * math.pi)
-    if not gradient:
+    if order == 0:
         return value
     d = ((_D[3] * cos2 + _D[2]) * cos2 + _D[1]) * cos2 + _D[0]  # -conj(D) / 2
     grad = (s * c + 1j * (sh * ch)) * d / (b * sine2)  # -conj(F) / 2pi
     grad.imag += py / math.pi
     grad = np.sign(X) * grad.view(float).reshape(-1, 2)
-    if not hessian:
+    if order == 1:
         return value, grad
     cot = (s * c + 1j * (sh * ch)) / sine2  # conj(cot w)
     r = d / b
@@ -371,18 +376,21 @@ def _image_distances(X, rc):
     return np.sqrt(r2.reshape(len(X), -1))
 
 
-def _real_space(X, alpha, rc, origin=True, gradient=False, hessian=False):
+def _real_space(X, alpha, rc, origin=True, order=0):
     """Screened image sum per row x: sum_n erfc(alpha r) / (4 pi r), r = ||x| + n|, n in o(rc)^3.
 
-    ``origin=False`` leaves out the image n = 0.  With ``gradient``, an
-    (M, 4) array from one set of image distances and erfc terms: the value,
-    then its gradient sign(x) * -sum_n w(r) (|x| + n).  With ``hessian`` as
-    well, (M, 13): the Hessian's 9 entries follow, at |x| the sum over the
-    images of W(r) v v^T - w(r) I, v = |x| + n,
+    ``origin=False`` leaves out the image n = 0.  At ``order`` 1, an (M, 4)
+    array from one set of image distances and erfc terms: the value, then its
+    gradient sign(x) * -sum_n w(r) (|x| + n).  At ``order`` 2, (M, 13): the
+    Hessian's 9 entries follow, at |x| the sum over the images of
+    W(r) v v^T - w(r) I, v = |x| + n,
     W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, and at signed
-    rows entry (i, j) times sign(x_i) sign(x_j).
+    rows entry (i, j) times sign(x_i) sign(x_j).  The columns are those of
+    ``_COLUMNS``.
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
+
+    width = (1, 4, 13)[order]
 
     def rows(x):
         a = np.abs(x)
@@ -390,17 +398,17 @@ def _real_space(X, alpha, rc, origin=True, gradient=False, hessian=False):
         if not origin:
             r = np.delete(r, (rc // 2) * (rc * rc + rc + 1), axis=1)  # n = 0 in ``_images(rc)``
         f = erfc(alpha * r) / r
-        if not gradient:
+        if order == 0:
             return f.sum(axis=1)
         gauss = np.exp(-(alpha * r) ** 2)
         w = (f + (2 * alpha / _SQRT_PI) * gauss) / (r * r)
-        out = np.empty((len(x), 13 if hessian else 4))
+        out = np.empty((len(x), width))
         out[:, 0] = f.sum(axis=1)
         # one (1, images) @ (images, 3) product per row: a matrix product over all
         # rows would round each row by its place in the batch
         out[:, 1:4] = -np.sign(x) * (a * w.sum(axis=1)[:, None]
                                      + (w[:, None, :] @ _images(rc))[:, 0])
-        if hessian:
+        if order == 2:
             v = a[:, None, :] + _images(rc)  # rows, images, 3
             big_w = (3 * w + (4 * alpha**3 / _SQRT_PI) * gauss) / (r * r)
             h = (big_w[:, None, :] * v.transpose(0, 2, 1)) @ v  # one (3, images) product per row
@@ -408,24 +416,24 @@ def _real_space(X, alpha, rc, origin=True, gradient=False, hessian=False):
             sign = np.sign(x)
             out[:, 4:] = (h * sign[:, :, None] * sign[:, None, :]).reshape(-1, 9)
         return out
-    out = np.empty((len(X), 13 if hessian else 4) if gradient else len(X))
-    return _by_rows(rows, X, rc**3 * (1 + 3 * hessian), out) / (4 * math.pi)
+    out = np.empty((len(X), width) if order else len(X))
+    return _by_rows(rows, X, rc**3 * (4 if order == 2 else 1), out) / (4 * math.pi)
 
 
-def _pair_part(dim, X, params, gradient=False, hessian=False):
-    """The per-pair part of G, or (G, grad G), at rows x of the centered cell.
+def _pair_part(dim, X, params, order=0):
+    """The per-pair part of G at rows x of the centered cell, with its derivatives to ``order``.
 
     2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
-    With ``gradient`` and ``hessian``, (G, grad G, (M, d, d) Hessian), the
-    Hessian that of the whole G: in 3D that of the image sum plus
-    ``_long_range_hessian``, so each row's Hessian is complete.
+    G at ``order`` 0, (G, grad G) at 1, and (G, grad G, (M, d, d) Hessian) at
+    2, the Hessian that of the whole G: in 3D that of the image sum plus the
+    order-2 ``_long_range``, so each row's Hessian is complete.
     """
     if dim == 2:
-        return _theta_green(X, 1.0, gradient, hessian)
-    out = _real_space(X, params.alpha, params.real_cutoff, gradient=gradient, hessian=hessian)
-    if hessian:
-        return out[:, 0], out[:, 1:4], out[:, 4:].reshape(-1, 3, 3) + _long_range_hessian(X, params)
-    return (out[:, 0], out[:, 1:]) if gradient else out
+        return _theta_green(X, 1.0, order)
+    out = _real_space(X, params.alpha, params.real_cutoff, order=order)
+    if order == 2:
+        return out[:, 0], out[:, 1:4], out[:, 4:].reshape(-1, 3, 3) + _long_range(3, X, params, 2)
+    return (out[:, 0], out[:, 1:]) if order else out
 
 
 @lru_cache(maxsize=32)
@@ -480,68 +488,47 @@ def _trig_tables(positions, F, gradient=False):
     return out.reshape(1 + gradient, *phase.shape[:2], 2 * F)
 
 
-def _long_range(dim, X, params, gradient=False):
-    """The per-point long-range part of G, or of grad G, at rows x: zero in 2D.
+# every per-point long-range quantity, a column: the value, the gradient's 3 entries and the
+# Hessian's 9 in row-major order, each sum w A_1 A_2 A_3 with A_d the table of axis d (row)
+# that the entry names in [C, D, E] (cos, -k sin, -k^2 cos); order o has the 3^o columns
+# from (3^o - 1) / 2 on
+_COLUMNS = np.array([[0, 1, 0, 0, 2, 1, 1, 1, 0, 0, 1, 0, 0],
+                     [0, 0, 1, 0, 0, 1, 0, 1, 2, 1, 0, 1, 0],
+                     [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 2]])
 
-    3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus the background
-    1/(4 alpha^2), or its gradient, over the octant weights w of
-    ``_structure_weights`` and the tables of ``_trig_tables``.  The sign
-    flips of k turn cos(2 pi k.x) into mu(k) C_1 C_2 C_3, the cos.cos.cos
-    parity of the structure factor (C = cos, D = -k sin per axis):
-    sum w C_1 C_2 C_3 and 2 pi sum w (D_1 C_2 C_3, C_1 D_2 C_3, C_1 C_2 D_3),
-    contracted one axis at a time by einsum, which reduces every row in the
-    same order (a matrix product rounds by row position).
+
+def _long_range(dim, X, params, order=0):
+    """The per-point long-range part of G, grad G or the Hessian (``order`` 0, 1, 2) at rows x.
+
+    Zero in 2D.  3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus
+    the background 1/(4 alpha^2), or its derivatives, over the octant weights
+    w of ``_structure_weights`` and the tables of ``_trig_tables``.  The sign
+    flips of k cancel every parity but one per entry: with C = cos,
+    D = -k sin and E = -k^2 cos per axis, each entry is (2 pi)^order times
+    sum w A_1 A_2 A_3, its tables named by its column of ``_COLUMNS`` (the
+    value C_1 C_2 C_3, d/dx_1 D_1 C_2 C_3, d^2/dx_1^2 E_1 C_2 C_3,
+    d^2/dx_1 dx_2 D_1 D_2 C_3, ...).  Contracted one axis at a time by two
+    einsums, the k1 sums of the order + 1 axis-1 tables, then one product per
+    column, which reduce every row in the same order (a matrix product rounds
+    by row position): an (M,) value, an (M, 3) gradient or an (M, 3, 3) Hessian.
     """
     if dim == 2:
         return 0.0
     F = params.fourier_cutoff + 1
     w = _structure_weights(params)  # symmetric, so its last axis may stand for k1
+    lo = (3**order - 1) // 2
+    first, second, third = _COLUMNS[:, lo:lo + 3**order]
 
     def rows(x):
-        tables = _trig_tables(x, F, gradient)[..., :F]
-        c1, c2, c3 = tables[0]
-        t = np.einsum("bca,ja->jbc", w, c1)  # the k1 sums, (rows, F, F)
-        if not gradient:
-            return np.einsum("jbc,jb,jc->j", t, c2, c3)
-        d1, d2, d3 = tables[1]
-        g = np.empty((len(x), 3))
-        g[:, 0] = np.einsum("jbc,jb,jc->j", np.einsum("bca,ja->jbc", w, d1), c2, c3)
-        g[:, 1] = np.einsum("jbc,jb,jc->j", t, d2, c3)
-        g[:, 2] = np.einsum("jbc,jb,jc->j", t, c2, d3)
-        return (2 * math.pi) * g
-    if gradient:
-        return _by_rows(rows, X, 2 * F * F, np.empty_like(X))
-    return _by_rows(rows, X, F * F, np.empty(len(X))) - 1.0 / (4 * params.alpha**2)
-
-
-# the six Hessian entries (1,1), (2,2), (3,3), (1,2), (1,3), (2,3) of the reciprocal sum, each a
-# contraction of w with one table per axis: indices into [P, E, D] (cos, -k^2 cos, -k sin)
-_HESSIAN_TABLES = np.array([[1, 0, 0, 2, 2, 0], [0, 1, 0, 2, 0, 2], [0, 0, 1, 0, 2, 2]])
-# the (3, 3) Hessian from its six entries
-_SYMMETRIC = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-
-
-def _long_range_hessian(X, params):
-    """The Hessian of the per-point 3D long-range part at rows x, as an (M, 3, 3) array.
-
-    -(2 pi)^2 sum_{k != 0} c_k k k^T cos(2 pi k.x): over the octant weights w,
-    (2 pi)^2 sum w E_a C_b C_c on the diagonal and (2 pi)^2 sum w D_a D_b C_c
-    off it, with C = cos, D = -k sin and E = -k^2 cos per axis (the sign flips
-    of k cancel every other parity).  Like ``_long_range``, contracted one axis
-    at a time by einsum, so each row's bits do not depend on the batch.
-    """
-    F = params.fourier_cutoff + 1
-    w = _structure_weights(params)
-    k2 = -_wavenumbers(F)[1][1] ** 2
-
-    def rows(x):
-        (p, d) = _trig_tables(x, F, gradient=True)[..., :F]  # (3, rows, F) each
-        tables = np.stack([p, p * k2, d], axis=1)  # (3 axes, [C, E, D], rows, F)
-        t = np.einsum("bca,tja->tjbc", w, tables[0])  # the k1 sums, (3, rows, F, F)
-        first, second, third = _HESSIAN_TABLES
-        h = np.einsum("tjbc,tjb,tjc->jt", t[first], tables[1, second], tables[2, third])
-        return h[:, _SYMMETRIC]
-    return _by_rows(rows, X, 9 * F * F, np.empty((len(X), 3, 3))) * (2 * math.pi) ** 2
+        tables = _trig_tables(x, F, order > 0)[..., :F]  # [C, D], (1 + (order > 0), 3, rows, F)
+        if order == 2:
+            tables = np.concatenate([tables, tables[:1] * -_wavenumbers(F)[1][1] ** 2])  # E
+        t = np.einsum("bca,tja->tjbc", w, tables[:, 0])  # the k1 sums, (order + 1, rows, F, F)
+        return np.einsum("tjbc,tjb,tjc->jt", t[first], tables[second, 1], tables[third, 2])
+    out = _by_rows(rows, X, len(first) * F * F, np.empty((len(X), len(first))))
+    if order == 0:
+        return out[:, 0] - 1.0 / (4 * params.alpha**2)
+    return out.reshape(-1, *(3,) * order) * (2 * math.pi) ** order
 
 
 # m * k * n of the largest matrix product that OpenBLAS's gemm runs on one thread:
@@ -565,9 +552,10 @@ def _serial_matmul(a, b):
     return out
 
 
-# the gradient along axis s (column) contracts w T with one table per axis (row): D on
-# axis s and P on the others, as indices into the tables [P_1, P_2, P_3, D_1, D_2, D_3]
-_GRADIENT_TABLES = np.array([[3, 0, 0], [1, 4, 1], [2, 2, 5]])
+# the gradient along axis s (column) contracts w T with the tables that column 1 + s of
+# _COLUMNS names per axis (row), D on axis s and P on the others, as indices kind * 3 + axis
+# into the flat tables [P_1, P_2, P_3, D_1, D_2, D_3]
+_FLAT_GRADIENT = 3 * _COLUMNS[:, 1:4] + np.arange(3)[:, None]
 
 
 def _set_long_range(dim, masses, positions, params, gradient=False):
@@ -621,7 +609,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     step = max(1, step // 12)  # (4 F^2, 3 chunk) temporaries of _CHUNK / 4, which stay in cache
     for lo in range(0, len(m), step):
         c = slice(lo, lo + step)
-        factors = tables[:, c][_GRADIENT_TABLES]  # (3 factors, 3 axes, chunk, 2F)
+        factors = tables[:, c][_FLAT_GRADIENT]  # (3 factors, 3 axes, chunk, 2F)
         factors[0] *= m[c, None]
         left, middle, right = factors.reshape(3, -1, 2 * F).transpose(0, 2, 1)  # (2F, 3 chunk)
         y = _serial_matmul(z, right).reshape(2 * F, 2 * F, -1)  # the (sigma3, k3) sums
@@ -650,8 +638,8 @@ def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
     X = _cell(dim, X, "green_grad")
     params = _resolve(params)
-    _, grad = _pair_part(dim, X, params, gradient=True)
-    return grad + _long_range(dim, X, params, gradient=True)
+    _, grad = _pair_part(dim, X, params, 1)
+    return grad + _long_range(dim, X, params, 1)
 
 
 def green_grad(dim, x, params=None) -> np.ndarray:
@@ -665,7 +653,7 @@ def green_hess_many(dim, X, params=None):
     Even in x; its trace is 1 away from the lattice points, since -lap G = delta - 1.
     """
     X = _cell(dim, X, "green_hess")
-    return _pair_part(dim, X, _resolve(params), gradient=True, hessian=True)[2]
+    return _pair_part(dim, X, _resolve(params), 2)[2]
 
 
 def _g_smooth_n0(r, alpha):

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import green, local
-from .breakdown import EnergyBreakdown
+from .local import EnergyBreakdown
 from .errors import CoincidentPoints, UnequalMasses2D
 
 MASS_EQUALITY_RTOL = 1e-12
@@ -175,13 +175,13 @@ def _triangle(n, terms):
     return t.reshape(len(terms), n, n, *terms.shape[2:])
 
 
-def _pair_sum(dim, masses, positions, pairs, params, gradient=False, hessian=False):
+def _pair_sum(dim, masses, positions, pairs, params, order=0):
     """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
 
     One pass: the per-pair parts (summed by ``local._total``, and scattered
-    for the gradient), then the particle-set long-range part; with
-    ``gradient``, (energy, gradient) from one call of each, and with
-    ``hessian`` as well, (energy, gradient, Hessian), the (n d, n d) Hessian
+    for the gradient), then the particle-set long-range part; at ``order`` 1,
+    (energy, gradient) from one call of each, and at ``order`` 2,
+    (energy, gradient, Hessian), the (n d, n d) Hessian
     in the row order of ``positions.ravel()`` assembled from the per-pair
     Hessians of G that the same kernel call returns.  ``positions`` may carry a
     leading axis of R configurations of the same masses, with ``pairs`` their
@@ -195,9 +195,9 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False, hessian=Fal
     iu, ju, diffs, _ = pairs
     stack = positions.reshape(-1, *positions.shape[-2:])
     R, n = stack.shape[:2]
-    part = green._pair_part(dim, diffs, params, gradient, hessian)
-    long = [green._set_long_range(dim, masses, x, params, gradient) for x in stack]
-    if gradient:
+    part = green._pair_part(dim, diffs, params, order)
+    long = [green._set_long_range(dim, masses, x, params, order > 0) for x in stack]
+    if order:
         part, grad, *hess = part
         long, long_grad = zip(*long)
     mm = masses[iu] * masses[ju]
@@ -205,14 +205,14 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False, hessian=Fal
     energy = [2.0 * s + e for s, e in zip(sums, long)]
     if positions.ndim == 2:
         energy = energy[0]
-    if not gradient:
+    if order == 0:
         return energy
     # each particle's pair terms over the (i < j) triangle: + along its row, - down its column
     t = _triangle(n, (2.0 * mm)[:, None] * grad.reshape(R, -1, dim))
     out = t.sum(axis=2) - t.sum(axis=1)
     for row, g in zip(out, long_grad):
         row += g  # a zero in 2D and for one particle
-    if not hessian:
+    if order == 1:
         return energy, out.reshape(positions.shape)
     # the pair (i, j) block 2 m_i m_j H(x_i - x_j) enters blocks (i, j) and (j, i) with -
     # (H is even, so both are the same) and blocks (i, i) and (j, j) with +
@@ -223,7 +223,7 @@ def _pair_sum(dim, masses, positions, pairs, params, gradient=False, hessian=Fal
     return energy, out.reshape(positions.shape), full if positions.ndim > 2 else full[0]
 
 
-def _raw_pair_sum(dim, masses, positions, params, gradient=False, hessian=False):
+def _raw_pair_sum(dim, masses, positions, params, order=0):
     # raw arrays: one positive finite mass per position row, the rows reduced to the cell
     positions = green._positions(dim, positions)
     masses = local._check_masses(masses)
@@ -231,7 +231,7 @@ def _raw_pair_sum(dim, masses, positions, params, gradient=False, hessian=False)
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
                          f"got shape {masses.shape}")
     return _pair_sum(dim, masses, positions, _check_distinct(_pairs(positions)),
-                     green._resolve(params, len(masses)), gradient, hessian)
+                     green._resolve(params, len(masses)), order)
 
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
@@ -241,7 +241,7 @@ def interaction_energy(dim, masses, positions, params=None) -> float:
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
-    return _raw_pair_sum(dim, masses, positions, params, gradient=True)[1]
+    return _raw_pair_sum(dim, masses, positions, params, 1)[1]
 
 
 def interaction_hessian(dim, masses, positions, params=None) -> np.ndarray:
@@ -249,7 +249,7 @@ def interaction_hessian(dim, masses, positions, params=None) -> np.ndarray:
 
     Its rows sum to zero block by block: the d translations are in its null space.
     """
-    return _raw_pair_sum(dim, masses, positions, params, gradient=True, hessian=True)[2]
+    return _raw_pair_sum(dim, masses, positions, params, 2)[2]
 
 
 def _second_order_parts(config, params=None):

@@ -22,10 +22,12 @@ half-mass balls beat a single ball.
 Each particle's radius, perimeter and self energy are written once per
 dimension, in the vectorised table ``_particles``: the scalar functions, the
 envelope, the radii and energies of ``sharp`` and F0's self terms all read it.
-The one mass rule, positive and finite, is ``_check_masses``: each public
-function of the library that takes masses applies it once, where they enter,
-and ``_particles`` itself reads masses that have passed it.  The one
-summation rule of the reported totals is ``_total``.
+``EnergyBreakdown`` is the itemized energy record of the local, limit and
+finite-scale evaluators.  The one mass rule, positive and finite, is
+``_check_masses``: each public function of the library that takes masses
+applies it once, where they enter, and ``_particles`` itself reads masses
+that have passed it.  The one summation rule of the reported totals is
+``_total``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import green
-from .breakdown import EnergyBreakdown
 
 #: Below this mass a 2D particle does not split (single-particle threshold).
 SINGLE_PARTICLE_THRESHOLD = 2.0 ** (-2.0 / 3.0) * math.pi
@@ -55,6 +56,34 @@ class PartitionResult:
     n: int
     per_mass: float
     envelope_value: float
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """Energy split into perimeter, scale-free self, regular self, and cross parts.
+
+    ``total`` always equals the sum of the four parts.  For finite-scale
+    (sharp-interface) energies ``eta`` and ``gamma`` carry the rescaling
+    metadata (gamma = eta^-3 in 3D, (|log eta| eta^3)^-1 in 2D) and ``dim``
+    the dimension; for scale-free quantities (whole-space ball energy, limit
+    functionals) ``eta`` and ``gamma`` are None.  ``tail_bound`` is a
+    certified bound on the truncation error of the evaluation, 0.0 for
+    closed forms.
+    """
+
+    perimeter_term: float
+    self_h1_term: float
+    regular_self_term: float
+    cross_term: float
+    total: float
+    eta: float | None = None
+    gamma: float | None = None
+    dim: int | None = None
+    tail_bound: float = 0.0
+
+    def parts_sum(self) -> float:
+        return (self.perimeter_term + self.self_h1_term
+                + self.regular_self_term + self.cross_term)
 
 
 def _check_masses(masses):

@@ -256,10 +256,9 @@ def _lockstep(dim, masses, descents, params):
     live = list(range(len(descents)))
     while live:
         x = np.stack([trials[i][0] for i in live])
-        hessian = any(trials[i][2] for i in live)
-        out = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]), params,
-                        gradient=True, hessian=hessian)
-        for i, e, g, h in zip(live, out[0], out[1], out[2] if hessian else [None] * len(live)):
+        order = 2 if any(trials[i][2] for i in live) else 1
+        out = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]), params, order)
+        for i, e, g, h in zip(live, out[0], out[1], out[2] if order == 2 else [None] * len(live)):
             try:
                 trials[i] = descents[i].send((e, g, h if trials[i][2] else None))
             except StopIteration as done:

@@ -46,7 +46,10 @@ with per-axis cosine tables.  A window of shells |k|^2 at a time, it maps
 each block of modes to its shell through one int32 shell index that every
 pair row shares, evaluates the form factors once per occupied shell, and
 takes each row's weights from there; it bounds its omitted modes by the
-closed-form integral of a piecewise power-law envelope.
+closed-form integral of a piecewise power-law envelope.  The form factors are
+``ball_form_factor``'s; scipy.special's j1 is imported in its 2D branch, once
+per call, and not at module level, where it would load scipy on
+``import oklim`` while only the 2D direct sum needs it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits, local
-from ._special import ball_form_factor
-from .breakdown import EnergyBreakdown
+from .local import EnergyBreakdown
 from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration,
                      OverlappingBalls, UnequalMasses2D)
 
@@ -115,6 +117,30 @@ class BallConfiguration(limits.PointConfiguration):
 # ---------------------------------------------------------------------------
 # the independent oracle: a truncated mode sum over the ball form factors
 # ---------------------------------------------------------------------------
+
+def ball_form_factor(dim, t):
+    """Fourier profile of the unit-mass ball: 3(sin t - t cos t)/t^3 or 2 J1(t)/t."""
+    t = np.asarray(t, dtype=float)
+    if dim == 3:
+        out = np.empty_like(t)
+        small = t < 0.1
+        ts = t[small]
+        t2 = ts * ts
+        out[small] = 1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 * t2 * t2 / 15120.0
+        tb = t[~small]
+        out[~small] = 3.0 * (np.sin(tb) - tb * np.cos(tb)) / tb**3
+    elif dim == 2:
+        from scipy.special import j1  # here, not at module level: see the module docstring
+
+        out = np.empty_like(t)
+        small = t < 1e-4
+        out[small] = 1.0 - t[small] ** 2 / 8.0
+        tb = t[~small]
+        out[~small] = 2.0 * j1(tb) / tb
+    else:
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return out if out.ndim else float(out)
+
 
 def _direct_mode_tail(dim, cutoff, masses, radii):
     """Certified bound on the modes |k| > cutoff of the bare form-factor sum.

@@ -418,6 +418,14 @@ def test_place_with_fewer_than_two_particles_is_one_line(n):
     assert r.stderr == "error: placement needs at least two particles\n"
 
 
+def test_place_with_a_count_beyond_the_index_range_names_n():
+    n = 10**30
+    r = run_cli("place", "--n", str(n), "--mass", "1", "--restarts", "1")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: --n is a particle count of at most {sys.maxsize}, got {n}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n", "3", "--mass", "inf"], "error: masses must be positive and finite, got inf\n"),
     # the pair energies overflow to inf and the gradients to nan: no RuntimeWarning lines

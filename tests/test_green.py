@@ -418,11 +418,11 @@ def test_kernel_rows_with_the_hessian_are_bitwise_their_one_row_calls(dim, alpha
     X = np.array([random_torus_point(np.random.default_rng([dim, i]), dim, min_dist=1e-3)
                   * np.where(np.arange(dim) % 2, -1.0, 1.0) for i in range(40)])
     X = green.min_image(X)
-    value, grad, hess = green._pair_part(dim, X, params, gradient=True, hessian=True)
+    value, grad, hess = green._pair_part(dim, X, params, 2)
     # the Hessian leaves the value and gradient bits alone
-    plain = green._pair_part(dim, X, params, gradient=True)
+    plain = green._pair_part(dim, X, params, 1)
     assert np.array_equal(plain[0], value) and np.array_equal(plain[1], grad)
     for i in range(len(X)):
-        one = green._pair_part(dim, X[i:i + 1], params, gradient=True, hessian=True)
+        one = green._pair_part(dim, X[i:i + 1], params, 2)
         assert one[0][0] == value[i]
         assert np.array_equal(one[1][0], grad[i]) and np.array_equal(one[2][0], hess[i])

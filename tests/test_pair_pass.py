@@ -96,7 +96,7 @@ def test_one_pass_gives_the_bits_of_the_value_and_gradient_formulas(dim, n):
         rng = np.random.default_rng([dim, n, seed])
         m, x = rng.uniform(0.5, 2.0, n), rng.random((n, dim))
         params = green._resolve(None, n)
-        energy, grad = limits._pair_sum(dim, m, x, limits._pairs(x), params, gradient=True)
+        energy, grad = limits._pair_sum(dim, m, x, limits._pairs(x), params, 1)
         assert energy == limits.interaction_energy(dim, m, x)
         assert np.array_equal(grad, reference_gradient(dim, m, x, params))
         assert np.array_equal(limits.interaction_gradient(dim, m, x), grad)
@@ -112,11 +112,11 @@ def test_each_row_of_a_stacked_pass_is_bitwise_its_own_call(dim, n):
         x = rng.random((R, n, dim))
         tables = [limits._pairs(xr) for xr in x]
         stacked = limits._stack(tables)
-        energies, grads = limits._pair_sum(dim, m, x, stacked, params, gradient=True)
+        energies, grads = limits._pair_sum(dim, m, x, stacked, params, 1)
         values = limits._pair_sum(dim, m, x, stacked, params)
         assert len(energies) == len(values) == R and grads.shape == (R, n, dim)
         for xr, table, e, v, g in zip(x, tables, energies, values, grads):
-            one_e, one_g = limits._pair_sum(dim, m, xr, table, params, gradient=True)
+            one_e, one_g = limits._pair_sum(dim, m, xr, table, params, 1)
             assert e == one_e and np.array_equal(g, one_g)
             assert v == limits._pair_sum(dim, m, xr, table, params)
 

@@ -159,11 +159,16 @@ def trig_set_long_range(masses, positions, params, gradient=False):
     return grad if gradient else energy - (total * total - mm) / (4 * params.alpha**2)
 
 
-def trig_long_range(X, params, gradient=False):
-    """The per-point long-range part at rows x, summed per k-vector of the ball with cos or sin."""
+def trig_long_range(X, params, order=0):
+    """The per-point long-range part at rows x, or its gradient (``order`` 1) or Hessian (2).
+
+    Summed per k-vector of the ball with cos or sin.
+    """
     kvecs, coef = _k_ball(params)
     phase = 2 * math.pi * X @ kvecs.T
-    if gradient:
+    if order == 2:
+        return -(2 * math.pi) ** 2 * np.einsum("jk,ka,kb->jab", np.cos(phase) * coef, kvecs, kvecs)
+    if order == 1:
         return -2 * math.pi * (np.sin(phase) * coef) @ kvecs
     return np.cos(phase) @ coef - 1.0 / (4 * params.alpha**2)
 
@@ -174,8 +179,12 @@ def test_per_point_long_range_matches_the_per_k_trig_sum(alpha):
     X = np.vstack([_face_points(), np.random.default_rng(9).uniform(-0.5, 0.5, (300, 3))])
     value = green._long_range(3, np.abs(X), params)
     assert np.max(np.abs(value - trig_long_range(np.abs(X), params))) <= 1e-14
-    grad = green._long_range(3, X, params, gradient=True)
-    assert np.max(np.abs(grad - trig_long_range(X, params, gradient=True))) <= 1e-14
+    grad = green._long_range(3, X, params, 1)
+    assert np.max(np.abs(grad - trig_long_range(X, params, 1))) <= 1e-14
+    # the Hessian, -(2 pi)^2 sum c_k k k^T cos(2 pi k.x), is checked otherwise only by
+    # central differences and by its trace
+    hess = green._long_range(3, X, params, 2)
+    assert np.max(np.abs(hess - trig_long_range(X, params, 2))) <= 1e-13 * np.max(np.abs(hess))
 
 
 @pytest.mark.parametrize("n, chunk", [(2, None), (4, None), (27, None), (27, 3000), (250, None),
@@ -269,11 +278,11 @@ def test_place_reaches_the_minima_of_the_per_pair_sum(monkeypatch, n, restarts):
     # Hessians of the Newton finish only steer the steps, so they come from the library
     pair_sum = optimize._pair_sum
 
-    def reference(dim, m, x, pairs, params, gradient=False, hessian=False):
+    def reference(dim, m, x, pairs, params, order=0):
         out = ([pair_energy(m, xr, params) for xr in x],
                np.stack([pair_gradient(m, xr, params) for xr in x]))
-        if hessian:
-            out += (pair_sum(dim, m, x, pairs, params, gradient, hessian)[2],)
+        if order == 2:
+            out += (pair_sum(dim, m, x, pairs, params, order)[2],)
         return out
     monkeypatch.setattr(optimize, "_pair_sum", reference)
     reference = optimize.place(3, masses, restarts=restarts, seed=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import scipy.special
 
-from oklim._special import ball_form_factor
+from oklim.sharp import ball_form_factor
 
 
 def test_form_factor_small_argument_limits():
