@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -179,6 +180,8 @@ class EwaldParameters:
     (odd c is the centred cube of radius (c - 1)/2).  fourier_cutoff bounds
     |k|.  Any two admissible parameter sets give the same G to ~1e-12; alpha
     is a pure identity parameter of the splitting.  2D uses none of them.
+    Each cutoff is a positive integer (a bool is not one): anything else
+    raises ValueError.
     """
 
     alpha: float
@@ -187,8 +190,10 @@ class EwaldParameters:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.real_cutoff < 1 or self.fourier_cutoff < 1:
-            raise ValueError("cutoffs must be positive integers")
+        for name in ("real_cutoff", "fourier_cutoff"):
+            c = getattr(self, name)
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+                raise ValueError(f"{name} must be a positive integer, got {c!r}")
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "EwaldParameters":

@@ -43,10 +43,14 @@ cutoff.  It takes the particles in lexicographic position order, as
 the same bits in every order of the particles; the breakdown sums its
 per-particle terms by ``local._total``.  It runs over the orthant k >= 0
 with per-axis cosine tables.  A window of shells |k|^2 at a time, it maps
-each block of modes to its shell through one int32 shell index that every
-pair row shares, evaluates the form factors once per occupied shell, and
-takes each row's weights from there; it bounds its omitted modes by the
-closed-form integral of a piecewise power-law envelope.  The form factors are
+each block of modes to its shell through one shell index that every pair
+row shares, evaluates the form factors once per occupied shell, and takes
+each row's weights from there; it bounds its omitted modes by the
+closed-form integral of a piecewise power-law envelope.  The shells, the
+blocks and the shell indices depend on the cutoff alone: they are its plan
+(``_direct_plan``), built on the first call at a cutoff and kept, about
+2 c^2 bytes (a uint16 per shell) plus in 3D the (k_2, k_3) shells, and each
+call evaluates only what depends on the configuration.  The form factors are
 ``ball_form_factor``'s; scipy.special's j1 is imported in its 2D branch, once
 per call, and not at module level, where it would load scipy on
 ``import oklim`` while only the 2D direct sum needs it.
@@ -55,7 +59,9 @@ per call, and not at module level, where it would load scipy on
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,26 +125,42 @@ class BallConfiguration(limits.PointConfiguration):
 # ---------------------------------------------------------------------------
 
 def ball_form_factor(dim, t):
-    """Fourier profile of the unit-mass ball: 3(sin t - t cos t)/t^3 or 2 J1(t)/t."""
+    """Fourier profile of the unit-mass ball: 3(sin t - t cos t)/t^3 or 2 J1(t)/t.
+
+    Below a small-t threshold (0.1 in 3D, 1e-4 in 2D), where the closed form
+    cancels or divides 0 by 0, the Taylor polynomial replaces it.  When no t
+    is below it, the closed form runs on the whole array, with no masked
+    copies and the same bits.  A 0-d ``t`` gives a float.
+    """
     t = np.asarray(t, dtype=float)
     if dim == 3:
-        out = np.empty_like(t)
-        small = t < 0.1
-        ts = t[small]
-        t2 = ts * ts
-        out[small] = 1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 * t2 * t2 / 15120.0
-        tb = t[~small]
-        out[~small] = 3.0 * (np.sin(tb) - tb * np.cos(tb)) / tb**3
+        threshold = 0.1
+
+        def closed(t):
+            return 3.0 * (np.sin(t) - t * np.cos(t)) / t**3
+
+        def taylor(t):
+            t2 = t * t
+            return 1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 * t2 * t2 / 15120.0
     elif dim == 2:
         from scipy.special import j1  # here, not at module level: see the module docstring
 
-        out = np.empty_like(t)
-        small = t < 1e-4
-        out[small] = 1.0 - t[small] ** 2 / 8.0
-        tb = t[~small]
-        out[~small] = 2.0 * j1(tb) / tb
+        threshold = 1e-4
+
+        def closed(t):
+            return 2.0 * j1(t) / t
+
+        def taylor(t):
+            return 1.0 - t**2 / 8.0
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
+    small = t < threshold
+    if small.any():
+        out = np.empty_like(t)
+        out[small] = taylor(t[small])
+        out[~small] = closed(t[~small])
+    else:
+        out = closed(t)
     return out if out.ndim else float(out)
 
 
@@ -177,6 +199,77 @@ def _direct_mode_tail(dim, cutoff, masses, radii):
     return 1.6 * scale * val  # slack for lattice-shell counts above the continuum
 
 
+@lru_cache(maxsize=8)
+def _direct_plan(dim, cutoff, window, chunk):
+    """What the mode sum of ``_pair_sums_direct`` needs of (dim, cutoff, window, chunk) alone.
+
+    (u, windows), every array read-only.  u holds the sorted shells of the
+    axes after the first: the squares k_2^2 in 2D, the distinct
+    k_2^2 + k_3^2 <= c^2 in 3D.  ``windows`` has one (s0, blocks, shell)
+    per window of ``window`` shells s = |k|^2 from s0: the (blocks, 4) rows
+    (b0, b1, j0, j1), k_1 in [b0, b1) against u[j0:j1], of at most
+    ``chunk`` modes (a one-row block may hold more), that cover the window's
+    s = k_1^2 + u; and the shell index, whose entry s - s0 + 1 is 1 plus the
+    rank of s among the window's occupied shells, in the smallest unsigned
+    type that holds ``window``.  Its two ends, where the s off the window
+    land, are 0; so are its other unoccupied entries, which no block reads.
+    """
+    kk = np.arange(cutoff + 1)
+    sq = kk * kk
+    c2 = cutoff * cutoff
+    if dim == 3:
+        occupied = np.zeros(c2 + 1, bool)
+        for k2 in range(cutoff + 1):
+            occupied[sq[k2] + sq[:math.isqrt(c2 - sq[k2]) + 1]] = True
+        u = np.flatnonzero(occupied)
+    else:
+        u = sq
+    windows = []
+    for s0 in range(1, c2 + 1, window):
+        s1 = min(s0 + window, c2 + 1)
+        top = math.isqrt(s1 - 1) + 1
+        lo = np.searchsorted(u, s0 - sq[:top]).tolist()
+        hi = np.searchsorted(u, s1 - sq[:top]).tolist()
+        blocks, b0 = [], 0
+        while b0 < top:
+            b1 = min(top, b0 + max(1, chunk // max(1, hi[b0] - lo[b0])))
+            while b1 - b0 > 1 and (b1 - b0) * (hi[b0] - lo[b1 - 1]) > chunk:
+                b1 = b0 + (b1 - b0) // 2
+            blocks.append((b0, b1, lo[b1 - 1], hi[b0]))
+            b0 = b1
+        shell = np.zeros(s1 - s0 + 2, np.min_scalar_type(window))
+        for b0, b1, j0, j1 in blocks:
+            pos = (sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1]
+            shell[np.minimum(np.maximum(pos, 0, out=pos), s1 - s0 + 1, out=pos)] = 1
+        shell[0] = shell[-1] = 0
+        occupied = np.flatnonzero(shell > 0)
+        shell[occupied] = np.arange(1, occupied.size + 1)
+        blocks = np.array(blocks)
+        blocks.flags.writeable = shell.flags.writeable = False
+        windows.append((s0, blocks, shell))
+    u.flags.writeable = False
+    return u, tuple(windows)
+
+
+def _shell_weights(dim, m, a, s0, shell):
+    """Per entry of a window's shell index: sum_i p_i^2, then the p_i.
+
+    Column 0, which the unoccupied entries take, is zero; column 1 + rank
+    holds p_i = m_i phi_i / (2 pi |k|) at the occupied shell s = |k|^2 of
+    that rank.  The form factors run _CHUNK // n shells at a time.
+    """
+    n = m.size
+    occupied = np.flatnonzero(shell > 0)
+    w = np.zeros((n + 1, occupied.size + 1))
+    step = max(1, _CHUNK // n)
+    for c0 in range(0, occupied.size, step):
+        k = np.sqrt(occupied[c0:c0 + step] + (s0 - 1.0))
+        p = m[:, None] * ball_form_factor(dim, 2 * math.pi * k * a[:, None]) / (2 * math.pi * k)
+        w[0, 1 + c0:1 + c0 + k.size] = np.sum(p * p, axis=0)
+        w[1:, 1 + c0:1 + c0 + k.size] = p
+    return w
+
+
 def _pair_sums_direct(config, cutoff):
     """(diag, off, tail): the trace and the off-diagonal sum of the truncated mode sum
 
@@ -192,73 +285,50 @@ def _pair_sums_direct(config, cutoff):
     The form factors phi depend only on the shell s = k_1^2 + u = |k|^2.
     The shells are walked in windows of _WINDOW, and the modes of a window in
     blocks of k_1 rows against a run of u, of at most _CHUNK modes (a
-    one-row block may hold more).  A first pass marks the window's occupied
-    shells in an int32 shell index; phi is evaluated once per occupied shell
-    as the per-particle weight p_i = m_i phi_i / (2 pi |k|).  A second pass
-    maps each block's s to its shell once, takes the weights there, and adds
-    tab[r, 0, block] @ (w_r[shell] @ rest[r, run]) to each row r, with
+    one-row block may hold more).
+
+    What depends on (dim, cutoff, _WINDOW, _CHUNK) alone is the plan of
+    ``_direct_plan``, built on the first call and kept (8 plans at most):
+    u, the blocks, and each window's shell index, which ranks the window's
+    occupied shells.  It keeps about 2 c^2 bytes of shell indices (a uint16
+    per shell) and, in 3D, the int64 u: 0.5 MB at c = 500 in 2D, 0.67 MB at
+    c = 400 in 3D.  Each call builds ``tab`` and ``rest``, and per window
+    evaluates phi once per occupied shell as the per-particle weight
+    p_i = m_i phi_i / (2 pi |k|) (``_shell_weights``); it then maps each
+    block's s to its rank, takes the weights there, and adds
+    tab[r, 0, block] @ (w_r[rank] @ rest[r, run]) to each row r, with
     w_r = p_i p_j for the pair (i, j) and sum_i p_i^2 for row 0.  The origin
     and the s off the window map to a zero weight.  The working memory is
-    about (n + 1) (_WINDOW + _CHUNK) doubles, plus in 3D the rows times the
-    shells of ``rest``, whose count grows as c^2 / sqrt(log c).
+    about (n + 1) (_WINDOW + _CHUNK) doubles, plus the rows times the shells
+    of ``rest``, whose count grows as c^2 / sqrt(log c) in 3D.
     """
     dim, n = config.dim, config.n
+    u, windows = _direct_plan(dim, cutoff, _WINDOW, _CHUNK)
     order = np.lexsort(config.positions.T[::-1])
     m, a, x = config.masses[order], config.radii[order], config.positions[order]
     iu, ju = np.triu_indices(n, 1)
     d = np.concatenate([np.zeros((1, dim)), x[iu] - x[ju]])
     kk = np.arange(cutoff + 1)
     sq = kk * kk
-    c2 = cutoff * cutoff
     tab = np.where(kk > 0, 2.0, 1.0) * np.cos(2 * math.pi * d[:, :, None] * kk)
-    # the shells u of the axes after the first, with each row's phase sum over them
     if dim == 3:
         # the shells k_2^2 + k_3^2 of one k_2 row are distinct, so one += adds each once
-        tops = [math.isqrt(c2 - k * k) + 1 for k in range(cutoff + 1)]
-        occupied = np.zeros(c2 + 1, bool)
-        for k2, top in enumerate(tops):
-            occupied[sq[k2] + sq[:top]] = True
-        u = np.flatnonzero(occupied)
         rest = np.zeros((d.shape[0], u.size))
-        for k2, top in enumerate(tops):
+        for k2 in range(cutoff + 1):
+            top = math.isqrt(cutoff * cutoff - sq[k2]) + 1
             rest[:, np.searchsorted(u, sq[k2] + sq[:top])] += tab[:, 1, k2, None] * tab[:, 2, :top]
     else:
-        u, rest = sq, tab[:, 1]
+        rest = tab[:, 1]
     acc = np.zeros(d.shape[0])
-    for s0 in range(1, c2 + 1, _WINDOW):
-        s1 = min(s0 + _WINDOW, c2 + 1)
-        # blocks k_1 in [b0, b1) against u[j0:j1], covering the window's s = k_1^2 + u
-        top = math.isqrt(s1 - 1) + 1
-        lo = np.searchsorted(u, s0 - sq[:top]).tolist()
-        hi = np.searchsorted(u, s1 - sq[:top]).tolist()
-        blocks, b0 = [], 0
-        while b0 < top:
-            b1 = min(top, b0 + max(1, _CHUNK // max(1, hi[b0] - lo[b0])))
-            while b1 - b0 > 1 and (b1 - b0) * (hi[b0] - lo[b1 - 1]) > _CHUNK:
-                b1 = b0 + (b1 - b0) // 2
-            blocks.append((b0, b1, lo[b1 - 1], hi[b0]))
-            b0 = b1
-        # s sits at s - s0 + 1 of the shell index; its two ends catch every s off the window
-        shell = np.full(s1 - s0 + 2, -1, np.int32)
-        for b0, b1, j0, j1 in blocks:
-            pos = (sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1]
-            shell[np.minimum(np.maximum(pos, 0, out=pos), s1 - s0 + 1, out=pos)] = 0
-        shell[0] = shell[-1] = -1
-        occupied = np.flatnonzero(shell == 0)
-        shell[occupied] = np.arange(occupied.size, dtype=np.int32)
-        # per occupied shell: sum_i p_i^2, then p_i; the last column, at shell -1, stays 0
-        w = np.zeros((n + 1, occupied.size + 1))
-        step = max(1, _CHUNK // n)
-        for c0 in range(0, occupied.size, step):
-            k = np.sqrt(occupied[c0:c0 + step] + (s0 - 1.0))
-            p = m[:, None] * ball_form_factor(dim, 2 * math.pi * k * a[:, None]) / (2 * math.pi * k)
-            w[0, c0:c0 + k.size] = np.sum(p * p, axis=0)
-            w[1:, c0:c0 + k.size] = p
-        for b0, b1, j0, j1 in blocks:
-            g = w.take(shell.take((sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1], mode="clip"), axis=1)
+    for s0, blocks, shell in windows:
+        w = _shell_weights(dim, m, a, s0, shell)
+        for b0, b1, j0, j1 in blocks.tolist():
+            rank = shell.take((sq[b0:b1] - (s0 - 1))[:, None] + u[j0:j1], mode="clip")
+            g = w.take(rank, axis=1, mode="clip")  # every rank is in range; "clip" is faster
             acc[0] += tab[0, 0, b0:b1] @ (g[0] @ rest[0, j0:j1])
             for r, (i, j) in enumerate(zip(iu, ju), 1):
                 acc[r] += tab[r, 0, b0:b1] @ ((g[i + 1] * g[j + 1]) @ rest[r, j0:j1])
+        del w, g  # before the next window's weights are made
     diag, off = float(acc[0]), 2.0 * float(np.sum(acc[1:]))
     return diag, off, _direct_mode_tail(dim, cutoff, m, a)
 
@@ -328,14 +398,18 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     Ewald parameters); its tail bound is pref * truncation_bound * (sum m)^2.
     ``method='direct'`` sums the bare mode sum up to ``fourier_cutoff``
     instead; it is only usable at moderate scales before its certified tail
-    violates the accuracy contract.
+    violates the accuracy contract.  Whatever the method, a ``fourier_cutoff``
+    that is not an integer (a bool is not one) or is below MIN_CUTOFF raises
+    ValueError.
     """
+    if isinstance(fourier_cutoff, bool) or not isinstance(fourier_cutoff, numbers.Integral):
+        raise ValueError(f"fourier_cutoff must be an integer, got {fourier_cutoff!r}")
     if fourier_cutoff < MIN_CUTOFF:
         raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
     if method == "ewald":
         return _breakdown(config, limits._second_order_parts(config, params))
     if method == "direct":
-        return _breakdown(config, _pair_sums_direct(config, fourier_cutoff), method)
+        return _breakdown(config, _pair_sums_direct(config, int(fourier_cutoff)), method)
     raise ValueError("method must be 'ewald' or 'direct'")
 
 

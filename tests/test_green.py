@@ -101,6 +101,18 @@ def test_ewald_parameters_reject_non_finite_alpha():
         green.EwaldParameters(alpha=math.inf, real_cutoff=2, fourier_cutoff=2)
 
 
+@pytest.mark.parametrize("cutoff", [True, False, 2.5, 3.0, np.float64(3), "3", 0, -2])
+@pytest.mark.parametrize("name", ["real_cutoff", "fourier_cutoff"])
+def test_ewald_parameters_reject_cutoffs_that_are_not_positive_integers(name, cutoff):
+    # real_cutoff=True summed one image, and 2.5 failed with a TypeError at first use
+    kwargs = {"real_cutoff": 7, "fourier_cutoff": 3, name: cutoff}
+    with pytest.raises(ValueError, match=name):
+        green.EwaldParameters(alpha=math.sqrt(math.pi), **kwargs)
+    kwargs[name] = np.int64(3)  # numpy integers are integers
+    assert green.EwaldParameters(alpha=math.sqrt(math.pi), **kwargs) == green.EwaldParameters(
+        alpha=math.sqrt(math.pi), **{**kwargs, name: 3})
+
+
 def test_gradient_matches_finite_differences(params):
     rng = np.random.default_rng(5)
     h = 1e-6

@@ -117,6 +117,18 @@ def test_cutoff_too_small_on_direct_mode():
         sharp.sharp_energy(cfg, fourier_cutoff=40, method="direct")
 
 
+@pytest.mark.parametrize("cutoff", [300.0, np.float64(300), True, "300", 300.5])
+@pytest.mark.parametrize("method", ["direct", "ewald"])
+def test_fourier_cutoff_must_be_an_integer(cutoff, method):
+    # 300.0 raised a TypeError deep in the mode sum, and True read as "must be >= 16";
+    # the check comes before any plan of the direct sum is built
+    cfg = sharp.BallConfiguration(2, 0.25, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7))])
+    sharp._direct_plan.cache_clear()
+    with pytest.raises(ValueError, match="fourier_cutoff must be an integer"):
+        sharp.sharp_energy(cfg, fourier_cutoff=cutoff, method=method)
+    assert sharp._direct_plan.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # agreement of independent evaluations
 # ---------------------------------------------------------------------------
@@ -211,9 +223,14 @@ def test_direct_pair_sums_match_per_mode_reference(monkeypatch, dim, eta, cutoff
     for window, chunk in [(sharp._WINDOW, sharp._CHUNK), (29, 11)]:
         monkeypatch.setattr(sharp, "_WINDOW", window)
         monkeypatch.setattr(sharp, "_CHUNK", chunk)
+        sharp._direct_plan.cache_clear()
         diag, off, _ = sharp._pair_sums_direct(cfg, cutoff)
         assert abs(diag - ref_diag) <= 1e-13 * abs(ref_diag)
         assert abs(off - ref_off) <= 1e-13 * abs(ref_off)
+        # the one plan the sum built is keyed on the window and the block size
+        _, windows = sharp._direct_plan(dim, cutoff, window, chunk)
+        assert sharp._direct_plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert len(windows) == -(-cutoff**2 // window)
 
 
 def test_direct_mode_calls_nothing_of_green_or_limits(monkeypatch):
@@ -273,17 +290,66 @@ def test_direct_tail_is_the_exact_envelope_integral(dim, radii, cutoff):
 
 
 def test_direct_mode_memory_stays_bounded():
-    # in 3D the whole (k_2, k_3) plane would be (cutoff + 1)^2 int64 per array
+    # in 3D the whole (k_2, k_3) plane would be (cutoff + 1)^2 int64 per array.  The cold
+    # call builds the plan and counts what it keeps; the warm call only reads it
     for dim, cutoff in [(2, 500), (3, 400)]:
         cfg = sharp.BallConfiguration(dim, 0.25, [(1.0, (0.1, 0.2, 0.3)[:dim]),
                                                   (0.7, (0.6, 0.7, 0.9)[:dim])])
-        tracemalloc.start()
-        try:
-            sharp.sharp_energy(cfg, fourier_cutoff=cutoff, method="direct")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6, (dim, peak)
+        sharp._direct_plan.cache_clear()
+        for call in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                sharp.sharp_energy(cfg, fourier_cutoff=cutoff, method="direct")
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3e6, (dim, call, peak)
+            assert kept <= (1e6 if call == "cold" else 2e4), (dim, call, kept)
+        u, windows = sharp._direct_plan(dim, cutoff, sharp._WINDOW, sharp._CHUNK)
+        shells = sum(shell.nbytes for _, _, shell in windows)
+        assert shells <= 2 * (cutoff**2 + 2 * len(windows)), (dim, shells)
+
+
+@pytest.mark.parametrize("dim, cutoff, particles", [
+    (2, 300, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7)), (1.3, (0.35, 0.9))]),
+    (3, 60, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.7, 0.9)), (1.3, (0.35, 0.9, 0.5))]),
+])
+def test_direct_pair_sums_are_bitwise_the_same_cold_and_warm(dim, cutoff, particles):
+    # a plan built afresh, a kept one, and one rebuilt after the cache is cleared
+    cfg = sharp.BallConfiguration(dim, 0.2, particles)
+    sharp._direct_plan.cache_clear()
+    cold = sharp._pair_sums_direct(cfg, cutoff)
+    assert sharp._pair_sums_direct(cfg, cutoff) == cold
+    sharp._direct_plan.cache_clear()
+    assert sharp._pair_sums_direct(cfg, cutoff) == cold
+
+
+@pytest.mark.parametrize("dim, cutoff", [(2, 200), (3, 60)])
+def test_direct_plan_is_read_only(dim, cutoff):
+    u, windows = sharp._direct_plan(dim, cutoff, sharp._WINDOW, sharp._CHUNK)
+    arrays = [u] + [a for _, blocks, shell in windows for a in (blocks, shell)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the shell index ranks the window's occupied shells from 1; its two ends are 0
+    for _, _, shell in windows:
+        ranks = shell[shell > 0]
+        assert shell[0] == shell[-1] == 0
+        assert ranks.tolist() == list(range(1, ranks.size + 1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_form_factor_fast_path_is_bitwise_the_masked_path(dim):
+    # with no t below the small-t threshold the closed form runs on the whole array;
+    # one small t in front sends the same values through the masked path
+    t = np.random.default_rng(dim).uniform(0.1, 400.0, (3, 500))
+    fast = sharp.ball_form_factor(dim, t)
+    masked = sharp.ball_form_factor(dim, np.concatenate([np.full((3, 1), 1e-6), t], axis=1))
+    assert fast.shape == t.shape and fast.tobytes() == masked[:, 1:].tobytes()
+    for i, j in [(0, 0), (1, 7), (2, 3)]:
+        for t0 in (t[i, j], float(t[i, j]), np.array(t[i, j])):  # 0-d input gives a float
+            value = sharp.ball_form_factor(dim, t0)
+            assert type(value) is float and value == masked[i, 1 + j]
 
 
 @pytest.mark.parametrize("cutoff", [16, 100, 300])
