@@ -1,4 +1,18 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its integer-argument check."""
+
+import numbers
+
+
+def check_integer(name, value, minimum):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= minimum.
+
+    A bool is not an integer here; numpy integers are.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class OklimError(Exception):

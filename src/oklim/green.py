@@ -73,13 +73,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import SingularPoint
+from .errors import SingularPoint, check_integer
 
 SINGULAR_GUARD = 1e-9
 _TAIL_TOL = 1e-13  # for_alpha's bound on the certified tail of each of its two shell sums
@@ -191,9 +190,7 @@ class EwaldParameters:
     def __post_init__(self):
         _check_alpha(self.alpha)
         for name in ("real_cutoff", "fourier_cutoff"):
-            c = getattr(self, name)
-            if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
-                raise ValueError(f"{name} must be a positive integer, got {c!r}")
+            check_integer(name, getattr(self, name), 1)
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "EwaldParameters":

@@ -48,18 +48,20 @@ row shares, evaluates the form factors once per occupied shell, and takes
 each row's weights from there; it bounds its omitted modes by the
 closed-form integral of a piecewise power-law envelope.  The shells, the
 blocks and the shell indices depend on the cutoff alone: they are its plan
-(``_direct_plan``), built on the first call at a cutoff and kept, about
-2 c^2 bytes (a uint16 per shell) plus in 3D the (k_2, k_3) shells, and each
-call evaluates only what depends on the configuration.  The form factors are
-``ball_form_factor``'s; scipy.special's j1 is imported in its 2D branch, once
-per call, and not at module level, where it would load scipy on
-``import oklim`` while only the 2D direct sum needs it.
+(``_direct_plan``), built on the first call at a cutoff and kept until a
+call at another cutoff replaces it, and each call evaluates only what
+depends on the configuration.  The plan costs memory that grows as c^2:
+about 2 c^2 bytes (a uint16 per shell) plus in 3D the (k_2, k_3) shells,
+2 MB at c = 1000 in 2D, and the cold call holds it whole beside its working
+memory; it saves time only on repeated calls at one cutoff.  The form
+factors are ``ball_form_factor``'s; scipy.special's j1 is imported in its
+2D branch, once per call, and not at module level, where it would load
+scipy on ``import oklim`` while only the 2D direct sum needs it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +70,7 @@ import numpy as np
 from . import limits, local
 from .local import EnergyBreakdown
 from .errors import (CutoffTooSmall, DiameterTooLarge, InadmissibleConfiguration,
-                     OverlappingBalls, UnequalMasses2D)
+                     OverlappingBalls, UnequalMasses2D, check_integer)
 
 MIN_CUTOFF = 16
 TAIL_CONTRACT = 1e-8  # certified tail must stay below this fraction of the total
@@ -127,10 +129,9 @@ class BallConfiguration(limits.PointConfiguration):
 def ball_form_factor(dim, t):
     """Fourier profile of the unit-mass ball: 3(sin t - t cos t)/t^3 or 2 J1(t)/t.
 
-    Below a small-t threshold (0.1 in 3D, 1e-4 in 2D), where the closed form
-    cancels or divides 0 by 0, the Taylor polynomial replaces it.  When no t
-    is below it, the closed form runs on the whole array, with no masked
-    copies and the same bits.  A 0-d ``t`` gives a float.
+    The closed form runs on the whole array; below a small-t threshold (0.1
+    in 3D, 1e-4 in 2D), where it cancels or divides 0 by 0, the Taylor
+    polynomial overwrites it.  A 0-d ``t`` gives a float.
     """
     t = np.asarray(t, dtype=float)
     if dim == 3:
@@ -155,12 +156,9 @@ def ball_form_factor(dim, t):
     else:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     small = t < threshold
-    if small.any():
-        out = np.empty_like(t)
-        out[small] = taylor(t[small])
-        out[~small] = closed(t[~small])
-    else:
-        out = closed(t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the small t are overwritten
+        out = np.asarray(closed(t))
+    out[small] = taylor(t[small])
     return out if out.ndim else float(out)
 
 
@@ -199,7 +197,7 @@ def _direct_mode_tail(dim, cutoff, masses, radii):
     return 1.6 * scale * val  # slack for lattice-shell counts above the continuum
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _direct_plan(dim, cutoff, window, chunk):
     """What the mode sum of ``_pair_sums_direct`` needs of (dim, cutoff, window, chunk) alone.
 
@@ -288,11 +286,13 @@ def _pair_sums_direct(config, cutoff):
     one-row block may hold more).
 
     What depends on (dim, cutoff, _WINDOW, _CHUNK) alone is the plan of
-    ``_direct_plan``, built on the first call and kept (8 plans at most):
-    u, the blocks, and each window's shell index, which ranks the window's
-    occupied shells.  It keeps about 2 c^2 bytes of shell indices (a uint16
-    per shell) and, in 3D, the int64 u: 0.5 MB at c = 500 in 2D, 0.67 MB at
-    c = 400 in 3D.  Each call builds ``tab`` and ``rest``, and per window
+    ``_direct_plan``, built on the first call at a cutoff and kept, one
+    cutoff at a time: u, the blocks, and each window's shell index, which
+    ranks the window's occupied shells.  It keeps about 2 c^2 bytes of shell
+    indices (a uint16 per shell) and, in 3D, the int64 u: 0.5 MB at c = 500
+    and 2 MB at c = 1000 in 2D, 0.67 MB at c = 400 in 3D.  That cost grows
+    as c^2 with no cap on c; the cold call builds every window's index
+    before the sum runs, so its peak is the plan plus the working memory.  Each call builds ``tab`` and ``rest``, and per window
     evaluates phi once per occupied shell as the per-particle weight
     p_i = m_i phi_i / (2 pi |k|) (``_shell_weights``); it then maps each
     block's s to its rank, takes the weights there, and adds
@@ -402,14 +402,11 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     that is not an integer (a bool is not one) or is below MIN_CUTOFF raises
     ValueError.
     """
-    if isinstance(fourier_cutoff, bool) or not isinstance(fourier_cutoff, numbers.Integral):
-        raise ValueError(f"fourier_cutoff must be an integer, got {fourier_cutoff!r}")
-    if fourier_cutoff < MIN_CUTOFF:
-        raise ValueError(f"fourier_cutoff must be >= {MIN_CUTOFF}")
+    fourier_cutoff = check_integer("fourier_cutoff", fourier_cutoff, MIN_CUTOFF)
     if method == "ewald":
         return _breakdown(config, limits._second_order_parts(config, params))
     if method == "direct":
-        return _breakdown(config, _pair_sums_direct(config, int(fourier_cutoff)), method)
+        return _breakdown(config, _pair_sums_direct(config, fourier_cutoff), method)
     raise ValueError("method must be 'ewald' or 'direct'")
 
 

@@ -310,6 +310,31 @@ def test_direct_mode_memory_stays_bounded():
         assert shells <= 2 * (cutoff**2 + 2 * len(windows)), (dim, shells)
 
 
+def test_direct_plan_keeps_one_cutoff_of_about_two_bytes_per_shell():
+    # the kept plan grows as c^2 (a uint16 per shell s <= c^2), the cold call needs at
+    # most 1 MB beside it, a warm call's working memory does not grow with c, and a
+    # call at another cutoff replaces the plan
+    cfg = sharp.BallConfiguration(2, 0.25, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7))])
+    sharp.ball_form_factor(2, 1.0)  # imports j1
+    tracemalloc.start()
+    try:
+        for cutoff in (600, 1200):
+            sharp._direct_plan.cache_clear()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sharp._pair_sums_direct(cfg, cutoff)
+            kept, cold = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sharp._pair_sums_direct(cfg, cutoff)
+            warm = tracemalloc.get_traced_memory()[1] - kept
+            assert kept - base <= 2.05 * cutoff**2 + 1e5, (cutoff, kept - base)
+            assert cold - kept <= 1e6 and warm <= 1e6, (cutoff, cold - kept, warm)
+        sharp._pair_sums_direct(cfg, 600)
+        assert tracemalloc.get_traced_memory()[0] - base <= 2.05 * 600**2 + 1e5
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dim, cutoff, particles", [
     (2, 300, [(1.0, (0.1, 0.2)), (0.7, (0.6, 0.7)), (1.3, (0.35, 0.9))]),
     (3, 60, [(1.0, (0.1, 0.2, 0.3)), (0.7, (0.6, 0.7, 0.9)), (1.3, (0.35, 0.9, 0.5))]),
@@ -339,17 +364,22 @@ def test_direct_plan_is_read_only(dim, cutoff):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_ball_form_factor_fast_path_is_bitwise_the_masked_path(dim):
-    # with no t below the small-t threshold the closed form runs on the whole array;
-    # one small t in front sends the same values through the masked path
-    t = np.random.default_rng(dim).uniform(0.1, 400.0, (3, 500))
-    fast = sharp.ball_form_factor(dim, t)
-    masked = sharp.ball_form_factor(dim, np.concatenate([np.full((3, 1), 1e-6), t], axis=1))
-    assert fast.shape == t.shape and fast.tobytes() == masked[:, 1:].tobytes()
-    for i, j in [(0, 0), (1, 7), (2, 3)]:
+def test_ball_form_factor_is_bitwise_its_closed_form_and_taylor_parts(dim):
+    # the closed form runs on the whole array and the small t are overwritten: each
+    # entry has the bits it gets when its part is evaluated alone, as a masked path would
+    rng = np.random.default_rng(dim)
+    t = rng.uniform(0.1, 400.0, (3, 500))
+    t[:, ::7] = rng.uniform(0.0, 1e-4, (3, 72))
+    t[1, 5] = 0.0
+    small = t < (0.1 if dim == 3 else 1e-4)
+    out = sharp.ball_form_factor(dim, t)
+    assert out.shape == t.shape and small.any() and not small.all()
+    for part in (small, ~small):
+        assert out[part].tobytes() == sharp.ball_form_factor(dim, t[part]).tobytes()
+    for i, j in [(0, 0), (1, 5), (1, 8), (2, 3)]:
         for t0 in (t[i, j], float(t[i, j]), np.array(t[i, j])):  # 0-d input gives a float
             value = sharp.ball_form_factor(dim, t0)
-            assert type(value) is float and value == masked[i, 1 + j]
+            assert type(value) is float and value == out[i, j]
 
 
 @pytest.mark.parametrize("cutoff", [16, 100, 300])
