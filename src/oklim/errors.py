@@ -11,7 +11,8 @@ def check_integer(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
     return int(value)
 
 

@@ -39,10 +39,10 @@ matrix products whose bits do not depend on the BLAS thread count.  Without
 explicit parameters, alpha is chosen from n among PAIR_SUM_ALPHAS (2.75 up
 to n = 13, 5.5 up to 209, 10.7 above), and a per-point G takes the choice
 for one pair, n = 2.
-Each per-point kernel takes one derivative ``order``: 0 for the value, 1
-for the value and gradient, 2 for the value, gradient and Hessian, all
-from one set of shared factors; ``_set_long_range`` forms its gradient with
-its value.  ``_pair_part`` at order 2 forms the Hessian of the whole G per
+Every kernel takes one derivative ``order``: 0 for the value, 1 for the
+value and gradient, 2 for the value, gradient and Hessian, all from one set
+of shared factors; ``_set_long_range`` forms its gradient with its value at
+any order >= 1.  ``_pair_part`` at order 2 forms the Hessian of the whole G per
 row (for ``green_hess_many`` and the placement's Newton steps): in 2D
 G = Re Phi + y^2/2 with Phi holomorphic, so the Hessian is
 [[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], Phi'' from the theta
@@ -179,8 +179,8 @@ class EwaldParameters:
     (odd c is the centred cube of radius (c - 1)/2).  fourier_cutoff bounds
     |k|.  Any two admissible parameter sets give the same G to ~1e-12; alpha
     is a pure identity parameter of the splitting.  2D uses none of them.
-    Each cutoff is a positive integer (a bool is not one): anything else
-    raises ValueError.
+    alpha is a positive finite number and each cutoff a positive integer (a
+    bool is neither): anything else raises ValueError.
     """
 
     alpha: float
@@ -195,7 +195,7 @@ class EwaldParameters:
     @classmethod
     def for_alpha(cls, alpha: float) -> "EwaldParameters":
         """Choose the smallest cutoffs whose tail bounds are <= _TAIL_TOL (c at most 161)."""
-        alpha = _check_alpha(float(alpha))  # before the shell sums, which a bad alpha makes slow
+        alpha = float(_check_alpha(alpha))  # before the shell sums, which a bad alpha makes slow
         rc = 1
         while _real_tail_bound(alpha, rc) > _TAIL_TOL and rc < _MAX_REAL_CUTOFF:
             rc += 1
@@ -218,7 +218,7 @@ class EwaldParameters:
 
 
 def _check_alpha(alpha):
-    if not (alpha > 0 and math.isfinite(alpha)):
+    if isinstance(alpha, (bool, np.bool_)) or not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return alpha
 
@@ -472,22 +472,22 @@ def _wavenumbers(F):
     return out
 
 
-def _trig_tables(positions, F, gradient=False):
+def _trig_tables(positions, F, order=0):
     """The per-axis tables P_d = [cos, sin](2 pi k x_jd), k = 0..F-1, as a (1, 3, n, 2F) array.
 
     ``[0, d, j, :F]`` is the cos table and ``[0, d, j, F:]`` the sin table.
-    With ``gradient``, (2, 3, n, 2F): the derivative tables
+    At ``order`` >= 1, (2, 3, n, 2F): the derivative tables
     D_d = dP_d/dx_d / 2 pi = [-k sin, k cos] follow, P_d with its parities
     swapped and scaled by -k and k.
     """
     two_pi_k, kk = _wavenumbers(F)
     phase = positions.T[:, :, None] * two_pi_k
-    out = np.empty((1 + gradient, *phase.shape[:2], 2, F))
+    out = np.empty((1 + (order > 0), *phase.shape[:2], 2, F))
     np.cos(phase, out=out[0, :, :, 0])
     np.sin(phase, out=out[0, :, :, 1])
-    if gradient:
+    if order:
         np.multiply(out[0, :, :, ::-1], kk, out=out[1])
-    return out.reshape(1 + gradient, *phase.shape[:2], 2 * F)
+    return out.reshape(len(out), *phase.shape[:2], 2 * F)
 
 
 # every per-point long-range quantity, a column: the value, the gradient's 3 entries and the
@@ -522,7 +522,7 @@ def _long_range(dim, X, params, order=0):
     first, second, third = _COLUMNS[:, lo:lo + 3**order]
 
     def rows(x):
-        tables = _trig_tables(x, F, order > 0)[..., :F]  # [C, D], (1 + (order > 0), 3, rows, F)
+        tables = _trig_tables(x, F, order)[..., :F]  # [C, D], (1 + (order > 0), 3, rows, F)
         if order == 2:
             tables = np.concatenate([tables, tables[:1] * -_wavenumbers(F)[1][1] ** 2])  # E
         t = np.einsum("bca,tja->tjbc", w, tables[:, 0])  # the k1 sums, (order + 1, rows, F, F)
@@ -560,7 +560,7 @@ def _serial_matmul(a, b):
 _FLAT_GRADIENT = 3 * _COLUMNS[:, 1:4] + np.arange(3)[:, None]
 
 
-def _set_long_range(dim, masses, positions, params, gradient=False):
+def _set_long_range(dim, masses, positions, params, order=0):
     """The particle-set long-range part of sum_{i != j} m_i m_j G, and its gradient: zero in 2D.
 
     3D, with S(k) = sum_j m_j e^(2 pi i k.x_j) and M = sum m:
@@ -578,20 +578,21 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     through the same tables, once per axis s with the derivative table D_s
     in place of P_s: one product Z @ R.T over the axis-3 factors R of all
     three axes, then the sums with the axis-1 and axis-2 factors, each
-    particle's over its own column.  ``gradient`` returns
-    (value, gradient) from one set of tables and one T.  Every product is a
+    particle's over its own column.  At any ``order`` >= 1 it returns
+    (value, (n, d) gradient) from one set of tables and one T; the long-range
+    part of the pair sum's Hessian comes per pair, from ``_pair_part``.  Both
+    are zero in 2D and for fewer than two particles.  Every product is a
     ``_serial_matmul`` and every other sum a numpy reduction, so the bits do
     not depend on the BLAS thread count.  T is formed in the lexicographic
     order of the positions, so the value is exactly permutation invariant.
-    Zero for fewer than two particles.
     """
     if dim == 2 or len(masses) < 2:
-        return (0.0, 0.0) if gradient else 0.0
+        return (0.0, np.zeros_like(positions)) if order else 0.0
     F = params.fourier_cutoff + 1
     w = _structure_weights(params)
-    order = np.lexsort(positions.T[::-1])
-    m = masses[order]
-    tables = _trig_tables(positions[order], F, gradient)
+    lex = np.lexsort(positions.T[::-1])
+    m = masses[lex]
+    tables = _trig_tables(positions[lex], F, order)
     p1t, p2t, p3 = tables[0, 0].T * m, tables[0, 1].T, tables[0, 2]  # the masses ride on P_1
     step = max(1, _CHUNK // (4 * F * F))  # particles per chunk: (4 F^2, chunk) temporaries
     chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
@@ -604,7 +605,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
     # summed pairwise: a running sum of the 8 F^3 terms would lose about 1e-14 relative
     recip = float(np.sum(z * t)) - mm * float(w.sum())
     value = recip - (total * total - mm) / (4 * params.alpha**2)
-    if not gradient:
+    if order == 0:
         return value
     tables = tables.reshape(6, len(m), 2 * F)  # P_1, P_2, P_3, D_1, D_2, D_3
     out = np.empty_like(positions)
@@ -616,7 +617,7 @@ def _set_long_range(dim, masses, positions, params, gradient=False):
         left, middle, right = factors.reshape(3, -1, 2 * F).transpose(0, 2, 1)  # (2F, 3 chunk)
         y = _serial_matmul(z, right).reshape(2 * F, 2 * F, -1)  # the (sigma3, k3) sums
         g = np.einsum("aj,aj->j", np.einsum("abj,bj->aj", y, middle), left).reshape(3, -1)
-        out[order[c]] = (4 * math.pi) * g.T
+        out[lex[c]] = (4 * math.pi) * g.T
     return value, out
 
 

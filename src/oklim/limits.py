@@ -24,22 +24,24 @@ dimensions); "halved" multiplies the cross sum by 1/2.  The ordered pair sum
 ``interaction_energy`` and its gradient serve F0, the finite-scale energy of
 ``sharp`` (whose ``BallConfiguration`` is a ``PointConfiguration``) and the
 placement optimizer; it is exactly permutation invariant.  It is one driver,
-``_pair_sum``, over green's split of G in both dimensions: it takes one
-min-image pair table, checked by ``_check_distinct`` where it was built,
-and runs the per-pair parts (summed by ``local._total``, and scattered for
-the gradient), then the particle-set long-range part.  Asked for the
-gradient, it returns the energy with it from one pass: one per-pair kernel
-call and one structure factor.  Asked for the Hessian as well, it assembles
-the (n d, n d) Hessian from the per-pair Hessians of G that the same kernel
-call returns: each pair's block enters the two diagonal blocks with + and
-the two off-diagonal blocks with -, written through the same pair triangle
-as the gradient terms (``_triangle``, one flat index per pair).  Over a
-leading axis of R configurations of the same masses (the trial points of
-the placement restarts, their tables joined by ``_stack``) it makes one
-kernel call over all R * P pair rows, sums each row by ``local._total``, and
-sums each particle's gradient terms over the pair triangle; each row is
-bitwise its own one-configuration call.  ``interaction_energy``,
-``interaction_gradient`` and ``interaction_hessian`` wrap it over raw arrays
+``_pair_sum``, over green's split of G in both dimensions, and it has one
+shape: a stack of R configurations of one set of masses in, (R, n, d)
+positions with their (R * P, d) min-image differences, checked by
+``_check_distinct`` where each table was built, and arrays out.  It makes
+one per-pair kernel call over all R * P rows, sums each configuration's
+pair terms by ``local._total`` and each particle's gradient terms over the
+pair triangle, then adds the particle-set long-range part per
+configuration: the (R,) energies, and at derivative ``order`` 1 the
+(R, n, d) gradients with them from the same pass.  At ``order`` 2 it
+assembles the (R, n d, n d) Hessians from the per-pair Hessians of G that
+the same kernel call returns: each pair's block enters the two diagonal
+blocks with + and the two off-diagonal blocks with -, written through the
+same pair triangle as the gradient terms (``_triangle``, one flat index per
+pair).  Each configuration's entries are bitwise those of its own one-row
+stack.  The placement's restarts pass their trial points as the stack; F0
+and the raw-array wrappers pass a stack of one and take its row.
+``interaction_energy``, ``interaction_gradient`` and
+``interaction_hessian`` wrap it over raw arrays
 with the Ewald parameters chosen from n unless given, reduce the rows to
 [0, 1) by the one position rule ``green._positions``, and raise ValueError
 when ``dim`` is not 2 or 3, the positions do not have ``dim`` columns, or
@@ -156,18 +158,6 @@ def _check_distinct(pairs):
     return pairs
 
 
-def _stack(tables):
-    """The ``_pairs`` tables of R configurations of one size as one table of R * P rows.
-
-    The differences stay the (R * P, d) transpose of a coordinate-major array.
-    """
-    if len(tables) == 1:
-        return tables[0]
-    iu, ju = tables[0][:2]
-    diffs = np.concatenate([t[2].T for t in tables], axis=1).T
-    return iu, ju, diffs, np.concatenate([t[3] for t in tables])
-
-
 def _triangle(n, terms):
     """The (R, P, ...) pair terms on the (i < j) triangle of an (R, n, n, ...) array of zeros."""
     t = np.zeros((len(terms), n * n, *terms.shape[2:]))
@@ -175,73 +165,66 @@ def _triangle(n, terms):
     return t.reshape(len(terms), n, n, *terms.shape[2:])
 
 
-def _pair_sum(dim, masses, positions, pairs, params, order=0):
-    """The ordered pair sum over the ``_pairs`` table of ``positions``, at resolved ``params``.
+def _pair_sum(dim, masses, positions, diffs, params, order=0):
+    """The ordered pair sums of a stack of configurations of one set of masses, at ``params``.
 
-    One pass: the per-pair parts (summed by ``local._total``, and scattered
-    for the gradient), then the particle-set long-range part; at ``order`` 1,
-    (energy, gradient) from one call of each, and at ``order`` 2,
-    (energy, gradient, Hessian), the (n d, n d) Hessian
-    in the row order of ``positions.ravel()`` assembled from the per-pair
-    Hessians of G that the same kernel call returns.  ``positions`` may carry a
-    leading axis of R configurations of the same masses, with ``pairs`` their
-    tables joined by ``_stack``: then a list of R energies, the (R, n, d)
-    gradients and the (R, n d, n d) Hessians come from one per-pair kernel
-    call over all R * P rows, and each row is bitwise its own one-configuration
-    call (the per-pair kernels and the sums are row-independent; the
-    long-range part runs per configuration).
+    ``positions`` is an (R, n, d) stack and ``diffs`` its (R * P, d) min-image
+    pair differences, the transpose of a coordinate-major array, in the pair
+    order of ``_pair_index(n)``.  One pass: one per-pair kernel call over all
+    R * P rows, each configuration's pair terms summed by ``local._total``,
+    then the particle-set long-range part per configuration.  The (R,)
+    energies at ``order`` 0; at ``order`` 1 with them the (R, n, d) gradients,
+    each particle's pair terms summed over the pair triangle; at ``order`` 2
+    also the (R, n d, n d) Hessians in the row order of ``positions[r].ravel()``,
+    assembled from the per-pair Hessians of G that the same kernel call
+    returns.  Each configuration's entries are bitwise those of its own
+    one-configuration stack: the kernels and the sums are row-independent.
     Unchecked: each table passed ``_check_distinct`` where it was built.
     """
-    iu, ju, diffs, _ = pairs
-    stack = positions.reshape(-1, *positions.shape[-2:])
-    R, n = stack.shape[:2]
+    R, n = positions.shape[:2]
+    iu, ju, _ = _pair_index(n)
     part = green._pair_part(dim, diffs, params, order)
-    long = [green._set_long_range(dim, masses, x, params, order > 0) for x in stack]
+    long = [green._set_long_range(dim, masses, x, params, order) for x in positions]
     if order:
         part, grad, *hess = part
         long, long_grad = zip(*long)
     mm = masses[iu] * masses[ju]
-    sums = local._total(mm * part.reshape(R, -1)).tolist()
-    energy = [2.0 * s + e for s, e in zip(sums, long)]
-    if positions.ndim == 2:
-        energy = energy[0]
+    energy = 2.0 * local._total(mm * part.reshape(R, -1)) + long
     if order == 0:
         return energy
     # each particle's pair terms over the (i < j) triangle: + along its row, - down its column
     t = _triangle(n, (2.0 * mm)[:, None] * grad.reshape(R, -1, dim))
-    out = t.sum(axis=2) - t.sum(axis=1)
-    for row, g in zip(out, long_grad):
-        row += g  # a zero in 2D and for one particle
+    gradient = t.sum(axis=2) - t.sum(axis=1) + long_grad
     if order == 1:
-        return energy, out.reshape(positions.shape)
+        return energy, gradient
     # the pair (i, j) block 2 m_i m_j H(x_i - x_j) enters blocks (i, j) and (j, i) with -
     # (H is even, so both are the same) and blocks (i, i) and (j, j) with +
     t = _triangle(n, (-2.0 * mm)[:, None, None] * hess[0].reshape(R, -1, dim, dim))
     t += t.swapaxes(1, 2)
     t[:, range(n), range(n)] = -t.sum(axis=2)
-    full = t.swapaxes(2, 3).reshape(R, n * dim, n * dim)
-    return energy, out.reshape(positions.shape), full if positions.ndim > 2 else full[0]
+    return energy, gradient, t.swapaxes(2, 3).reshape(R, n * dim, n * dim)
 
 
 def _raw_pair_sum(dim, masses, positions, params, order=0):
-    # raw arrays: one positive finite mass per position row, the rows reduced to the cell
+    # raw arrays: one positive finite mass per position row, the rows reduced to the cell;
+    # the pair sums of a stack of this one configuration
     positions = green._positions(dim, positions)
     masses = local._check_masses(masses)
     if masses.shape != (len(positions),):
         raise ValueError(f"masses must hold one entry per position row ({len(positions)}), "
                          f"got shape {masses.shape}")
-    return _pair_sum(dim, masses, positions, _check_distinct(_pairs(positions)),
+    return _pair_sum(dim, masses, positions[None], _check_distinct(_pairs(positions))[2],
                      green._resolve(params, len(masses)), order)
 
 
 def interaction_energy(dim, masses, positions, params=None) -> float:
     """Ordered double sum sum_{i != j} m_i m_j G(x_i - x_j) over (n,) masses, (n, d) positions."""
-    return _raw_pair_sum(dim, masses, positions, params)
+    return float(_raw_pair_sum(dim, masses, positions, params)[0])
 
 
 def interaction_gradient(dim, masses, positions, params=None) -> np.ndarray:
     """Gradient of the interaction energy with respect to all positions."""
-    return _raw_pair_sum(dim, masses, positions, params, 1)[1]
+    return _raw_pair_sum(dim, masses, positions, params, 1)[1][0]
 
 
 def interaction_hessian(dim, masses, positions, params=None) -> np.ndarray:
@@ -249,7 +232,7 @@ def interaction_hessian(dim, masses, positions, params=None) -> np.ndarray:
 
     Its rows sum to zero block by block: the d translations are in its null space.
     """
-    return _raw_pair_sum(dim, masses, positions, params, 2)[2]
+    return _raw_pair_sum(dim, masses, positions, params, 2)[2][0]
 
 
 def _second_order_parts(config, params=None):
@@ -265,7 +248,7 @@ def _second_order_parts(config, params=None):
     params = green._resolve(params, len(masses))
     vals = masses**2 * green.regular_part_at_zero(dim, params) + local._particles(dim, masses)[3]
     return (local._total(vals),
-            _pair_sum(dim, masses, config.positions, config.pairs, params),
+            float(_pair_sum(dim, masses, config.positions[None], config.pairs[2], params)[0]),
             green.truncation_bound(dim, params) * local._total(masses)**2)
 
 

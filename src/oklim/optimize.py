@@ -17,14 +17,20 @@ through the same line search, which converges quadratically (Nocedal &
 Wright, Numerical Optimization, 2nd ed., ch. 3); elsewhere, and when a
 Newton line search fails, it follows L-BFGS.  The restarts run in lockstep:
 each is a generator, ``_descend``, that yields its guarded trial points with
-their min-image pair tables and whether it wants the Hessian there, and
-receives their energies, gradients and Hessians; each round evaluates the
-pending trial point of every running restart in one stacked pass of the
-pair sum ``limits._pair_sum``, which returns the energies, gradients and,
-when asked, Hessians together, at Ewald parameters resolved once per
-``place`` call.  Its rows are row-independent, so each restart takes the
-bits of its solo run; ``evaluations`` counts the trial points
-over all restarts.  With a given start, every restart runs in the
+the min-image differences of their pair tables and whether it wants the
+Hessian there, and receives their energies, gradients and Hessians; each
+round stacks the pending trial points of every running restart, with their
+differences joined, into one pass of the pair sum ``limits._pair_sum``,
+which returns arrays of the energies, gradients and, when asked, Hessians
+together, at Ewald parameters resolved once per ``place`` call.  Its rows
+are row-independent, so each restart takes the bits of its solo run;
+``evaluations`` counts the trial points over all restarts.  The pair sum
+is homogeneous of degree 2 in the masses, so the descent runs on
+masses / 2^k, k = round(log2(mean mass)), which a power of two scales
+exactly, and its energy and gradient norm scale back by 2^(2k): the
+tolerance, the noise floor, the Newton switch and the first trial step
+hold relative to that mass scale, and masses 2^j give the unit-mass
+positions bitwise.  With a given start, every restart runs in the
 lexicographic order of its positions.  The reported pairwise distances
 come from the pair table of the result's ``PointConfiguration``, and the
 smallest eigenvalue of the result's Hessian, the translations projected
@@ -49,12 +55,12 @@ from functools import cached_property
 import numpy as np
 
 from . import green
-from .errors import IncommensurateCount, NoConvergence
+from .errors import IncommensurateCount, NoConvergence, check_integer
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
-from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, _stack,
-                     equal_masses, interaction_energy, interaction_gradient, interaction_hessian)
-from .local import _check_masses
+from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, equal_masses,
+                     interaction_energy, interaction_gradient, interaction_hessian)
+from .local import _check_masses, _total
 
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -166,10 +172,11 @@ def _newton_direction(g, hessian):
 def _descend(x, tol, max_iterations):
     """One restart's descent from the rows x in [0, 1), as a generator of its trial points.
 
-    Yields each guarded trial point as (positions, its ``_pairs`` table,
-    whether it wants the Hessian there) and receives its (energy, gradient,
-    Hessian or None); returns (x, energy, grad_norm, iters, converged,
-    evaluations), ``evaluations`` counting the trial points.  Once |grad|
+    Yields each guarded trial point as (positions, the (P, d) differences of
+    its ``_pairs`` table, whether it wants the Hessian there) and receives
+    its (energy, gradient, Hessian or None); returns (x, energy, grad_norm,
+    iters, converged, evaluations), ``evaluations`` counting the trial
+    points.  Once |grad|
     falls below _NEWTON_SWITCH, it asks for the Hessian at each trial point
     (if the reduced Hessian has at most _NEWTON_ROWS rows), and at a point
     whose Hessian it holds it steps along ``_newton_direction`` where that
@@ -178,7 +185,7 @@ def _descend(x, tol, max_iterations):
     start's table passes ``_check_distinct``, each trial's the stricter
     COALESCENCE_GUARD.
     """
-    energy, g, hessian = yield x, _check_distinct(_pairs(x)), False
+    energy, g, hessian = yield x, _check_distinct(_pairs(x))[2], False
     newton_fits = (len(x) - 1) * x.shape[1] <= _NEWTON_ROWS
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
@@ -212,7 +219,7 @@ def _descend(x, tol, max_iterations):
             decrement = -ARMIJO * step * slope
             # the slope at x_new is needed at almost every trial point, so the
             # gradient comes with the energy in one pass
-            e_new, g_new, h_new = yield x_new, pairs, newton_fits and grad_norm < _NEWTON_SWITCH
+            e_new, g_new, h_new = yield x_new, pairs[2], newton_fits and grad_norm < _NEWTON_SWITCH
             evaluations += 1
             if decrement >= noise:
                 ok = e_new <= energy - decrement
@@ -256,9 +263,12 @@ def _lockstep(dim, masses, descents, params):
     live = list(range(len(descents)))
     while live:
         x = np.stack([trials[i][0] for i in live])
+        # (R P, d), the transpose of a coordinate-major array, as each trial's differences are
+        diffs = np.concatenate([trials[i][1].T for i in live], axis=1).T
         order = 2 if any(trials[i][2] for i in live) else 1
-        out = _pair_sum(dim, masses, x, _stack([trials[i][1] for i in live]), params, order)
-        for i, e, g, h in zip(live, out[0], out[1], out[2] if order == 2 else [None] * len(live)):
+        out = _pair_sum(dim, masses, x, diffs, params, order)
+        hessians = out[2] if order == 2 else [None] * len(live)
+        for i, e, g, h in zip(live, map(float, out[0]), out[1], hessians):
             try:
                 trials[i] = descents[i].send((e, g, h if trials[i][2] else None))
             except StopIteration as done:
@@ -313,10 +323,14 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     lowest count as tied, and ties go to the earliest start: restarts that
     reach one minimum differ in the last bits, which must not pick the
     output.
+    ``tol`` bounds |grad| relative to the mass scale 2^(2k) of the descent
+    (module docstring), and the reported energy and grad_norm are at the
+    given masses.
     Raises NoConvergence (carrying the best effort) if no start reaches the
-    gradient tolerance, and ValueError if ``dim`` is not 2 or 3, ``restarts``
-    or ``seed`` is negative, no start applies, or ``initial_positions`` is not
-    an (n, dim) array of finite values.
+    gradient tolerance, and ValueError if ``dim`` is not 2 or 3,
+    ``restarts``, ``seed`` or ``max_iterations`` is not a non-negative
+    integer (a bool is not one), no start applies, or ``initial_positions``
+    is not an (n, dim) array of finite values.
     """
     green._check_dim(dim)
     masses = _check_masses(masses)
@@ -324,9 +338,9 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     _check_count(n)
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+    restarts = check_integer("restarts", restarts, 0)
+    seed = check_integer("seed", seed, 0)
+    max_iterations = check_integer("max_iterations", max_iterations, 0)
     order = np.arange(n)
     if initial_positions is not None:
         initial_positions = green._positions(dim, initial_positions, "initial_positions")
@@ -347,9 +361,16 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     if not starts:
         raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
 
+    # the pair sum is homogeneous of degree 2 in the masses, and a power of two scales them
+    # exactly: the descent runs on masses / 2^k, k = round(log2(mean mass)), so its tests and
+    # steps do not depend on the mass scale, and its energy and gradient norm scale back by
+    # 2^(2k); the mean is taken relative to the largest mass, which neither overflows nor
+    # underflows
+    top = masses.max()
+    k = round(math.log2(top) + math.log2(_total(masses / top) / n))
     # (x, energy, grad_norm, iters, conv, evaluations) per start
-    runs = _lockstep(dim, masses[order], [_descend(x0, tol, max_iterations) for x0 in starts],
-                     params)
+    runs = _lockstep(dim, np.ldexp(masses[order], -k),
+                     [_descend(x0, tol, max_iterations) for x0 in starts], params)
     evaluations = sum(r[5] for r in runs)
     pool = [r for r in runs if r[4]] or runs
     low = min(pool, key=lambda r: r[1])
@@ -359,8 +380,8 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     config = PointConfiguration(dim, zip(masses, x[np.argsort(order)]))  # the caller's order
     result = OptimizationResult(
         config=config,
-        energy=e,
-        grad_norm=gn,
+        energy=float(np.ldexp(e, 2 * k)),
+        grad_norm=float(np.ldexp(gn, 2 * k)),
         iterations=iters,
         restarts_used=len(starts),
         pairwise_distances=tuple(np.sort(config.pairs[3]).tolist()),

@@ -400,8 +400,10 @@ def sharp_energy(config: BallConfiguration, fourier_cutoff: int = MIN_CUTOFF,
     instead; it is only usable at moderate scales before its certified tail
     violates the accuracy contract.  Whatever the method, a ``fourier_cutoff``
     that is not an integer (a bool is not one) or is below MIN_CUTOFF raises
-    ValueError.
+    ValueError, and a ``config`` that is not a BallConfiguration TypeError.
     """
+    if not isinstance(config, BallConfiguration):  # a PointConfiguration has no eta
+        raise TypeError("config must be a BallConfiguration")
     fourier_cutoff = check_integer("fourier_cutoff", fourier_cutoff, MIN_CUTOFF)
     if method == "ewald":
         return _breakdown(config, limits._second_order_parts(config, params))
@@ -479,9 +481,15 @@ def second_order_quotient(template, etas, params=None) -> ExpansionTable:
 
 
 def richardson_extrapolate(etas, quotients) -> tuple[float, float]:
-    """Least-squares fit of q = q0 + c * eta; returns (q0, c)."""
+    """Least-squares fit of q = q0 + c * eta; returns (q0, c).
+
+    ValueError unless ``etas`` and ``quotients`` are 1-D, of one length and
+    finite, with at least two distinct scales.
+    """
     etas = np.asarray(etas, dtype=float)
     q = np.asarray(quotients, dtype=float)
+    if etas.ndim != 1 or etas.shape != q.shape or not np.isfinite([etas, q]).all():
+        raise ValueError("extrapolation needs one finite quotient per finite scale")
     if np.unique(etas).size < 2:  # one abscissa leaves the slope undetermined
         raise ValueError("extrapolation needs at least two distinct scales")
     A = np.stack([np.ones_like(etas), etas], axis=1)

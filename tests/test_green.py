@@ -101,6 +101,15 @@ def test_ewald_parameters_reject_non_finite_alpha():
         green.EwaldParameters(alpha=math.inf, real_cutoff=2, fourier_cutoff=2)
 
 
+@pytest.mark.parametrize("alpha", [True, np.True_])
+def test_ewald_parameters_reject_a_bool_alpha(alpha):
+    # EwaldParameters(True, 3, 5) stored alpha=True, and for_alpha(True) ran alpha 1
+    with pytest.raises(ValueError, match="alpha"):
+        green.EwaldParameters(alpha, 3, 5)
+    with pytest.raises(ValueError, match="alpha"):
+        green.EwaldParameters.for_alpha(alpha)
+
+
 @pytest.mark.parametrize("cutoff", [True, False, 2.5, 3.0, np.float64(3), "3", 0, -2])
 @pytest.mark.parametrize("name", ["real_cutoff", "fourier_cutoff"])
 def test_ewald_parameters_reject_cutoffs_that_are_not_positive_integers(name, cutoff):

@@ -319,10 +319,11 @@ def test_each_row_of_a_stacked_hessian_pass_is_bitwise_its_own_call(dim, n):
     m = rng.uniform(0.5, 2.0, n)
     params = green._resolve(None, n)
     x = rng.random((3, n, dim))
-    tables = [limits._pairs(xr) for xr in x]
-    energies, grads, hessians = limits._pair_sum(dim, m, x, limits._stack(tables), params, 2)
+    tables = [limits._pairs(xr)[2] for xr in x]
+    stacked = np.concatenate([t.T for t in tables], axis=1).T
+    energies, grads, hessians = limits._pair_sum(dim, m, x, stacked, params, 2)
     assert hessians.shape == (3, n * dim, n * dim)
     for xr, table, e, g, hess in zip(x, tables, energies, grads, hessians):
-        one_e, one_g = limits._pair_sum(dim, m, xr, table, params, 1)
+        (one_e,), (one_g,) = limits._pair_sum(dim, m, xr[None], table, params, 1)
         assert e == one_e and np.array_equal(g, one_g)  # the value and gradient bits stay
-        assert np.array_equal(limits._pair_sum(dim, m, xr, table, params, 2)[2], hess)
+        assert np.array_equal(limits._pair_sum(dim, m, xr[None], table, params, 2)[2][0], hess)

@@ -95,7 +95,7 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
         e, conv = next(runs)
 
         def trial_points():
-            yield x0, optimize._pairs(x0), False
+            yield x0, optimize._pairs(x0)[2], False
             return x0, e, 0.0, 1, conv, 1
         return trial_points()
 
@@ -106,7 +106,8 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
     except NoConvergence as exc:
         res = exc.result
     start = np.random.default_rng([5, picked]).random((3, 2))
-    assert res.energy == energies[picked] and res.converged == converged[picked]
+    # the descent runs on the masses / 2 (mean mass 2), so its energies scale back by 4
+    assert res.energy == 4.0 * energies[picked] and res.converged == converged[picked]
     assert np.array_equal(res.config.positions, start)
 
 
@@ -192,6 +193,39 @@ def test_place_rejects_negative_restarts_and_empty_start_lists():
         optimize.place(2, [1.0, math.nan], restarts=1, seed=0)
     res = optimize.place(2, [1.0] * 4, restarts=0, seed=0)  # the lattice start alone
     assert res.converged and res.restarts_used == 1
+
+
+@pytest.mark.parametrize("name, value", [("restarts", 2.5), ("restarts", True), ("seed", 1.5),
+                                         ("seed", True), ("max_iterations", 2.5),
+                                         ("max_iterations", np.float64(3))])
+def test_place_rejects_counts_that_are_not_integers(name, value):
+    # restarts=2.5 and max_iterations=2.5 raised TypeError from range, seed=1.5 numpy's
+    # TypeError, and restarts=True ran one restart
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        optimize.place(2, [1.0] * 3, **{"restarts": 1, "seed": 0, name: value})
+
+
+@pytest.mark.parametrize("dim, n, restarts", [(2, 3, 1), (3, 4, 2), (2, 8, 2)])
+def test_place_gives_the_unit_mass_positions_at_any_power_of_two_mass(dim, n, restarts):
+    # the descent's tolerance, noise floor, Newton switch and first step were absolute: at
+    # mass 2^-17 it stopped early, at 2^20 it took other steps.  The pair sum is homogeneous
+    # of degree 2 in the masses, so the energy and the gradient norm scale by 2^(2k)
+    unit = optimize.place(dim, np.ones(n), restarts=restarts, seed=0)
+    for k in (-17, 20):
+        res = optimize.place(dim, np.full(n, 2.0**k), restarts=restarts, seed=0)
+        assert np.array_equal(res.config.positions, unit.config.positions)
+        assert res.energy == unit.energy * 4.0**k and res.grad_norm == unit.grad_norm * 4.0**k
+        assert (res.iterations, res.evaluations) == (unit.iterations, unit.evaluations)
+
+
+@pytest.mark.parametrize("dim, n, restarts, mass", [(2, 3, 1, 1e-5), (3, 4, 2, 1e-4)])
+def test_place_at_small_masses_reaches_the_unit_mass_minimum(dim, n, restarts, mass):
+    # these stopped as converged after 1 and 3 iterations, at distances 0.250-0.477 and
+    # 0.507-0.702
+    unit = optimize.place(dim, np.ones(n), restarts=restarts, seed=0)
+    res = optimize.place(dim, np.full(n, mass), restarts=restarts, seed=0)
+    assert res.converged
+    assert np.allclose(res.pairwise_distances, unit.pairwise_distances, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("initial, problem", [

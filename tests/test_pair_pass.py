@@ -3,8 +3,8 @@
 ``limits._pair_sum`` forms the energy and the gradient from one pair table,
 one per-pair kernel call and one structure factor.  Its results must be the
 bits of the value-only pair sum and of the gradient-only formulas it
-replaced, which are kept here as the reference.  Over a leading axis of
-configurations, each row must be the bits of its own call.  ``place`` runs
+replaced, which are kept here as the reference.  It takes a stack of
+configurations, and each row must be the bits of its own one-row stack.  ``place`` runs
 its restarts in lockstep, one stacked pass per round over the trial point of
 every live restart, and each restart must end where its solo run ends.
 """
@@ -54,7 +54,7 @@ def set_long_range_grad(masses, positions, params):
     F = params.fourier_cutoff + 1
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    p, d = green._trig_tables(positions[order], F, gradient=True)
+    p, d = green._trig_tables(positions[order], F, 1)
     step = max(1, green._CHUNK // (4 * F * F))
     t = 0.0
     for lo in range(0, len(m), step):
@@ -96,7 +96,7 @@ def test_one_pass_gives_the_bits_of_the_value_and_gradient_formulas(dim, n):
         rng = np.random.default_rng([dim, n, seed])
         m, x = rng.uniform(0.5, 2.0, n), rng.random((n, dim))
         params = green._resolve(None, n)
-        energy, grad = limits._pair_sum(dim, m, x, limits._pairs(x), params, 1)
+        (energy,), (grad,) = limits._pair_sum(dim, m, x[None], limits._pairs(x)[2], params, 1)
         assert energy == limits.interaction_energy(dim, m, x)
         assert np.array_equal(grad, reference_gradient(dim, m, x, params))
         assert np.array_equal(limits.interaction_gradient(dim, m, x), grad)
@@ -110,15 +110,15 @@ def test_each_row_of_a_stacked_pass_is_bitwise_its_own_call(dim, n):
     params = green._resolve(None, n)
     for R in range(1, 5):
         x = rng.random((R, n, dim))
-        tables = [limits._pairs(xr) for xr in x]
-        stacked = limits._stack(tables)
+        tables = [limits._pairs(xr)[2] for xr in x]
+        stacked = np.concatenate([t.T for t in tables], axis=1).T
         energies, grads = limits._pair_sum(dim, m, x, stacked, params, 1)
         values = limits._pair_sum(dim, m, x, stacked, params)
-        assert len(energies) == len(values) == R and grads.shape == (R, n, dim)
+        assert energies.shape == values.shape == (R,) and grads.shape == (R, n, dim)
         for xr, table, e, v, g in zip(x, tables, energies, values, grads):
-            one_e, one_g = limits._pair_sum(dim, m, xr, table, params, 1)
+            (one_e,), (one_g,) = limits._pair_sum(dim, m, xr[None], table, params, 1)
             assert e == one_e and np.array_equal(g, one_g)
-            assert v == limits._pair_sum(dim, m, xr, table, params)
+            assert v == limits._pair_sum(dim, m, xr[None], table, params)[0]
 
 
 @pytest.mark.parametrize("dim, n, restarts, seed", [(2, 8, 4, 1), (3, 4, 4, 0)])

@@ -198,7 +198,7 @@ def test_separable_structure_factor_matches_the_per_k_trig_sum(monkeypatch, n, c
     energy = green._set_long_range(3, m, x, params)
     assert abs(energy - trig_set_long_range(m, x, params)) <= 1e-14 * scale
     # the gradient form returns the value with it, from the same S
-    value, grad = green._set_long_range(3, m, x, params, gradient=True)
+    value, grad = green._set_long_range(3, m, x, params, 1)
     assert value == energy
     assert np.max(np.abs(grad - trig_set_long_range(m, x, params, gradient=True))) <= 1e-14 * scale
 
@@ -210,15 +210,15 @@ def test_structure_factor_memory_stays_bounded():
     params = green.EwaldParameters.for_alpha(10.7)
     rng = np.random.default_rng([1000, 3])
     m, x = rng.uniform(0.5, 1.5, 1000), rng.random((1000, 3))
-    green._set_long_range(3, m, x, params, gradient=True)  # the cached weights, outside the trace
-    for gradient in (False, True):
+    green._set_long_range(3, m, x, params, 1)  # the cached weights, outside the trace
+    for order in (0, 1):
         tracemalloc.start()
         try:
-            green._set_long_range(3, m, x, params, gradient=gradient)
+            green._set_long_range(3, m, x, params, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * green._CHUNK, (gradient, peak)
+        assert peak <= 1.5 * 8 * green._CHUNK, (order, peak)
 
 
 def test_structure_factor_bits_do_not_depend_on_the_blas_thread_count():
@@ -230,7 +230,7 @@ def test_structure_factor_bits_do_not_depend_on_the_blas_thread_count():
             "m, x = rng.uniform(0.5, 1.5, 700), rng.random((700, 3))\n"
             "for alpha in (5.5, 10.7):\n"
             "    params = green.EwaldParameters.for_alpha(alpha)\n"
-            "    value, grad = green._set_long_range(3, m, x, params, gradient=True)\n"
+            "    value, grad = green._set_long_range(3, m, x, params, 1)\n"
             "    print(value.hex(), grad.tobytes().hex())\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outputs = []

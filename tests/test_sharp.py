@@ -614,6 +614,26 @@ def test_richardson_needs_two_distinct_scales():
         sharp.richardson_extrapolate([0.02, 0.02], [1.0, 1.1])
 
 
+@pytest.mark.parametrize("etas, quotients", [
+    ([0.04, 0.02, 0.01], [1.0, 1.1]),  # raised LinAlgError: Incompatible dimensions
+    ([0.04, math.inf], [1.0, 1.1]),  # raised LinAlgError and printed LAPACK lines to stderr
+    ([0.04, 0.02], [1.0, math.nan]),  # returned (nan, nan)
+    ([[0.04, 0.02]], [[1.0, 1.1]]),
+])
+def test_richardson_rejects_mismatched_or_non_finite_inputs(capfd, etas, quotients):
+    with pytest.raises(ValueError, match="extrapolation needs"):
+        sharp.richardson_extrapolate(etas, quotients)
+    assert capfd.readouterr().err == ""
+
+
+def test_sharp_energy_needs_a_ball_configuration():
+    # a PointConfiguration raised AttributeError: no attribute 'eta'
+    point = limits.PointConfiguration(3, [(1.0, (0.1, 0.2, 0.3)), (1.0, (0.6, 0.7, 0.8))])
+    for method in ("ewald", "direct"):
+        with pytest.raises(TypeError, match="BallConfiguration"):
+            sharp.sharp_energy(point, method=method)
+
+
 def _jittered_sets(dim, equal, count, seed):
     """``count`` seeded (masses, positions) sets on the 2^dim lattice of spacing 1/2, jittered."""
     rng = np.random.default_rng([dim, seed])
