@@ -4,9 +4,10 @@
 one per-pair kernel call and one structure factor.  Its results must be the
 bits of the value-only pair sum and of the gradient-only formulas it
 replaced, which are kept here as the reference.  It takes a stack of
-configurations, and each row must be the bits of its own one-row stack.  ``place`` runs
-its restarts in lockstep, one stacked pass per round over the trial point of
-every live restart, and each restart must end where its solo run ends.
+configurations, and each row must be the bits of its own one-row stack.
+``place`` runs its restarts in lockstep, one stacked pass per round over the
+trial point of every live restart, and each restart must end where its solo
+run ends.
 """
 
 import math
