@@ -293,6 +293,9 @@ def cmd_place(args) -> str:
     if args.from_config and not args.config:
         raise ValueError("--from-config needs --config")
     if args.config:
+        for flag in ("n", "mass", "dim"):  # the file gives the masses and the dimension
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply with --config")
         cfg, _ = load_point_configuration(args.config)
         masses = cfg.masses
         dim = cfg.dim
@@ -304,14 +307,14 @@ def cmd_place(args) -> str:
         if args.n > sys.maxsize:  # no list of masses that long
             raise ValueError(f"--n is a particle count of at most {sys.maxsize}, got {args.n}")
         masses = [args.mass] * args.n  # empty for n < 1, which place rejects
-        dim = args.dim
+        dim = 2 if args.dim is None else args.dim
     params = default_params(len(masses))
     try:
         result = optimize.place(dim, masses, restarts=args.restarts, seed=args.seed,
                                 tol=args.tol, params=params, initial_positions=initial)
     except NoConvergence as exc:
         result = exc.result
-    equal = limits.equal_masses(result.config.masses)  # place injects a lattice start only then
+    equal = limits.equal_masses(result.config.masses)  # for the lattice and the manifest
     payload = {
         "converged": result.converged,
         "energy": result.energy,
@@ -385,7 +388,7 @@ def build_parser() -> _Parser:
     x.add_argument("--out")
 
     pl = sub.add_parser("place", help="optimize particle positions")
-    pl.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    pl.add_argument("--dim", type=int, choices=(2, 3))  # 2 without --config
     pl.add_argument("--n", type=int)
     pl.add_argument("--mass", type=float)
     pl.add_argument("--restarts", type=int, default=10)

@@ -16,7 +16,7 @@ defined on equal-mass configurations only.  ``_second_order_parts`` builds
 its self terms, pair sum (over the configuration's table) and tail bound
 for F0 and for ``sharp``.  ``equal_masses`` (relative MASS_EQUALITY_RTOL)
 is the one equal-mass rule: 2D F0, admissibility, the 2D expansion and the
-placement's lattice start all read it.
+lattice comparison of ``place --lattice-compare`` all read it.
 
 Pair-sum conventions: "ordered" counts both (i, j) and (j, i) in the cross
 sum (the convention the finite-scale expansion converges to, in both

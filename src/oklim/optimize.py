@@ -1,9 +1,8 @@
 """Multi-start quasi-Newton descent, finished by Newton steps, for the pair interaction energy.
 
-Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``
-(``interaction_energy``, ``interaction_gradient`` and
-``interaction_hessian``), over particle positions with seeded uniform
-restarts and a deterministic reduction of the restart results.  Each restart
+Minimizes sum_{i != j} m_i m_j G(x_i - x_j), the pair sum of ``limits``,
+over particle positions with seeded uniform restarts and a deterministic
+reduction of the restart results.  Each restart
 follows the L-BFGS direction (two-loop recursion over the last 10
 step/gradient-change pairs; Liu & Nocedal, Math. Prog. 45, 1989), its dot
 products taken from one Gram product of the stored rows, with backtracking
@@ -11,11 +10,16 @@ line search (Armijo 1e-4, shrink 0.5, first trial step 1 capped so no
 particle moves more than 0.1 of the cell) and a coalescence guard.  L-BFGS
 converges linearly near a minimum, so once |grad| falls below
 _NEWTON_SWITCH a restart asks for the analytic Hessian at its trial points
-and, where the Hessian with particle 0 held fixed (which removes the d
-translations) is positive definite, steps along its Newton direction
-through the same line search, which converges quadratically (Nocedal &
-Wright, Numerical Optimization, 2nd ed., ch. 3); elsewhere, and when a
-Newton line search fails, it follows L-BFGS.  The restarts run in lockstep:
+and takes one eigendecomposition of it with the d translations projected
+out (``_curvature``).  That one decomposition gives the step: where it is
+positive definite, the Newton direction with particle 0 held fixed, through
+the same line search, which converges quadratically (Nocedal & Wright,
+Numerical Optimization, 2nd ed., ch. 3); elsewhere, and when a Newton line
+search fails, L-BFGS.  It gives the stop: |grad| <= tol ends a restart only
+at a point whose smallest eigenvalue is not clearly negative (the
+second-order necessary condition, ibid. ch. 2), and a restart at a saddle steps
+off it along the eigenvector of that eigenvalue.  And it gives the
+reported smallest eigenvalue.  The restarts run in lockstep:
 each is a generator, ``_descend``, that yields its guarded trial points with
 the min-image differences of their pair tables and whether it wants the
 Hessian there, and receives their energies, gradients and Hessians; each
@@ -32,25 +36,23 @@ tolerance, the noise floor, the Newton switch and the first trial step
 hold relative to that mass scale, and masses 2^j give the unit-mass
 positions bitwise.  With a given start, every restart runs in the
 lexicographic order of its positions.  The reported pairwise distances
-come from the pair table of the result's ``PointConfiguration``, and the
-smallest eigenvalue of the result's Hessian, the translations projected
-out, is computed when it is first read.  Near the
+come from the pair table of the result's ``PointConfiguration``.  Near the
 minimum, where the Armijo decrement falls below the rounding noise of the
 energy, the decrease is measured instead by the trapezoid rule on the
 slopes at both ends of the step.  A direction that is not a descent
 direction, or a line search that fails, clears the pair memory and retries
 along -grad; a failure along -grad ends the restart.  Outputs are
-stationary candidates, never certified global minimizers; the square
-(cubic) lattice arrangement is available for comparison and is injected as
-an extra start when commensurate.
+local minima where the reduced Hessian has at most _NEWTON_ROWS rows and
+stationary points past that, never certified global minimizers; the square
+(cubic) lattice arrangement is available for comparison only, since at most
+commensurate counts it is a saddle.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +60,8 @@ from . import green
 from .errors import IncommensurateCount, NoConvergence, check_integer
 # interaction_gradient is not called here, but the benchmark tracer (perfbench/tracing.py)
 # wraps optimize.interaction_energy and optimize.interaction_gradient by attribute
-from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, equal_masses,
-                     interaction_energy, interaction_gradient, interaction_hessian)
+from .limits import (PointConfiguration, _check_distinct, _pair_sum, _pairs, interaction_energy,
+                     interaction_gradient)
 from .local import _check_masses, _total
 
 ARMIJO = 1e-4
@@ -73,10 +75,14 @@ _NEWTON_SWITCH = 1e-2  # |grad| below which a restart asks for Hessians and take
 # the largest particle displacement of a Newton step: a longer one leaves the region where
 # the quadratic model holds and can cross into another basin, so L-BFGS takes that step
 _NEWTON_MOVE = 0.01
-# the most rows of a reduced Hessian that gets Newton steps and an eigenvalue: with OpenBLAS
-# 0.3.31, np.linalg.cholesky, solve and eigvalsh gave the same bits under one and two threads
-# up to 96 rows and not from 97 on, and past that size the O(n^3) solves outgrow a pair pass
+# the most rows of a reduced Hessian that gets an eigendecomposition: with OpenBLAS 0.3.31,
+# np.linalg.eigh with vectors gave the same bits under one and two threads at 64 and 96
+# rows, and past that size its O(n^3) work outgrows a pair pass
 _NEWTON_ROWS = 96
+# |grad| <= tol ends a restart only where the smallest eigenvalue of the reduced Hessian is
+# at least -_NEGATIVE_CURVATURE times the largest |eigenvalue|: far above the rounding of
+# the eigenvalues, and far below the -0.03 to -0.045 of the square-lattice saddles
+_NEGATIVE_CURVATURE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,28 +98,10 @@ class OptimizationResult:
     converged: bool
     evaluations: int  # trial points evaluated, over all restarts
     params: green.EwaldParameters  # the Ewald parameters of the descent
-
-    @cached_property
-    def min_hessian_eigenvalue(self) -> float | None:
-        """The smallest eigenvalue of the Hessian at ``config``, the d translations projected out.
-
-        Computed on first access, in the lexicographic order of the positions,
-        so its bits do not depend on the order of the particles; None when the
-        projected Hessian would have more than _NEWTON_ROWS rows, nan when the
-        Hessian is not finite.
-        """
-        n, d = self.config.n, self.config.dim
-        if (n - 1) * d > _NEWTON_ROWS:
-            return None
-        order = np.lexsort(self.config.positions.T[::-1])
-        x = self.config.positions[order]
-        hessian = interaction_hessian(d, self.config.masses[order], x, self.params)
-        if not np.isfinite(hessian).all():
-            return math.nan
-        # an orthonormal basis of the vectors orthogonal to (1, ..., 1), one copy per axis
-        q = np.kron(np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:], np.eye(d))
-        projected = green._serial_matmul(green._serial_matmul(q.T, hessian), q)
-        return float(np.linalg.eigvalsh(projected)[0])
+    # the smallest eigenvalue of the Hessian at config, the d translations projected out,
+    # from the descent's eigendecomposition there; None past _NEWTON_ROWS reduced rows, and
+    # at an unconverged result whose last point had no Hessian
+    min_hessian_eigenvalue: float | None
 
 
 def _lbfgs_direction(g, S, Y):
@@ -148,25 +136,50 @@ def _lbfgs_direction(g, S, Y):
     return (np.array(c + [-gamma * v for v in a]) @ W - gamma * g.ravel()).reshape(g.shape)
 
 
-def _newton_direction(g, hessian):
+@functools.cache  # one basis per (n, d), and only within _NEWTON_ROWS
+def _translation_free(n, d):
+    """An orthonormal basis of the moves of n particles orthogonal to the d translations.
+
+    The (n d, (n - 1) d) columns, one copy per axis of the vectors orthogonal
+    to (1, ..., 1).
+    """
+    return np.kron(np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:], np.eye(d))
+
+
+def _curvature(hessian, d):
+    """The eigenvalues, ascending, and unit eigenvectors of the Hessian, translations out.
+
+    One ``np.linalg.eigh`` of Q^T H Q, Q = ``_translation_free``, its
+    products through ``green._serial_matmul``; the eigenvectors come back as
+    the columns of Q V, moves of the particles in their own coordinates.
+    """
+    q = _translation_free(len(hessian) // d, d)
+    eigenvalues, v = np.linalg.eigh(green._serial_matmul(green._serial_matmul(q.T, hessian), q))
+    return eigenvalues, green._serial_matmul(q, v)
+
+
+def _saddle(curvature):
+    """Whether a ``_curvature`` (None: no Hessian) has a clearly negative eigenvalue.
+
+    The eigenvalues ascend, so lambda_min < -eps max|lambda| reads lambda_min
+    < -eps lambda_max, eps = _NEGATIVE_CURVATURE.
+    """
+    return curvature is not None and curvature[0][0] < -_NEGATIVE_CURVATURE * curvature[0][-1]
+
+
+def _newton_direction(g, eigenvalues, w):
     """The Newton direction -H^-1 g with particle 0 held fixed, or None.
 
-    Fixing particle 0 removes the d translations, the null space of the
-    Hessian; None unless the reduced Hessian is positive definite
-    (``np.linalg.cholesky`` accepts it) and no particle moves more than
+    -W L^-1 W^T g over the eigenpairs (L, W) of ``_curvature``, minus
+    particle 0's row, a translation, which leaves the energy as it is; None
+    unless every eigenvalue is positive and no particle moves more than
     _NEWTON_MOVE.
     """
-    d = g.shape[1]
-    reduced = hessian[d:, d:]
-    try:
-        np.linalg.cholesky(reduced)
-    except np.linalg.LinAlgError:
+    if not eigenvalues[0] > 0.0:
         return None
-    p = np.zeros_like(g)
-    p[1:] = np.linalg.solve(reduced, -g[1:].ravel()).reshape(-1, d)
-    if (p * p).sum(axis=1).max() > _NEWTON_MOVE**2:
-        return None
-    return p
+    p = -(w @ ((g.ravel() @ w) / eigenvalues)).reshape(g.shape)
+    p -= p[0]
+    return p if (p * p).sum(axis=1).max() <= _NEWTON_MOVE**2 else None
 
 
 def _descend(x, tol, max_iterations):
@@ -175,31 +188,47 @@ def _descend(x, tol, max_iterations):
     Yields each guarded trial point as (positions, the (P, d) differences of
     its ``_pairs`` table, whether it wants the Hessian there) and receives
     its (energy, gradient, Hessian or None); returns (x, energy, grad_norm,
-    iters, converged, evaluations), ``evaluations`` counting the trial
-    points.  Once |grad|
-    falls below _NEWTON_SWITCH, it asks for the Hessian at each trial point
-    (if the reduced Hessian has at most _NEWTON_ROWS rows), and at a point
-    whose Hessian it holds it steps along ``_newton_direction`` where that
-    exists, through the same line search; a Newton line search that fails
-    drops the Hessian and retries along the L-BFGS direction.  The
-    start's table passes ``_check_distinct``, each trial's the stricter
-    COALESCENCE_GUARD.
+    iters, converged, evaluations, the smallest eigenvalue at x or None),
+    ``evaluations`` counting the trial points.  Once |grad| falls below
+    _NEWTON_SWITCH, it asks for the Hessian at each trial point (if the
+    reduced Hessian has at most _NEWTON_ROWS rows), and at a point whose
+    Hessian it holds it takes one ``_curvature`` of it, which decides three
+    things: the step along ``_newton_direction`` where that exists, through
+    the same line search (a Newton line search that fails retries along the
+    L-BFGS direction); the stop, since |grad| <= tol ends the descent only
+    where ``_saddle`` does not hold (a point there without its Hessian asks
+    for it in one more round), and elsewhere it steps along the eigenvector
+    of the smallest eigenvalue, its first nonzero entry positive and its
+    largest particle move _NEWTON_MOVE; and the smallest eigenvalue it
+    returns.  The start's table passes ``_check_distinct``, each trial's the
+    stricter COALESCENCE_GUARD.
     """
-    energy, g, hessian = yield x, _check_distinct(_pairs(x))[2], False
-    newton_fits = (len(x) - 1) * x.shape[1] <= _NEWTON_ROWS
+    d = x.shape[1]
+    newton_fits = (len(x) - 1) * d <= _NEWTON_ROWS
+    energy, g, _ = yield x, _check_distinct(_pairs(x))[2], False
+    curvature = None  # the _curvature at x, where its Hessian came with it
     evaluations = 1
     grad_norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm(g), without its overhead
     S = Y = np.empty((0, x.size))  # the last MEMORY steps and gradient changes, as rows
     iters = 0
     for iters in range(1, max_iterations + 1):
-        if grad_norm <= tol:
-            return x, energy, grad_norm, iters, True, evaluations
-        p = None if hessian is None else _newton_direction(g, hessian)
-        newton = p is not None
-        if not newton:
+        escape = grad_norm <= tol  # a stop, unless x is a saddle
+        if escape and curvature is None and newton_fits:
+            curvature = _curvature((yield x, _pairs(x)[2], True)[2], d)
+            evaluations += 1
+        if escape and not _saddle(curvature):
+            break
+        if escape:
+            v = curvature[1][:, 0].reshape(x.shape)
+            p = math.copysign(_NEWTON_MOVE / math.sqrt((v * v).sum(axis=1).max()),
+                              v.flat[np.flatnonzero(v)[0]]) * v
+        else:
+            p = None if curvature is None else _newton_direction(g, *curvature)
+        newton = p is not None and not escape
+        if p is None:
             p = _lbfgs_direction(g, S, Y)
         slope = float(np.vdot(p, g))
-        if slope >= 0.0:  # not a descent direction: drop the model, take -g
+        if slope >= 0.0 and not escape:  # not a descent direction: drop the model, take -g
             S = Y = S[:0]
             p, slope = -g, -grad_norm**2
         step = min(1.0, MAX_MOVE / math.sqrt((p * p).sum(axis=1).max()))
@@ -235,19 +264,22 @@ def _descend(x, tol, max_iterations):
                 if sy > 0.0:  # keeps the inverse-Hessian model positive definite
                     S = np.concatenate([S, s[None]])[-MEMORY:]
                     Y = np.concatenate([Y, y[None]])[-MEMORY:]
-                x, energy, g, hessian = x_new, min(energy, e_new), g_new, h_new
+                x, energy, g = x_new, min(energy, e_new), g_new
+                curvature = None if h_new is None else _curvature(h_new, d)
                 grad_norm = math.sqrt(g.ravel() @ g.ravel())
                 accepted = True
                 break
             step *= SHRINK
         if not accepted:
             if newton:
-                hessian = None  # retry along the L-BFGS direction
+                curvature = None  # retry along the L-BFGS direction
                 continue
             if not len(S):
                 break  # line search along -g exhausted below machine resolution
             S = Y = S[:0]  # retry from -g before giving up
-    return x, energy, grad_norm, iters, grad_norm <= tol, evaluations
+    lowest = None if curvature is None else float(curvature[0][0])
+    converged = grad_norm <= tol and not _saddle(curvature)
+    return x, energy, grad_norm, iters, converged, evaluations, lowest
 
 
 def _lockstep(dim, masses, descents, params):
@@ -311,10 +343,8 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
           initial_positions=None) -> OptimizationResult:
     """Multi-start descent over particle positions; deterministic in (seed, restarts).
 
-    Runs ``restarts`` seeded uniform starts (plus the square-lattice
-    arrangement as an extra start when the count is commensurate and the
-    masses are equal by ``limits.equal_masses``, and ``initial_positions``
-    if given) and returns the lowest-energy converged result.  Given
+    Runs ``restarts`` seeded uniform starts (plus ``initial_positions`` if
+    given) and returns the lowest-energy converged result.  Given
     ``initial_positions``, reduced to [0, 1), every start runs with the
     particles in the lexicographic order of those positions (seeded rows go
     to the particles in that order), so the result's bits do not depend on
@@ -324,13 +354,16 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     reach one minimum differ in the last bits, which must not pick the
     output.
     ``tol`` bounds |grad| relative to the mass scale 2^(2k) of the descent
-    (module docstring), and the reported energy and grad_norm are at the
-    given masses.
+    (module docstring), and the reported energy, grad_norm and smallest
+    eigenvalue are at the given masses.  A start counts as converged at
+    |grad| <= tol only where its Hessian, if it has at most _NEWTON_ROWS
+    reduced rows, has no clearly negative eigenvalue.
     Raises NoConvergence (carrying the best effort) if no start reaches the
     gradient tolerance, and ValueError if ``dim`` is not 2 or 3,
     ``restarts``, ``seed`` or ``max_iterations`` is not a non-negative
-    integer (a bool is not one), no start applies, or ``initial_positions``
-    is not an (n, dim) array of finite values.
+    integer (a bool is not one), ``restarts`` is 0 without
+    ``initial_positions``, or ``initial_positions`` is not an (n, dim) array
+    of finite values.
     """
     green._check_dim(dim)
     masses = _check_masses(masses)
@@ -349,17 +382,11 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         order = np.lexsort(initial_positions.T[::-1])
     params = green._resolve(params, n)
 
-    starts = []
-    for idx in range(restarts):
-        rng = np.random.default_rng([seed, idx])
-        starts.append(rng.random((n, dim)))
+    starts = [np.random.default_rng([seed, idx]).random((n, dim)) for idx in range(restarts)]
     if initial_positions is not None:
         starts.append(initial_positions[order])
-    if equal_masses(masses):
-        with contextlib.suppress(IncommensurateCount):
-            starts.append(square_lattice_positions(dim, n))
     if not starts:
-        raise ValueError("no starts: restarts is 0 and no lattice or initial positions apply")
+        raise ValueError("no starts: restarts is 0 and no initial positions are given")
 
     # the pair sum is homogeneous of degree 2 in the masses, and a power of two scales them
     # exactly: the descent runs on masses / 2^k, k = round(log2(mean mass)), so its tests and
@@ -368,15 +395,14 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
     # underflows
     top = masses.max()
     k = round(math.log2(top) + math.log2(_total(masses / top) / n))
-    # (x, energy, grad_norm, iters, conv, evaluations) per start
+    # (x, energy, grad_norm, iters, conv, evaluations, smallest eigenvalue) per start
     runs = _lockstep(dim, np.ldexp(masses[order], -k),
                      [_descend(x0, tol, max_iterations) for x0 in starts], params)
-    evaluations = sum(r[5] for r in runs)
     pool = [r for r in runs if r[4]] or runs
     low = min(pool, key=lambda r: r[1])
     gap = RESTART_TIE * max(1.0, abs(low[1]))
     # low itself when the gaps are not finite: energies that overflowed to inf
-    x, e, gn, iters, conv, _ = next((r for r in pool if r[1] - low[1] <= gap), low)
+    x, e, gn, iters, conv, _, lowest = next((r for r in pool if r[1] - low[1] <= gap), low)
     config = PointConfiguration(dim, zip(masses, x[np.argsort(order)]))  # the caller's order
     result = OptimizationResult(
         config=config,
@@ -386,8 +412,9 @@ def place(dim, masses, restarts: int = 10, seed: int = 0, tol: float = 1e-8,
         restarts_used=len(starts),
         pairwise_distances=tuple(np.sort(config.pairs[3]).tolist()),
         converged=conv,
-        evaluations=evaluations,
+        evaluations=sum(r[5] for r in runs),
         params=params,
+        min_hessian_eigenvalue=None if lowest is None else float(np.ldexp(lowest, 2 * k)),
     )
     if not conv:
         raise NoConvergence("no restart reached the gradient tolerance", result=result)

@@ -368,6 +368,17 @@ def test_energy_rejects_the_halved_convention_with_an_eta(tmp_path, inline):
     assert _run_main(argv[:3] if inline else argv)[0] == 0  # either one alone runs
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "5"), ("--mass", "3"), ("--dim", "3"),
+                                         ("--dim", "2")])
+def test_place_rejects_the_count_mass_and_dim_with_a_config(tmp_path, flag, value):
+    # the file gives the masses and the dimension: these flags were silently ignored
+    cfg = write_config(tmp_path, "two.json", {"dim": 2, "particles": [
+        {"mass": 1.0, "position": [0.1, 0.1]}, {"mass": 1.0, "position": [0.6, 0.6]}]})
+    code, out, err = _run_main(["place", "--config", cfg, flag, value, "--restarts", "1"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {flag} does not apply with --config"]
+
+
 def test_place_masses_from_config(tmp_path):
     cfg = write_config(tmp_path, "pts.json", {"dim": 2, "particles": [
         {"mass": 1.0, "position": [0.1, 0.1]},
@@ -872,7 +883,7 @@ def test_running_out_of_memory_exits_1_with_one_line(tmp_path, argv):
 
 
 def test_masses_equal_to_the_rounding_get_the_lattice_start(tmp_path):
-    # one equal-mass rule (limits.equal_masses) for 2D F0 and for place's lattice start
+    # one equal-mass rule (limits.equal_masses) for 2D F0 and for place's lattice comparison
     cfg = write_config(tmp_path, "near.json", {"dim": 2, "particles": [
         {"mass": m, "position": [0.5 * (i // 2), 0.5 * (i % 2)]}
         for i, m in enumerate([1.0, 1.0, 1.0, 1.0 + 1e-15])]})
@@ -881,7 +892,7 @@ def test_masses_equal_to_the_rounding_get_the_lattice_start(tmp_path):
                                 "--lattice-compare"])
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["restarts_used"] == 3
+    assert payload["restarts_used"] == 2
     [square] = payload["lattice_candidates"]
     assert set(square) == {"lattice", "energy"}
     assert square["energy"] == optimize.lattice_candidate_energy(2, 4, 1.0)

@@ -96,7 +96,7 @@ def test_restarts_tied_in_the_last_bits_go_to_the_earliest_start(
 
         def trial_points():
             yield x0, optimize._pairs(x0)[2], False
-            return x0, e, 0.0, 1, conv, 1
+            return x0, e, 0.0, 1, conv, 1, None
         return trial_points()
 
     monkeypatch.setattr(optimize, "_descend", descend)
@@ -191,8 +191,8 @@ def test_place_rejects_negative_restarts_and_empty_start_lists():
         optimize.place(2, [1.0] * 3, restarts=0, seed=0)  # 3 points: no square lattice
     with pytest.raises(ValueError):
         optimize.place(2, [1.0, math.nan], restarts=1, seed=0)
-    res = optimize.place(2, [1.0] * 4, restarts=0, seed=0)  # the lattice start alone
-    assert res.converged and res.restarts_used == 1
+    with pytest.raises(ValueError, match="no starts"):
+        optimize.place(2, [1.0] * 4, restarts=0, seed=0)  # 4 points: no lattice start either
 
 
 @pytest.mark.parametrize("name, value", [("restarts", 2.5), ("restarts", True), ("seed", 1.5),
@@ -312,3 +312,36 @@ def test_min_hessian_eigenvalue_is_none_past_the_newton_rows():
         optimize.place(2, np.ones(50), restarts=1, seed=0, max_iterations=1)
     assert (50 - 1) * 2 > optimize._NEWTON_ROWS
     assert info.value.result.min_hessian_eigenvalue is None
+
+
+@pytest.mark.parametrize("dim, n, saddle", [(2, 4, -0.44127120), (2, 9, -1.57364619),
+                                            (2, 16, -3.53016960), (3, 27, -12.19238781)])
+def test_place_leaves_the_square_lattice_saddle(dim, n, saddle):
+    # the lattice's gradient is zero by symmetry, and its Hessian has a negative eigenvalue
+    # beside the translations: a descent that stops on |grad| alone ended there, converged
+    res = optimize.place(dim, np.ones(n), restarts=0,
+                         initial_positions=optimize.square_lattice_positions(dim, n))
+    assert res.converged
+    assert res.min_hessian_eigenvalue > 0.0
+    assert res.energy < saddle
+
+
+def test_curvature_bits_do_not_depend_on_the_blas_thread_count():
+    # eigh with vectors at 64 and 96 reduced rows, up to _NEWTON_ROWS
+    code = ("import hashlib, numpy as np\n"
+            "from oklim import limits, optimize\n"
+            "for n in (33, 49):\n"
+            "    x = np.random.default_rng(n).random((n, 2))\n"
+            "    eigenvalues, w = optimize._curvature(\n"
+            "        limits.interaction_hessian(2, np.ones(n), x), 2)\n"
+            "    print(len(eigenvalues), hashlib.sha256(eigenvalues.tobytes() + w.tobytes())"
+            ".hexdigest())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outputs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, env=env, check=True).stdout)
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["64", "96"]
+    assert outputs[0] == outputs[1]

@@ -135,10 +135,10 @@ def test_each_restart_ends_bitwise_where_its_solo_run_ends(dim, n, restarts, see
         return [optimize._descend(x0, 1e-8, optimize.MAX_ITERATIONS) for x0 in xs]
 
     runs = optimize._lockstep(dim, masses, descents(starts), params)
-    for (x, e, gn, iters, conv, evals), one in zip(runs, solo):
+    for (x, e, gn, iters, conv, evals, lowest), one in zip(runs, solo):
         assert np.array_equal(x, one.config.positions) and e == one.energy
-        assert (gn, iters, conv, evals) == (one.grad_norm, one.iterations, one.converged,
-                                            one.evaluations)
+        assert (gn, iters, conv, evals, lowest) == (one.grad_norm, one.iterations, one.converged,
+                                                    one.evaluations, one.min_hessian_eigenvalue)
     # place reports the earliest of the solo runs tied with the lowest; seeded starts
     # keep their rows, so each solo run is its descent run alone
     alone = [optimize._lockstep(dim, masses, descents([x0]), params)[0] for x0 in seeded]
@@ -193,7 +193,7 @@ def test_place_makes_one_pass_per_trial_point(monkeypatch, dim, n):
     result = optimize.place(dim, np.ones(n), restarts=2, seed=1)
     # the reported distances come from the result configuration's own table
     passes = calls["pairs"] - calls["rejected"]
-    assert len(evaluations) == result.restarts_used == 2 + (dim == 2)  # 3 x 3 lattice start
+    assert len(evaluations) == result.restarts_used == 2
     assert sum(evaluations) == passes == calls["set_long_range"] == result.evaluations
     # one stacked kernel call per round, over the pending trial point of every live restart
     assert calls["pair_part"] == max(evaluations)
