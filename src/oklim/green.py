@@ -42,13 +42,17 @@ for one pair, n = 2.
 Every kernel takes one derivative ``order``: 0 for the value, 1 for the
 value and gradient, 2 for the value, gradient and Hessian, all from one set
 of shared factors; ``_set_long_range`` forms its gradient with its value at
-any order >= 1.  ``_pair_part`` at order 2 forms the Hessian of the whole G per
-row (for ``green_hess_many`` and the placement's Newton steps): in 2D
+any order >= 1.  Each kernel is one part of G at every order: ``_pair_part``
+the per-pair part, ``_long_range`` the per-point long-range part, and one
+function, ``_green``, adds the two for ``green_eval_many``,
+``green_grad_many`` and ``green_hess_many``.  The Hessian serves
+``green_hess_many`` and the placement's Newton steps.  In 2D
 G = Re Phi + y^2/2 with Phi holomorphic, so the Hessian is
 [[Re Phi'', -Im Phi''], [-Im Phi'', 1 - Re Phi'']], Phi'' from the theta
-cubics and their derivatives; in 3D the second derivatives of the image
-terms plus the order-2 ``_long_range``, per row (the structure factor
-serves values and gradients only).  Away from the
+cubics and their derivatives; in 3D it is the second derivatives of the
+image terms plus the order-2 ``_long_range``, per row.  The pair sum makes
+the same addition on its pair rows, since the structure factor forms values
+and gradients only.  Away from the
 lattice points its trace is 1, since -lap G = delta - 1.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
 2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
@@ -232,8 +236,12 @@ def _check_alpha(alpha):
 #: for_alpha's cutoffs (_TAIL_TOL per shell sum) each certifies a total tail
 #: <= 1e-13.
 PAIR_SUM_ALPHAS = (2.75, 5.5, 10.7)
-# the largest n of the first two alphas, from an operation count on an earlier k-space layout:
-# past it the images of the pairs (pairs * c^3) cost more than the next alpha's k-space
+# the largest n of the first two alphas, set by an operation count on an earlier k-space
+# layout: past it the images of the pairs (pairs * c^3) cost more than the next alpha's
+# k-space.  Measured on this layout (limits._pair_sum, one BLAS thread, two runs of
+# n = 2..16): 5.5 beats 2.75 from n = 12 on in the value (one configuration) and gradient
+# (two) passes, which cross between n = 8 and 12, and 2.75 wins the Hessian passes (two)
+# at every n <= 16
 _PAIR_SUM_COUNTS = (13, 209)
 
 
@@ -381,14 +389,14 @@ def _image_distances(X, rc):
 def _real_space(X, alpha, rc, origin=True, order=0):
     """Screened image sum per row x: sum_n erfc(alpha r) / (4 pi r), r = ||x| + n|, n in o(rc)^3.
 
-    ``origin=False`` leaves out the image n = 0.  At ``order`` 1, an (M, 4)
-    array from one set of image distances and erfc terms: the value, then its
-    gradient sign(x) * -sum_n w(r) (|x| + n).  At ``order`` 2, (M, 13): the
-    Hessian's 9 entries follow, at |x| the sum over the images of
-    W(r) v v^T - w(r) I, v = |x| + n,
+    ``origin=False`` leaves out the image n = 0.  The value at ``order`` 0;
+    at ``order`` 1, (value, (M, 3) gradient) from one set of image distances
+    and erfc terms, the gradient sign(x) * -sum_n w(r) (|x| + n); at
+    ``order`` 2, (value, gradient, (M, 3, 3) Hessian), the Hessian at |x| the
+    sum over the images of W(r) v v^T - w(r) I, v = |x| + n,
     W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, and at signed
-    rows entry (i, j) times sign(x_i) sign(x_j).  The columns are those of
-    ``_COLUMNS``.
+    rows entry (i, j) times sign(x_i) sign(x_j).  All are views of one array
+    whose columns are those of ``_COLUMNS``.
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
 
@@ -419,23 +427,20 @@ def _real_space(X, alpha, rc, origin=True, order=0):
             out[:, 4:] = (h * sign[:, :, None] * sign[:, None, :]).reshape(-1, 9)
         return out
     out = np.empty((len(X), width) if order else len(X))
-    return _by_rows(rows, X, rc**3 * (4 if order == 2 else 1), out) / (4 * math.pi)
+    out = _by_rows(rows, X, rc**3 * (4 if order == 2 else 1), out) / (4 * math.pi)
+    return (out[:, 0], out[:, 1:4], out[:, 4:].reshape(-1, 3, 3))[:order + 1] if order else out
 
 
 def _pair_part(dim, X, params, order=0):
     """The per-pair part of G at rows x of the centered cell, with its derivatives to ``order``.
 
     2D: the whole theta-form G.  3D: the screened image sum of ``_real_space``.
-    G at ``order`` 0, (G, grad G) at 1, and (G, grad G, (M, d, d) Hessian) at
-    2, the Hessian that of the whole G: in 3D that of the image sum plus the
-    order-2 ``_long_range``, so each row's Hessian is complete.
+    The value at ``order`` 0, (value, gradient) at 1 and (value, gradient,
+    (M, d, d) Hessian) at 2, the long-range part left out at every order.
     """
     if dim == 2:
         return _theta_green(X, 1.0, order)
-    out = _real_space(X, params.alpha, params.real_cutoff, order=order)
-    if order == 2:
-        return out[:, 0], out[:, 1:4], out[:, 4:].reshape(-1, 3, 3) + _long_range(3, X, params, 2)
-    return (out[:, 0], out[:, 1:]) if order else out
+    return _real_space(X, params.alpha, params.real_cutoff, order=order)
 
 
 @lru_cache(maxsize=32)
@@ -580,7 +585,8 @@ def _set_long_range(dim, masses, positions, params, order=0):
     three axes, then the sums with the axis-1 and axis-2 factors, each
     particle's over its own column.  At any ``order`` >= 1 it returns
     (value, (n, d) gradient) from one set of tables and one T; the long-range
-    part of the pair sum's Hessian comes per pair, from ``_pair_part``.  Both
+    part of the pair sum's Hessian comes per pair row, from ``_long_range``,
+    which ``limits._pair_sum`` adds to the per-pair Hessians itself.  Both
     are zero in 2D and for fewer than two particles.  Every product is a
     ``_serial_matmul`` and every other sum a numpy reduction, so the bits do
     not depend on the BLAS thread count.  T is formed in the lexicographic
@@ -621,11 +627,17 @@ def _set_long_range(dim, masses, positions, params, order=0):
     return value, out
 
 
+def _green(dim, X, params, order, name):
+    """G, grad G or its Hessian (``order`` 0, 1, 2) at rows X: per-pair plus long-range part."""
+    X = _cell(dim, X, name)
+    params = _resolve(params)
+    part = _pair_part(dim, X, params, order)
+    return (part[order] if order else part) + _long_range(dim, X, params, order)
+
+
 def green_eval_many(dim, X, params=None):
     """G evaluated at an (M, d) array of coordinate differences."""
-    X = _cell(dim, X, "green_eval")
-    params = _resolve(params)
-    return _pair_part(dim, X, params) + _long_range(dim, X, params)
+    return _green(dim, X, params, 0, "green_eval")
 
 
 def green_eval(dim, x, params=None) -> float:
@@ -639,10 +651,7 @@ def green_eval(dim, x, params=None) -> float:
 
 def green_grad_many(dim, X, params=None):
     """grad G at an (M, d) array of coordinate differences."""
-    X = _cell(dim, X, "green_grad")
-    params = _resolve(params)
-    _, grad = _pair_part(dim, X, params, 1)
-    return grad + _long_range(dim, X, params, 1)
+    return _green(dim, X, params, 1, "green_grad")
 
 
 def green_grad(dim, x, params=None) -> np.ndarray:
@@ -655,8 +664,7 @@ def green_hess_many(dim, X, params=None):
 
     Even in x; its trace is 1 away from the lattice points, since -lap G = delta - 1.
     """
-    X = _cell(dim, X, "green_hess")
-    return _pair_part(dim, X, _resolve(params), 2)[2]
+    return _green(dim, X, params, 2, "green_hess")
 
 
 def _g_smooth_n0(r, alpha):

@@ -33,13 +33,16 @@ pair terms by ``local._total`` and each particle's gradient terms over the
 pair triangle, then adds the particle-set long-range part per
 configuration: the (R,) energies, and at derivative ``order`` 1 the
 (R, n, d) gradients with them from the same pass.  At ``order`` 2 it
-assembles the (R, n d, n d) Hessians from the per-pair Hessians of G that
-the same kernel call returns: each pair's block enters the two diagonal
+assembles the (R, n d, n d) Hessians from the per-pair Hessians of G: those
+of the same kernel call plus one per-point long-range call
+(``green._long_range``) over all R * P rows, the addition that
+``green.green_hess_many`` makes.  Each pair's block enters the two diagonal
 blocks with + and the two off-diagonal blocks with -, written through the
-same pair triangle as the gradient terms (``_triangle``, one flat index per
-pair).  Each configuration's entries are bitwise those of its own one-row
-stack.  The placement's restarts pass their trial points as the stack; F0
-and the raw-array wrappers pass a stack of one and take its row.
+same pair triangle as the gradient terms (``_triangle``, which places each
+pair's terms at its (i, j)).  Each configuration's entries are bitwise
+those of its own one-row stack.  The placement's restarts pass their trial
+points as the stack; F0 and the raw-array wrappers pass a stack of one and
+take its row.
 ``interaction_energy``, ``interaction_gradient`` and
 ``interaction_hessian`` wrap it over raw arrays
 with the Ewald parameters chosen from n unless given, reduce the rows to
@@ -127,12 +130,10 @@ def e0(config: PointConfiguration) -> float:
 @lru_cache(maxsize=8)
 def _pair_index(n):
     # cached: np.triu_indices costs more than the rest of an optimizer-sized pair sum;
-    # the third array is each pair's flat index i * n + j into an (n, n) plane
+    # the rows i and columns j of the pairs i < j, which also place pair terms in an (n, n) plane
     iu, ju = np.triu_indices(n, k=1)
-    flat = iu * n + ju
-    for a in (iu, ju, flat):
-        a.flags.writeable = False
-    return iu, ju, flat
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _pairs(positions):
@@ -142,7 +143,7 @@ def _pairs(positions):
     returned as its (P, d) transpose, so each column ``diffs[:, k]`` is
     contiguous; the lengths sum the squares axis by axis, as a row norm does.
     """
-    iu, ju, _ = _pair_index(len(positions))
+    iu, ju = _pair_index(len(positions))
     cols = positions.T
     diffs = green.min_image(np.take(cols, iu, axis=1) - np.take(cols, ju, axis=1))
     dist = np.sqrt(np.add.reduce(diffs * diffs, axis=0))
@@ -160,9 +161,10 @@ def _check_distinct(pairs):
 
 def _triangle(n, terms):
     """The (R, P, ...) pair terms on the (i < j) triangle of an (R, n, n, ...) array of zeros."""
-    t = np.zeros((len(terms), n * n, *terms.shape[2:]))
-    t[:, _pair_index(n)[2]] = terms
-    return t.reshape(len(terms), n, n, *terms.shape[2:])
+    iu, ju = _pair_index(n)
+    t = np.zeros((len(terms), n, n, *terms.shape[2:]))
+    t[:, iu, ju] = terms
+    return t
 
 
 def _pair_sum(dim, masses, positions, diffs, params, order=0):
@@ -176,13 +178,14 @@ def _pair_sum(dim, masses, positions, diffs, params, order=0):
     energies at ``order`` 0; at ``order`` 1 with them the (R, n, d) gradients,
     each particle's pair terms summed over the pair triangle; at ``order`` 2
     also the (R, n d, n d) Hessians in the row order of ``positions[r].ravel()``,
-    assembled from the per-pair Hessians of G that the same kernel call
-    returns.  Each configuration's entries are bitwise those of its own
-    one-configuration stack: the kernels and the sums are row-independent.
+    assembled from the per-pair Hessians of G: the same kernel call's plus one
+    long-range call over all R * P rows.  Each configuration's entries are
+    bitwise those of its own one-configuration stack: the kernels and the sums
+    are row-independent.
     Unchecked: each table passed ``_check_distinct`` where it was built.
     """
     R, n = positions.shape[:2]
-    iu, ju, _ = _pair_index(n)
+    iu, ju = _pair_index(n)
     part = green._pair_part(dim, diffs, params, order)
     long = [green._set_long_range(dim, masses, x, params, order) for x in positions]
     if order:
@@ -198,8 +201,10 @@ def _pair_sum(dim, masses, positions, diffs, params, order=0):
     if order == 1:
         return energy, gradient
     # the pair (i, j) block 2 m_i m_j H(x_i - x_j) enters blocks (i, j) and (j, i) with -
-    # (H is even, so both are the same) and blocks (i, i) and (j, j) with +
-    t = _triangle(n, (-2.0 * mm)[:, None, None] * hess[0].reshape(R, -1, dim, dim))
+    # (H is even, so both are the same) and blocks (i, i) and (j, j) with +; H is G's
+    # per-pair Hessian plus its long-range one, joined per row as in green_hess_many
+    hess = hess[0] + green._long_range(dim, diffs, params, 2)
+    t = _triangle(n, (-2.0 * mm)[:, None, None] * hess.reshape(R, -1, dim, dim))
     t += t.swapaxes(1, 2)
     t[:, range(n), range(n)] = -t.sum(axis=2)
     return energy, gradient, t.swapaxes(2, 3).reshape(R, n * dim, n * dim)

@@ -443,7 +443,10 @@ def test_kernel_rows_with_the_hessian_are_bitwise_their_one_row_calls(dim, alpha
     # the Hessian leaves the value and gradient bits alone
     plain = green._pair_part(dim, X, params, 1)
     assert np.array_equal(plain[0], value) and np.array_equal(plain[1], grad)
+    # the whole G's Hessian, the per-pair part plus the long-range part, row by row as well
+    whole = green.green_hess_many(dim, X, params)
     for i in range(len(X)):
         one = green._pair_part(dim, X[i:i + 1], params, 2)
         assert one[0][0] == value[i]
         assert np.array_equal(one[1][0], grad[i]) and np.array_equal(one[2][0], hess[i])
+        assert np.array_equal(green.green_hess_many(dim, X[i:i + 1], params)[0], whole[i])

@@ -327,3 +327,17 @@ def test_each_row_of_a_stacked_hessian_pass_is_bitwise_its_own_call(dim, n):
         (one_e,), (one_g,) = limits._pair_sum(dim, m, xr[None], table, params, 1)
         assert e == one_e and np.array_equal(g, one_g)  # the value and gradient bits stay
         assert np.array_equal(limits._pair_sum(dim, m, xr[None], table, params, 2)[2][0], hess)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_each_off_diagonal_hessian_block_is_bitwise_the_pair_hessian_of_g(dim, n):
+    # the pair pass joins G's split per pair row exactly as green_hess_many does
+    rng = np.random.default_rng([dim, n, 37])
+    m, x = rng.uniform(0.5, 2.0, n), rng.random((n, dim))  # unequal masses
+    params = green._resolve(None, n)
+    hess = limits.interaction_hessian(dim, m, x).reshape(n, dim, n, dim)
+    iu, ju, diffs, _ = limits._pairs(x)
+    for i, j, d in zip(iu, ju, diffs):
+        block = (-2.0 * m[i] * m[j]) * green.green_hess_many(dim, d[None], params)[0]
+        assert np.array_equal(hess[i, :, j], block) and np.array_equal(hess[j, :, i], block)
