@@ -25,17 +25,19 @@ sign(x) times the gradient at |x|.  The long-range part is zero in 2D; in
 3D it is the reciprocal sum and the background over one k-space, the octant
 k >= 0: c_k is even in each coordinate of k, so each octant entry stands
 for the mu(k) = 2^(nonzero coordinates) vectors its sign flips give.  Its
-weights mu c_k are ``_structure_weights``, and the real per-axis tables of
-``_trig_tables`` hold cos and sin of 2 pi k x_d, with no trig per k-vector.
-``_long_range`` contracts them per point: the value, the gradient and the
-Hessian all come from one contraction, each entry the sum of w A_1 A_2 A_3
-over one table per axis among C = cos, D = -k sin and E = -k^2 cos, and one
-column table, ``_COLUMNS``, names the tables of every entry.
-``_set_long_range`` forms from them
-the eight real sums over particles that replace the structure factor S(k)
-of the pair sum sum_{i != j} m_i m_j G of n particles, so that sum costs
-O(pairs * images + n * K) rather than O(pairs * (images + K)), with real
-matrix products whose bits do not depend on the BLAS thread count.  Without
+weights mu c_k are ``_structure_weights``, contracted with real per-axis
+tables of 2 pi k x_d, with no trig per k-vector; each kernel builds the
+tables it reads from one phase array.  ``_long_range`` contracts them per
+point: the value, the gradient and the Hessian all come from one
+contraction, each entry the sum of w A_1 A_2 A_3 over one table per axis
+among C = cos, D = -k sin and E = -k^2 cos, built only as far as its order
+reads them, and one column table, ``_COLUMNS``, names the tables of every
+entry.  ``_set_long_range`` forms from the tables P = [cos, sin] (and, for
+its gradient, D = [-k sin, k cos]) the eight real sums over particles that
+replace the structure factor S(k) of the pair sum sum_{i != j} m_i m_j G of
+n particles, so that sum costs O(pairs * images + n * K) rather than
+O(pairs * (images + K)), with real matrix products whose bits do not depend
+on the BLAS thread count.  Without
 explicit parameters, alpha is chosen from n among PAIR_SUM_ALPHAS (2.75 up
 to n = 13, 5.5 up to 209, 10.7 above), and a per-point G takes the choice
 for one pair, n = 2.
@@ -55,9 +57,10 @@ the same addition on its pair rows, since the structure factor forms values
 and gradients only.  Away from the
 lattice points its trace is 1, since -lap G = delta - 1.  The regular
 part g, G minus -log|x|/2pi or 1/(4pi|x|), stays smooth through x = 0: the
-2D log is taken of |sin pi z| / |x|; the 3D n = 0 image term is combined
-with the singular part analytically.  Values are taken at |x| in the
-centered cell, where G is even in each coordinate: every kernel takes
+2D log is taken of |sin pi z| / |x|, and below |x| = 1e-8, where the squares
+in |sin pi z| near underflow, g is g(0) + |x|^2 / 4; the 3D n = 0 image term
+is combined with the singular part analytically.  Values are taken at |x|
+in the centered cell, where G is even in each coordinate: every kernel takes
 signed rows x and their absolute values itself, and reduces row by row,
 so each value is independent of its row in the batch.  The pair sum's
 rows arrive as the (M, d) transpose of a coordinate-major (d, M) array
@@ -394,9 +397,10 @@ def _real_space(X, alpha, rc, origin=True, order=0):
     and erfc terms, the gradient sign(x) * -sum_n w(r) (|x| + n); at
     ``order`` 2, (value, gradient, (M, 3, 3) Hessian), the Hessian at |x| the
     sum over the images of W(r) v v^T - w(r) I, v = |x| + n,
-    W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, and at signed
-    rows entry (i, j) times sign(x_i) sign(x_j).  All are views of one array
-    whose columns are those of ``_COLUMNS``.
+    W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, its lower
+    triangle a copy of its upper one, so that it is symmetric bit for bit,
+    and at signed rows entry (i, j) times sign(x_i) sign(x_j).  All are views
+    of one array whose columns are those of ``_COLUMNS``.
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
 
@@ -422,6 +426,8 @@ def _real_space(X, alpha, rc, origin=True, order=0):
             v = a[:, None, :] + _images(rc)  # rows, images, 3
             big_w = (3 * w + (4 * alpha**3 / _SQRT_PI) * gauss) / (r * r)
             h = (big_w[:, None, :] * v.transpose(0, 2, 1)) @ v  # one (3, images) product per row
+            # entries (a, b) and (b, a) round differently: the lower triangle takes the upper's
+            h = np.where(np.tri(3, dtype=bool), h.swapaxes(1, 2), h)
             h -= w.sum(axis=1)[:, None, None] * np.eye(3)
             sign = np.sign(x)
             out[:, 4:] = (h * sign[:, :, None] * sign[:, None, :]).reshape(-1, 9)
@@ -464,37 +470,6 @@ def _structure_weights(params):
     return w
 
 
-@lru_cache(maxsize=32)
-def _wavenumbers(F):
-    """2 pi k for k = 0..F-1, and the (2, F) coefficients [-k, k] of the derivative tables.
-
-    Both read-only.
-    """
-    k = np.arange(F, dtype=float)
-    out = (2 * math.pi) * k, np.stack([-k, k])
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _trig_tables(positions, F, order=0):
-    """The per-axis tables P_d = [cos, sin](2 pi k x_jd), k = 0..F-1, as a (1, 3, n, 2F) array.
-
-    ``[0, d, j, :F]`` is the cos table and ``[0, d, j, F:]`` the sin table.
-    At ``order`` >= 1, (2, 3, n, 2F): the derivative tables
-    D_d = dP_d/dx_d / 2 pi = [-k sin, k cos] follow, P_d with its parities
-    swapped and scaled by -k and k.
-    """
-    two_pi_k, kk = _wavenumbers(F)
-    phase = positions.T[:, :, None] * two_pi_k
-    out = np.empty((1 + (order > 0), *phase.shape[:2], 2, F))
-    np.cos(phase, out=out[0, :, :, 0])
-    np.sin(phase, out=out[0, :, :, 1])
-    if order:
-        np.multiply(out[0, :, :, ::-1], kk, out=out[1])
-    return out.reshape(len(out), *phase.shape[:2], 2 * F)
-
-
 # every per-point long-range quantity, a column: the value, the gradient's 3 entries and the
 # Hessian's 9 in row-major order, each sum w A_1 A_2 A_3 with A_d the table of axis d (row)
 # that the entry names in [C, D, E] (cos, -k sin, -k^2 cos); order o has the 3^o columns
@@ -509,9 +484,10 @@ def _long_range(dim, X, params, order=0):
 
     Zero in 2D.  3D: the reciprocal sum sum_{k != 0} c_k cos(2 pi k.x) minus
     the background 1/(4 alpha^2), or its derivatives, over the octant weights
-    w of ``_structure_weights`` and the tables of ``_trig_tables``.  The sign
-    flips of k cancel every parity but one per entry: with C = cos,
-    D = -k sin and E = -k^2 cos per axis, each entry is (2 pi)^order times
+    w of ``_structure_weights`` and per-axis tables of the phases 2 pi k x_d.
+    The sign flips of k cancel every parity but one per entry: with C = cos,
+    D = -k sin and E = -k^2 cos per axis, built only up to the order's
+    table (C; C, D; C, D, E), each entry is (2 pi)^order times
     sum w A_1 A_2 A_3, its tables named by its column of ``_COLUMNS`` (the
     value C_1 C_2 C_3, d/dx_1 D_1 C_2 C_3, d^2/dx_1^2 E_1 C_2 C_3,
     d^2/dx_1 dx_2 D_1 D_2 C_3, ...).  Contracted one axis at a time by two
@@ -521,18 +497,22 @@ def _long_range(dim, X, params, order=0):
     """
     if dim == 2:
         return 0.0
-    F = params.fourier_cutoff + 1
+    k = np.arange(params.fourier_cutoff + 1, dtype=float)
     w = _structure_weights(params)  # symmetric, so its last axis may stand for k1
     lo = (3**order - 1) // 2
     first, second, third = _COLUMNS[:, lo:lo + 3**order]
 
     def rows(x):
-        tables = _trig_tables(x, F, order)[..., :F]  # [C, D], (1 + (order > 0), 3, rows, F)
+        phase = x.T[:, :, None] * ((2 * math.pi) * k)
+        tables = np.empty((order + 1, *phase.shape))  # [C, D, E][:order + 1], (.., 3, rows, F)
+        np.cos(phase, out=tables[0])
+        if order:
+            np.multiply(np.sin(phase), -k, out=tables[1])
         if order == 2:
-            tables = np.concatenate([tables, tables[:1] * -_wavenumbers(F)[1][1] ** 2])  # E
+            np.multiply(tables[0], -k * k, out=tables[2])
         t = np.einsum("bca,tja->tjbc", w, tables[:, 0])  # the k1 sums, (order + 1, rows, F, F)
         return np.einsum("tjbc,tjb,tjc->jt", t[first], tables[second, 1], tables[third, 2])
-    out = _by_rows(rows, X, len(first) * F * F, np.empty((len(X), len(first))))
+    out = _by_rows(rows, X, len(first) * len(k) ** 2, np.empty((len(X), len(first))))
     if order == 0:
         return out[:, 0] - 1.0 / (4 * params.alpha**2)
     return out.reshape(-1, *(3,) * order) * (2 * math.pi) ** order
@@ -575,15 +555,16 @@ def _set_long_range(dim, masses, positions, params, order=0):
     sum_k c_k |S(k)|^2 = sum_{k >= 0} mu(k) c_k sum_sigma T_sigma(k)^2, with
     the eight real sums T_sigma(k) = sum_j m_j sigma_1(2 pi k1 x_j1)
     sigma_2(..) sigma_3(..), sigma_d in {cos, sin}, each weighted by
-    ``_structure_weights`` at its k.  T comes from the tables P_d of
-    ``_trig_tables`` (Essmann et al., 1995) by one real matrix product,
-    (m P_1 (x) P_2).T @ P_3, over chunks of particles whose (4 F^2, chunk)
-    outer products hold at most _CHUNK elements.  The gradient,
-    4 pi m_j sum mu c_k T dT/dx_j / (2 pi m_j), contracts Z = mu c_k T back
-    through the same tables, once per axis s with the derivative table D_s
-    in place of P_s: one product Z @ R.T over the axis-3 factors R of all
-    three axes, then the sums with the axis-1 and axis-2 factors, each
-    particle's over its own column.  At any ``order`` >= 1 it returns
+    ``_structure_weights`` at its k.  T comes from the per-axis tables
+    P_d = [cos, sin](2 pi k x_d) (Essmann et al., 1995) by one real matrix
+    product, (m P_1 (x) P_2).T @ P_3, over chunks of particles whose
+    (4 F^2, chunk) outer products hold at most _CHUNK elements.  The
+    gradient, 4 pi m_j sum mu c_k T dT/dx_j / (2 pi m_j), contracts
+    Z = mu c_k T back through the same tables, once per axis s with the
+    derivative table D_s = [-k sin, k cos], built only for the gradient, in
+    place of P_s: one product Z @ R.T over the axis-3 factors R of all three
+    axes, then the sums with the axis-1 and axis-2 factors, each particle's
+    over its own column.  At any ``order`` >= 1 it returns
     (value, (n, d) gradient) from one set of tables and one T; the long-range
     part of the pair sum's Hessian comes per pair row, from ``_long_range``,
     which ``limits._pair_sum`` adds to the per-pair Hessians itself.  Both
@@ -595,10 +576,14 @@ def _set_long_range(dim, masses, positions, params, order=0):
     if dim == 2 or len(masses) < 2:
         return (0.0, np.zeros_like(positions)) if order else 0.0
     F = params.fourier_cutoff + 1
+    k = np.arange(F, dtype=float)
     w = _structure_weights(params)
     lex = np.lexsort(positions.T[::-1])
     m = masses[lex]
-    tables = _trig_tables(positions[lex], F, order)
+    phase = positions[lex].T[:, :, None] * ((2 * math.pi) * k)
+    tables = np.empty((1 + (order > 0), 3, len(m), 2 * F))  # [P_d, D_d] for the axes d
+    np.cos(phase, out=tables[0, ..., :F])
+    np.sin(phase, out=tables[0, ..., F:])
     p1t, p2t, p3 = tables[0, 0].T * m, tables[0, 1].T, tables[0, 2]  # the masses ride on P_1
     step = max(1, _CHUNK // (4 * F * F))  # particles per chunk: (4 F^2, chunk) temporaries
     chunks = [slice(lo, lo + step) for lo in range(0, len(m), step)]
@@ -613,6 +598,8 @@ def _set_long_range(dim, masses, positions, params, order=0):
     value = recip - (total * total - mm) / (4 * params.alpha**2)
     if order == 0:
         return value
+    np.multiply(tables[0, ..., F:], -k, out=tables[1, ..., :F])  # D_d = [-k sin, k cos]
+    np.multiply(tables[0, ..., :F], k, out=tables[1, ..., F:])
     tables = tables.reshape(6, len(m), 2 * F)  # P_1, P_2, P_3, D_1, D_2, D_3
     out = np.empty_like(positions)
     step = max(1, step // 12)  # (4 F^2, 3 chunk) temporaries of _CHUNK / 4, which stay in cache
@@ -692,11 +679,15 @@ def regular_part(dim, x, params=None) -> float:
     Continuous through x = 0 (returns g(0) there) and smooth on the cell: the
     singular part is divided out inside the 2D log, or combined analytically
     with the n = 0 screened term in 3D, instead of subtracted numerically.
+    Below |x| = 1e-8 the 2D g is its Taylor polynomial g(0) + |x|^2 / 4
+    (lap g = 1 and the square's symmetry give Hess g(0) = I / 2): there the
+    squares inside the log near underflow, and subnormal ones would cost it
+    digits.
     """
     x = _cell(dim, np.asarray(x, dtype=float)[None], "regular_part", guard=False)
     r = float(np.linalg.norm(x))
     if dim == 2:
-        return _G0_2D if r == 0.0 else float(_theta_green(x, r)[0])
+        return _G0_2D + r * r / 4 if r < 1e-8 else float(_theta_green(x, r)[0])
     params = _resolve(params)
     smooth = _real_space(x, params.alpha, params.real_cutoff, origin=False)
     return _g_smooth_n0(r, params.alpha) + float(smooth[0] + _long_range(3, x, params)[0])

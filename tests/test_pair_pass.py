@@ -55,7 +55,10 @@ def set_long_range_grad(masses, positions, params):
     F = params.fourier_cutoff + 1
     order = np.lexsort(positions.T[::-1])
     m = masses[order]
-    p, d = green._trig_tables(positions[order], F, 1)
+    k = np.arange(F)
+    phase = positions[order].T[:, :, None] * (2 * math.pi * k)
+    cos, sin = np.cos(phase), np.sin(phase)
+    p, d = np.concatenate([cos, sin], axis=2), np.concatenate([-k * sin, k * cos], axis=2)
     step = max(1, green._CHUNK // (4 * F * F))
     t = 0.0
     for lo in range(0, len(m), step):
