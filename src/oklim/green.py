@@ -399,8 +399,9 @@ def _real_space(X, alpha, rc, origin=True, order=0):
     sum over the images of W(r) v v^T - w(r) I, v = |x| + n,
     W = (3 w + (4 alpha^3 / sqrt(pi)) e^(-alpha^2 r^2)) / r^2, its lower
     triangle a copy of its upper one, so that it is symmetric bit for bit,
-    and at signed rows entry (i, j) times sign(x_i) sign(x_j).  All are views
-    of one array whose columns are those of ``_COLUMNS``.
+    and at signed rows its off-diagonal entry (i, j) times sign(x_i)
+    sign(x_j), its diagonal as at |x|.  All are views of one array whose
+    columns are those of ``_COLUMNS``.
     """
     from scipy.special import erfc  # here, not at module level: see the module docstring
 
@@ -429,8 +430,8 @@ def _real_space(X, alpha, rc, origin=True, order=0):
             # entries (a, b) and (b, a) round differently: the lower triangle takes the upper's
             h = np.where(np.tri(3, dtype=bool), h.swapaxes(1, 2), h)
             h -= w.sum(axis=1)[:, None, None] * np.eye(3)
-            sign = np.sign(x)
-            out[:, 4:] = (h * sign[:, :, None] * sign[:, None, :]).reshape(-1, 9)
+            sign = np.sign(x)[:, :, None] * np.sign(x)[:, None, :]
+            out[:, 4:] = np.where(np.eye(3, dtype=bool), h, h * sign).reshape(-1, 9)
         return out
     out = np.empty((len(X), width) if order else len(X))
     out = _by_rows(rows, X, rc**3 * (4 if order == 2 else 1), out) / (4 * math.pi)

@@ -81,7 +81,7 @@ _NEWTON_MOVE = 0.01
 _NEWTON_ROWS = 96
 # |grad| <= tol ends a restart only where the smallest eigenvalue of the reduced Hessian is
 # at least -_NEGATIVE_CURVATURE times the largest |eigenvalue|: far above the rounding of
-# the eigenvalues, and far below the -0.03 to -0.045 of the square-lattice saddles
+# the eigenvalues, and far below the -0.034 to -0.084 of the square and cubic lattice saddles
 _NEGATIVE_CURVATURE = 1e-8
 
 

@@ -133,32 +133,20 @@ def ball_form_factor(dim, t):
     in 3D, 1e-4 in 2D), where it cancels or divides 0 by 0, the Taylor
     polynomial overwrites it.  A 0-d ``t`` gives a float.
     """
-    t = np.asarray(t, dtype=float)
-    if dim == 3:
-        threshold = 0.1
-
-        def closed(t):
-            return 3.0 * (np.sin(t) - t * np.cos(t)) / t**3
-
-        def taylor(t):
-            t2 = t * t
-            return 1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 * t2 * t2 / 15120.0
-    elif dim == 2:
-        from scipy.special import j1  # here, not at module level: see the module docstring
-
-        threshold = 1e-4
-
-        def closed(t):
-            return 2.0 * j1(t) / t
-
-        def taylor(t):
-            return 1.0 - t**2 / 8.0
-    else:
+    if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    small = t < threshold
+    t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # the small t are overwritten
-        out = np.asarray(closed(t))
-    out[small] = taylor(t[small])
+        if dim == 3:
+            out = np.asarray(3.0 * (np.sin(t) - t * np.cos(t)) / t**3)
+            small = t < 0.1
+            t2 = t[small] * t[small]
+            out[small] = 1.0 - t2 / 10.0 + t2 * t2 / 280.0 - t2 * t2 * t2 / 15120.0
+        else:
+            from scipy.special import j1  # here, not at module level: see the module docstring
+
+            out = np.asarray(2.0 * j1(t) / t)
+            out[t < 1e-4] = 1.0 - t[t < 1e-4] ** 2 / 8.0
     return out if out.ndim else float(out)
 
 

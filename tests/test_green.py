@@ -398,7 +398,14 @@ HESSIAN_PARAMS = [None, math.sqrt(math.pi), 10.7]  # 2.75 (the per-point choice)
 
 
 def _hessian_points(rng, dim, count=60):
-    return np.array([random_torus_point(rng, dim, min_dist=0.05) for _ in range(count)])
+    """``count`` random points, then rows with zero coordinates, where sign(x) is 0."""
+    X = np.array([random_torus_point(rng, dim, min_dist=0.05) for _ in range(count)])
+    if dim == 2:
+        zeros = [[t, 0.0] for t in (0.2, -0.37)] + [[0.0, t] for t in (0.2, 0.45)]
+    else:
+        zeros = ([[t, 0.0, 0.0] for t in (0.2, -0.37)] + [[t, t, 0.0] for t in (0.2, 0.31)]
+                 + [[0.0, 0.2, 0.0], [0.0, -0.1, 0.3], [0.0, 0.0, 0.45], [0.5, 0.5, 0.0]])
+    return np.concatenate([X, zeros])
 
 
 @pytest.mark.parametrize("alpha", HESSIAN_PARAMS)

@@ -315,10 +315,12 @@ def test_min_hessian_eigenvalue_is_none_past_the_newton_rows():
 
 
 @pytest.mark.parametrize("dim, n, saddle", [(2, 4, -0.44127120), (2, 9, -1.57364619),
-                                            (2, 16, -3.53016960), (3, 27, -12.19238781)])
+                                            (2, 16, -3.53016960), (3, 8, -1.8062796756),
+                                            (3, 27, -12.19238781)])
 def test_place_leaves_the_square_lattice_saddle(dim, n, saddle):
     # the lattice's gradient is zero by symmetry, and its Hessian has a negative eigenvalue
-    # beside the translations: a descent that stops on |grad| alone ended there, converged
+    # beside the translations: a descent that stops on |grad| alone ended there, converged.
+    # The 3D n = 8 bound lies just below its lattice's energy, -1.80627967552607
     res = optimize.place(dim, np.ones(n), restarts=0,
                          initial_positions=optimize.square_lattice_positions(dim, n))
     assert res.converged
